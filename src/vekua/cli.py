@@ -6,8 +6,24 @@ the metaharmonic partner of a kernel element), ``expand`` (collocation fit
 in the formal-power basis) and ``verify`` (full identity battery at two
 resolutions).
 
+Every subcommand reads one :class:`~vekua.verification.RunConfig`: the
+dataclass defaults, then the ``--config`` JSON file, then the flags.  Every
+key of the file is optional::
+
+    {"grid": {"a1": 1.0, "a2": 1.0, "n1": 201, "n2": 201},
+     "superpotential": {"name": "linear", "params": [0.5, -1.0]},
+     "tolerances": {"factorization": 150.0}}
+
+``tolerances`` maps the name of a battery check whose cap is a multiple of
+h^2 (a check with an ``h2_cap`` in :data:`vekua.verification.CHECKS`) to a
+positive multiple of h^2 that replaces that cap.
+
 Exit codes: 0 success, 1 verification failure, 2 usage/config error,
-3 numerical non-convergence.  Identical configuration yields byte-identical
+3 numerical non-convergence.  Exit 2 covers unknown flags; an unreadable
+config or input file; a non-numeric ``--params`` or config value; an even
+or too small node count; a tolerance name without an h^2 cap, or a
+tolerance that is not positive and finite; an unknown family or a wrong
+parameter count for it.  Identical configuration yields byte-identical
 outputs; the output directory defaults to ``--out`` and can be overridden
 with the ``VEKUA_OUTDIR`` environment variable.
 """
@@ -32,8 +48,8 @@ from .fields_io import (
     write_grid_meta,
 )
 from .formal_powers import assemble_formal_powers
-from .grid import Grid1D, Grid2D
-from .superpotential import make_superpotential
+from .grid import Grid2D
+from .superpotential import catalog_names, make_superpotential
 from .transmutation import build_transmute, build_transmute_2d, build_transmute_tilde
 from .verification import RunConfig, run_battery, render_report, write_report
 
@@ -50,7 +66,7 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--nodes", type=int, nargs="+", metavar="N",
                         help="odd node counts (one value or n1 n2)")
     parser.add_argument("--sp", dest="sp_name",
-                        choices=("zero", "linear", "quadratic", "tabulated"),
+                        choices=catalog_names(),
                         help="superpotential family")
     parser.add_argument("--params", help="comma-separated family parameters")
     parser.add_argument("--chi1-file", type=Path, help="CSV x,chi1 for the tabulated family")
@@ -58,65 +74,58 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
 
 
-def _load_config(args) -> dict:
-    cfg = {
-        "half_width1": 1.0,
-        "half_width2": 1.0,
-        "n1": 201,
-        "n2": 201,
-        "sp_name": "zero",
-        "sp_params": (),
-        "tolerances": {},
-    }
+# config-file "grid" keys: RunConfig field and conversion
+_GRID_KEYS = {"a1": ("half_width1", float), "a2": ("half_width2", float),
+              "n1": ("n1", int), "n2": ("n2", int)}
+
+
+def _load_config(args) -> RunConfig:
+    fields = {}
     if args.config is not None:
         try:
             raw = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-        grid = raw.get("grid", {})
-        cfg["half_width1"] = float(grid.get("a1", cfg["half_width1"]))
-        cfg["half_width2"] = float(grid.get("a2", cfg["half_width2"]))
-        cfg["n1"] = int(grid.get("n1", cfg["n1"]))
-        cfg["n2"] = int(grid.get("n2", cfg["n2"]))
-        sp = raw.get("superpotential", {})
-        cfg["sp_name"] = sp.get("name", cfg["sp_name"])
-        cfg["sp_params"] = tuple(float(p) for p in sp.get("params", ()))
-        cfg["tolerances"] = {k: float(v) for k, v in raw.get("tolerances", {}).items()}
+        try:
+            grid = raw.get("grid", {})
+            for key, (name, convert) in _GRID_KEYS.items():
+                if key in grid:
+                    fields[name] = convert(grid[key])
+            sp = raw.get("superpotential", {})
+            if "name" in sp:
+                fields["sp_name"] = sp["name"]
+            fields["sp_params"] = tuple(float(p) for p in sp.get("params", ()))
+            fields["tolerances"] = {k: float(v) for k, v in raw.get("tolerances", {}).items()}
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed config {args.config}: {exc}") from exc
     if args.half_width:
         vals = args.half_width
-        cfg["half_width1"] = vals[0]
-        cfg["half_width2"] = vals[1] if len(vals) > 1 else vals[0]
+        fields["half_width1"] = vals[0]
+        fields["half_width2"] = vals[1] if len(vals) > 1 else vals[0]
     if args.nodes:
         vals = args.nodes
-        cfg["n1"] = vals[0]
-        cfg["n2"] = vals[1] if len(vals) > 1 else vals[0]
+        fields["n1"] = vals[0]
+        fields["n2"] = vals[1] if len(vals) > 1 else vals[0]
     if args.sp_name:
-        cfg["sp_name"] = args.sp_name
+        fields["sp_name"] = args.sp_name
     if args.params is not None:
         text = args.params.strip()
-        cfg["sp_params"] = tuple(float(p) for p in text.split(",")) if text else ()
-    for key in ("n1", "n2"):
-        if cfg[key] < 3 or cfg[key] % 2 == 0:
-            raise ConfigError(f"{key} must be odd and >= 3, got {cfg[key]}")
-    for key, tol in cfg["tolerances"].items():
-        if tol <= 0:
-            raise ConfigError(f"tolerance override {key} must be positive")
-    return cfg
+        try:
+            fields["sp_params"] = tuple(float(p) for p in text.split(",")) if text else ()
+        except ValueError as exc:
+            raise ConfigError(f"--params must be comma-separated numbers: {exc}") from exc
+    return RunConfig(**fields)
 
 
-def _build_grid(cfg) -> Grid2D:
-    return Grid2D(Grid1D(cfg["half_width1"], cfg["n1"]), Grid1D(cfg["half_width2"], cfg["n2"]))
-
-
-def _build_sp(cfg, args, grid: Grid2D):
+def _build_sp(cfg: RunConfig, args, grid: Grid2D):
     tables = {}
-    if cfg["sp_name"] == "tabulated":
+    if cfg.sp_name == "tabulated":
         if args.chi1_file is None or args.chi2_file is None:
             raise ConfigError("tabulated family needs --chi1-file and --chi2-file")
         tables["chi1_table"] = read_axis_table(args.chi1_file, grid.gx, "chi1")
         tables["chi2_table"] = read_axis_table(args.chi2_file, grid.gy, "chi2")
     try:
-        return make_superpotential(cfg["sp_name"], cfg["sp_params"], grid, **tables)
+        return make_superpotential(cfg.sp_name, cfg.sp_params, grid, **tables)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -130,12 +139,12 @@ def _out_dir(args) -> Path:
 
 def _cmd_formal_powers(args) -> int:
     cfg = _load_config(args)
-    grid = _build_grid(cfg)
+    grid = cfg.grid()
     sp = _build_sp(cfg, args, grid)
     out = _out_dir(args)
     table = assemble_formal_powers(sp, args.n_max)
     write_grid_meta(out / "grid.json", grid)
-    manifest = {"superpotential": {"name": cfg["sp_name"], "params": list(cfg["sp_params"])},
+    manifest = {"superpotential": {"name": cfg.sp_name, "params": list(cfg.sp_params)},
                 "n_max": args.n_max, "files": []}
     families = (
         ("seq0_a1", table.z_one),
@@ -246,22 +255,14 @@ def _cmd_expand(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg = _load_config(args)
-    run_cfg = RunConfig(
-        half_width1=cfg["half_width1"],
-        half_width2=cfg["half_width2"],
-        n1=cfg["n1"],
-        n2=cfg["n2"],
-        sp_name=cfg["sp_name"],
-        sp_params=cfg["sp_params"],
-        corrupt_u0=args.corrupt_potential,
-        tolerances=cfg["tolerances"],
-    )
-    if run_cfg.sp_name == "tabulated":
+    cfg.corrupt_u0 = args.corrupt_potential
+    if cfg.sp_name == "tabulated":
         raise ConfigError("verify runs on catalog families (the battery refines the grid)")
-    rows = run_battery(run_cfg)
+    _build_sp(cfg, args, cfg.grid())  # unknown family or parameter count: exit 2, not 1
+    rows = run_battery(cfg)
     out = _out_dir(args)
-    write_report(rows, run_cfg, out)
-    print(render_report(rows, run_cfg), end="")
+    write_report(rows, cfg, out)
+    print(render_report(rows, cfg), end="")
     failed = [r for r in rows if not r.passed]
     if failed:
         print(f"FAILED identities: {', '.join(r.name for r in failed)}", file=sys.stderr)

@@ -28,7 +28,6 @@ __all__ = [
     "FormalPowerTable",
     "build_aux_system",
     "assemble_formal_powers",
-    "adjoint_pair",
     "fg_integral",
     "recursive_formal_powers",
 ]
@@ -172,7 +171,7 @@ def assemble_formal_powers(sp: Superpotential, n_max: int, aux: AuxSystem | None
     return FormalPowerTable(sp, n_max, z_one, z_i, z1_one, z1_i, aux)
 
 
-def adjoint_pair(sp: Superpotential, m: int = 0):
+def _adjoint_pair(sp: Superpotential, m: int = 0):
     """Adjoint generating pair (F*, G*) of the m-th pair."""
     f_gen, g_gen = generating_pair(sp, m)
     denom = f_gen * np.conj(g_gen) - np.conj(f_gen) * g_gen
@@ -190,7 +189,7 @@ def fg_integral(sp: Superpotential, m: int, w, origin=None) -> np.ndarray:
     grid: Grid2D = sp.grid
     w = grid.check(np.asarray(w, dtype=complex))
     f_gen, g_gen = generating_pair(sp, m)
-    f_star, g_star = adjoint_pair(sp, m)
+    f_star, g_star = _adjoint_pair(sp, m)
     int_g = lpath_complex(grid, g_star * w, origin)
     int_f = lpath_complex(grid, f_star * w, origin)
     return f_gen * np.real(int_g) + g_gen * np.real(int_f)

@@ -21,18 +21,13 @@ __all__ = [
     "h0",
     "h2",
     "h1",
-    "h1_tilde",
     "h_diag",
     "vekua_v",
     "vekua_vbar",
     "vekua_v1",
     "vekua_v1bar",
-    "bers_derivative",
     "bers_derivative_seq",
     "project",
-    "p_plus",
-    "p_minus",
-    "combine",
     "darboux",
     "darboux_adjoint",
     "pseudo_darboux",
@@ -75,31 +70,22 @@ def h2(sp: Superpotential, f) -> np.ndarray:
 
 
 def h1(sp: Superpotential, v):
-    """Matrix Hamiltonian acting on a vector field (c1, c2)."""
-    (p11, p12), (p21, p22) = sp.matrix_potential()
+    """Matrix Hamiltonian acting on a vector field (c1, c2).
+
+    The matrix potential is diagonal for separable chi, so H1 acts
+    component-wise and equals its variant with the off-diagonal signs
+    flipped, which the pseudo-Darboux factorization produces.
+    """
+    p11, p22 = sp.matrix_potential()
     c1, c2 = v
-    g1 = -laplacian(sp.grid, c1) + p11 * c1 + p12 * c2
-    g2 = -laplacian(sp.grid, c2) + p21 * c1 + p22 * c2
+    g1 = -laplacian(sp.grid, c1) + p11 * c1
+    g2 = -laplacian(sp.grid, c2) + p22 * c2
     return g1, g2
 
 
-def h1_tilde(sp: Superpotential, v):
-    """Matrix Hamiltonian with the off-diagonal signs flipped."""
-    (p11, p12), (p21, p22) = sp.matrix_potential()
-    c1, c2 = v
-    g1 = -laplacian(sp.grid, c1) + p11 * c1 - p12 * c2
-    g2 = -laplacian(sp.grid, c2) - p21 * c1 + p22 * c2
-    return g1, g2
-
-
-def h1_element(sp: Superpotential, i: int, k: int, f) -> np.ndarray:
-    """Single element (i, k) of the matrix Hamiltonian applied to a scalar."""
-    (p11, p12), (p21, p22) = sp.matrix_potential()
-    p = ((p11, p12), (p21, p22))[i - 1][k - 1]
-    out = p * np.asarray(f)
-    if i == k:
-        out = out - laplacian(sp.grid, f)
-    return out
+def h1_element(sp: Superpotential, i: int, f) -> np.ndarray:
+    """Diagonal element (i, i) of the matrix Hamiltonian applied to a scalar."""
+    return sp.matrix_potential()[i - 1] * np.asarray(f) - laplacian(sp.grid, f)
 
 
 def h_diag(sp: Superpotential, v):
@@ -129,11 +115,6 @@ def vekua_v1bar(sp: Superpotential, w) -> np.ndarray:
     return d_z(sp.grid, w) + sp.dzbar_chi() * np.conj(w)
 
 
-def bers_derivative(sp: Superpotential, w) -> np.ndarray:
-    """Derivative in the sense of the main generating pair (equals vekua_vbar)."""
-    return vekua_vbar(sp, w)
-
-
 def bers_derivative_seq(sp: Superpotential, m: int, w) -> np.ndarray:
     """Derivative taken with respect to the m-th pair of the period-two sequence."""
     return vekua_vbar(sp, w) if m % 2 == 0 else vekua_v1bar(sp, w)
@@ -141,22 +122,9 @@ def bers_derivative_seq(sp: Superpotential, m: int, w) -> np.ndarray:
 
 # -- projections ----------------------------------------------------------
 
-def p_plus(w) -> np.ndarray:
-    return np.real(w)
-
-
-def p_minus(w) -> np.ndarray:
-    return np.imag(w)
-
-
 def project(w):
     """Complex field to the vector (Im w, Re w)."""
     return np.imag(w), np.real(w)
-
-
-def combine(v) -> np.ndarray:
-    """Inverse of :func:`project`: (c1, c2) -> c2 + i c1."""
-    return v[1] + 1j * v[0]
 
 
 # -- 2x2 first-order transformations --------------------------------------

@@ -157,22 +157,15 @@ class Superpotential:
         )[None, :]
 
     def matrix_potential(self):
-        """2x2 potential of the matrix Hamiltonian: delta_ij U0 + 2 d_i d_j chi.
+        """Diagonal (P11, P22) of the matrix potential delta_ij U0 + 2 d_i d_j chi.
 
-        For separable chi the mixed derivative vanishes, so the off-diagonal
-        entries are zero fields; they are returned anyway to keep the matrix
-        action generic.
+        For separable chi the mixed derivative 2 d_x d_y chi vanishes
+        identically, so the off-diagonal entries are zero and not returned.
         """
         u0 = self.u0()
         p11 = u0 + 2.0 * self.ax.d2chi[:, None] * np.ones(self.grid.shape)
         p22 = u0 + 2.0 * self.ay.d2chi[None, :] * np.ones(self.grid.shape)
-        p12 = np.zeros(self.grid.shape)
-        return ((p11, p12), (p12, p22))
-
-
-def potentials(sp: Superpotential):
-    """Convenience bundle (U0, U2, 2x2 matrix potential)."""
-    return sp.u0(), sp.u2(), sp.matrix_potential()
+        return p11, p22
 
 
 def _constant(value: float) -> Callable:

@@ -169,11 +169,9 @@ class TransmuteOp:
     kernel: GoursatKernel
     variant: str  # "plain" or "tilde"
 
-    def __call__(self, f) -> np.ndarray:
+    def along_x(self, f) -> np.ndarray:
+        """Apply along the first axis of a 1-D or 2-D field."""
         return self.matrix @ self.grid.check(np.asarray(f))
-
-    def along_x(self, field2d) -> np.ndarray:
-        return self.matrix @ np.asarray(field2d)
 
     def along_y(self, field2d) -> np.ndarray:
         return np.asarray(field2d) @ self.matrix.T
@@ -200,7 +198,7 @@ def ttilde_antiderivative_form(t_op: TransmuteOp, profile: AxisProfile, f, df=No
     f = grid.check(np.asarray(f, dtype=float))
     if df is None:
         df = _first_derivative(f, grid.h, axis=0)
-    weighted = np.exp(profile.chi) * t_op(df)
+    weighted = np.exp(profile.chi) * t_op.along_x(df)
     acc = cumulative_integral(grid, weighted, grid.center)
     return np.exp(-profile.chi) * (acc + f[grid.center])
 
@@ -233,7 +231,7 @@ def build_transmute_tilde(
         for k in (1, 2, 3):
             f = x**k
             df = k * x ** (k - 1) if k > 1 else np.ones_like(x)
-            via_kernel = op(f)
+            via_kernel = op.along_x(f)
             via_anti = ttilde_antiderivative_form(t_op, profile, f, df)
             scale = max(1.0, float(np.max(np.abs(via_anti))))
             gap = float(np.max(np.abs(via_kernel - via_anti)))

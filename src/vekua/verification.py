@@ -1,31 +1,49 @@
 """One-shot verification battery over every operator identity.
 
-Each identity is measured on the configured grid and on its refinement
-(spacing halved), producing a residual, an absolute cap expressed in units
-of h^2 (times a per-field scale where the identity is tested on the smooth
-corpus), and the coarse/fine residual ratio.  Second-order schemes must
-shrink residuals by about 4 when the spacing halves; the ratio is asserted
-inside [3.5, 4.5] for the identity families whose contract demands it.
+The battery is the registry :data:`CHECKS`: one :class:`Check` per report
+row, in report order, each naming the relation it tests, the function that
+measures its residual on one resolution, its cap model, whether it is also
+measured on the refinement (spacing halved), whether the ratio window
+applies, and which superpotential families it covers.  :func:`run_battery`
+is one loop over the registry; nothing else lists the checks.
 
-Some identities hold exactly for the discrete operators (they are pure
-stencil algebra, e.g. the projection intertwining of the Darboux matrices
-and the axis-wise commutation of the 1-D transmutations).  Their residuals
-sit at rounding level, where an order of convergence is undefined; the
-ratio check treats any coarse residual below a floor as exact and passes
-it.  That policy is part of the report (ratio column empty).
+Cap models:
+
+* ``h2_cap``: the cap is that multiple of h^2 (times a per-field scale where
+  the identity is measured on the smooth corpus), the truncation error of
+  the second-order stencils and quadratures.  Only these caps may be
+  overridden, by name, through ``RunConfig.tolerances``.
+* ``abs_cap``: a fixed absolute cap, for checks whose error does not scale
+  with h (a coefficient recovered by an exact self-fit, a commutation that
+  holds to rounding).
+* neither: the measurement returns ``(residual, cap)``, a bound it works out
+  itself (the Taylor round-trip's stencil-noise bar).
+
+Ratio window: a second-order scheme shrinks a truncation residual by about 4
+when the spacing halves, so for checks with ``ratio_window`` the coarse/fine
+ratio must also lie in :data:`RATIO_WINDOW`.  Some identities hold exactly
+for the discrete operators (pure stencil algebra, e.g. the projection
+intertwining of the Darboux matrices); their residuals sit at rounding
+level, where an order of convergence is undefined.  A coarse residual at or
+below :data:`RATIO_FLOOR` is therefore reported as "exact": the refined
+level is not measured, the ratio column reads ``exact`` and the window is
+not applied.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import conjugate as conj
 from . import operators as ops
 from .corpus import corpus_scale, smooth_corpus
+from .errors import ConfigError
 from .expansion import evaluate_series, fit_formal_polynomial, taylor_coefficients
 from .formal_powers import (
     FormalPowerTable,
@@ -38,15 +56,15 @@ from .grid import (
     Grid2D,
     d_z,
     d_zbar,
-    interior,
     interior_max,
     laplacian,
     lpath_complex,
 )
 from .superpotential import Superpotential, make_superpotential
-from .transmutation import Transmute2D, build_transmute, build_transmute_2d
+from .transmutation import Transmute2D, build_transmute_2d
 
-__all__ = ["RunConfig", "Row", "run_battery", "render_report", "rows_to_json"]
+__all__ = ["RunConfig", "Row", "Check", "CHECKS", "checks_for", "run_battery",
+           "render_report", "rows_to_json"]
 
 RATIO_WINDOW = (3.5, 4.5)
 RATIO_FLOOR = 1e-11  # coarse residuals below this are machine-exact identities
@@ -54,7 +72,11 @@ RATIO_FLOOR = 1e-11  # coarse residuals below this are machine-exact identities
 
 @dataclass
 class RunConfig:
-    """Grid, superpotential and tolerance knobs for one verification run."""
+    """Grid, superpotential and tolerance knobs for one verification run.
+
+    ``tolerances`` maps a check name to a cap in units of h^2; only checks
+    with an ``h2_cap`` accept one.
+    """
 
     half_width1: float = 1.0
     half_width2: float = 1.0
@@ -65,6 +87,20 @@ class RunConfig:
     n_max: int = 6
     corrupt_u0: bool = False
     tolerances: dict = dc_field(default_factory=dict)
+
+    def __post_init__(self):
+        for key in ("n1", "n2"):
+            n = getattr(self, key)
+            if n < 3 or n % 2 == 0:
+                raise ConfigError(f"{key} must be odd and >= 3, got {n}")
+        overridable = [c.name for c in CHECKS if c.h2_cap is not None]
+        for key, tol in self.tolerances.items():
+            if key not in overridable:
+                raise ConfigError(
+                    f"unknown tolerance {key!r}; h^2 caps exist for {', '.join(overridable)}"
+                )
+            if not (np.isfinite(tol) and tol > 0):
+                raise ConfigError(f"tolerance override {key} must be positive and finite")
 
     def grid(self) -> Grid2D:
         return Grid2D(Grid1D(self.half_width1, self.n1), Grid1D(self.half_width2, self.n2))
@@ -83,68 +119,39 @@ class Row:
     note: str = ""
 
 
-# default caps in units of h^2 (times corpus scale where noted by the check)
-DEFAULT_CAPS = {
-    "zero_mode_h0": 10.0,
-    "zero_mode_h2": 10.0,
-    "vekua_main_powers": 100.0,
-    "vekua_succ_powers": 100.0,
-    "ground_state_h": 200.0,
-    "ground_state_h1": 200.0,
-    "darboux_projection": 100.0,
-    "factorization": 100.0,
-    "intertwining": 100.0,
-    "supercharge_factorization": 100.0,
-    "nilpotency": 100.0,
-    "transmute_powers": 400.0,  # relative error; equals 1e-2 at axis spacing 5e-3
-    "t0_t1_powers": 300.0,
-    "diagram_differential": 300.0,
-    "diagram_integral": 300.0,
-    "diagram_laplacian": 300.0,
-    "conjugate_reconstruction": 50.0,
-    "fit_self_residual": 10.0,
-    "analytic_limit": None,  # absolute cap 5e-3, handled in the check
-}
-
-
 class _Level:
-    """Everything the checks need at one resolution, built lazily."""
+    """Everything the checks need at one resolution, each built on first use."""
 
     def __init__(self, cfg: RunConfig, grid: Grid2D):
         self.cfg = cfg
         self.grid = grid
-        self._sp = None
-        self._table = None
-        self._t2d = None
-        self._corpus = None
+        self.h2_unit = grid.hmax**2
 
-    @property
+    @cached_property
     def sp(self) -> Superpotential:
-        if self._sp is None:
-            self._sp = make_superpotential(self.cfg.sp_name, self.cfg.sp_params, self.grid)
-        return self._sp
+        return make_superpotential(self.cfg.sp_name, self.cfg.sp_params, self.grid)
 
-    @property
+    @cached_property
     def table(self) -> FormalPowerTable:
-        if self._table is None:
-            self._table = assemble_formal_powers(self.sp, self.cfg.n_max)
-        return self._table
+        return assemble_formal_powers(self.sp, self.cfg.n_max)
 
-    @property
+    @cached_property
     def t2d(self) -> Transmute2D:
-        if self._t2d is None:
-            self._t2d = build_transmute_2d(self.sp)
-        return self._t2d
+        return build_transmute_2d(self.sp)
 
-    @property
+    @cached_property
     def corpus(self):
-        if self._corpus is None:
-            self._corpus = smooth_corpus(self.grid)
-        return self._corpus
+        return smooth_corpus(self.grid)
 
-    @property
-    def h2_unit(self) -> float:
-        return self.grid.hmax**2
+    @cached_property
+    def self_fit(self):
+        """(n, fit): Im Z^n(i), n = min(3, n_max), fitted in the ker h0 basis."""
+        n_slot = min(3, self.table.n_max)
+        target = np.imag(self.table.z_i[n_slot])
+        fit = fit_formal_polynomial(
+            self.sp, target, self.table, "ker_h0", degree=min(4, self.table.n_max)
+        )
+        return n_slot, fit
 
 
 def _vmax(pair, margin=2) -> float:
@@ -230,7 +237,7 @@ def _res_factorization(level: _Level) -> float:
             (ops.h_diag(sp, pw), ops.vekua_v1(sp, ops.vekua_vbar(sp, w))),
             (ops.h_diag(sp, pw), ops.vekua_v1bar(sp, ops.vekua_v(sp, w))),
             (ops.h1(sp, pw), ops.vekua_vbar(sp, ops.vekua_v1(sp, w))),
-            (ops.h1_tilde(sp, pw), ops.vekua_v(sp, ops.vekua_v1bar(sp, w))),
+            (ops.h1(sp, pw), ops.vekua_v(sp, ops.vekua_v1bar(sp, w))),
         ]
         for left, inner in combos:
             proj = ops.project(4.0 * inner)
@@ -246,18 +253,11 @@ def _res_intertwining(level: _Level) -> float:
         f = np.real(w)
         scale = corpus_scale(sp.grid, f)
         for i in (1, 2):
-            r1 = ops.h0(sp, ops.q_op(sp, i, +1, f)) - sum(
-                ops.q_op(sp, k, +1, ops.h1_element(sp, k, i, f)) for k in (1, 2)
-            )
-            r2 = ops.q_op(sp, i, -1, ops.h0(sp, f)) - sum(
-                ops.h1_element(sp, i, k, ops.q_op(sp, k, -1, f)) for k in (1, 2)
-            )
-            r3 = ops.h2(sp, ops.p_op(sp, i, +1, f)) - sum(
-                ops.p_op(sp, k, +1, ops.h1_element(sp, k, i, f)) for k in (1, 2)
-            )
-            r4 = ops.p_op(sp, i, -1, ops.h2(sp, f)) - sum(
-                ops.h1_element(sp, i, k, ops.p_op(sp, k, -1, f)) for k in (1, 2)
-            )
+            # H1 is diagonal for separable chi, so each sum over k is its k = i term
+            r1 = ops.h0(sp, ops.q_op(sp, i, +1, f)) - ops.q_op(sp, i, +1, ops.h1_element(sp, i, f))
+            r2 = ops.q_op(sp, i, -1, ops.h0(sp, f)) - ops.h1_element(sp, i, ops.q_op(sp, i, -1, f))
+            r3 = ops.h2(sp, ops.p_op(sp, i, +1, f)) - ops.p_op(sp, i, +1, ops.h1_element(sp, i, f))
+            r4 = ops.p_op(sp, i, -1, ops.h2(sp, f)) - ops.h1_element(sp, i, ops.p_op(sp, i, -1, f))
             for r in (r1, r2, r3, r4):
                 worst = max(worst, interior_max(r, margin=2) / scale)
     return worst
@@ -273,7 +273,7 @@ def _res_supercharge_factorization(level: _Level) -> float:
             (ops.darboux_adjoint(sp, ops.darboux(sp, v)), ops.h_diag(sp, v)),
             (ops.darboux(sp, ops.darboux_adjoint(sp, v)), ops.h1(sp, v)),
             (ops.pseudo_darboux(sp, ops.pseudo_darboux_adjoint(sp, v)), ops.h_diag(sp, v)),
-            (ops.pseudo_darboux_adjoint(sp, ops.pseudo_darboux(sp, v)), ops.h1_tilde(sp, v)),
+            (ops.pseudo_darboux_adjoint(sp, ops.pseudo_darboux(sp, v)), ops.h1(sp, v)),
         ]
         for got, want in combos:
             worst = max(worst, _vmax(_vdiff(got, want)) / scale)
@@ -303,7 +303,7 @@ def _res_transmute_powers(level: _Level) -> float:
     x = sp.grid.gx.nodes
     worst = 0.0
     for k in range(min(5, level.cfg.n_max) + 1):
-        got = t_x(x**k)
+        got = t_x.along_x(x**k)
         want = aux.phi[k]
         worst = max(worst, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
     return worst
@@ -389,16 +389,17 @@ def _res_conjugate(level: _Level) -> float:
     return resid
 
 
-def _res_fit_self(level: _Level):
-    sp, table = level.sp, level.table
-    n_slot = min(3, table.n_max)
-    target = np.imag(table.z_i[n_slot])
-    fit = fit_formal_polynomial(sp, target, table, "ker_h0", degree=min(4, table.n_max))
+def _res_fit_self_residual(level: _Level) -> float:
+    return level.self_fit[1].residual_max
+
+
+def _res_fit_self_coefficients(level: _Level) -> float:
+    n_slot, fit = level.self_fit
     coef = fit.coefficients.copy()
     unit = fit.coefficient(n_slot, "i")
     coef[2 * n_slot + 1] = 0.0
     off_slot = float(np.max(np.abs(coef)))
-    return fit.residual_max, abs(unit - 1.0), off_slot
+    return max(abs(unit - 1.0), off_slot)
 
 
 def _res_taylor_roundtrip(level: _Level):
@@ -438,208 +439,99 @@ def _res_t_commute(level: _Level) -> float:
     return worst
 
 
+@dataclass(frozen=True)
+class Check:
+    """One battery row: what it measures, its cap model and its ratio policy.
+
+    Exactly one cap model applies: ``h2_cap`` (multiple of h^2, overridable
+    through ``RunConfig.tolerances``), ``abs_cap`` (fixed), or neither, in
+    which case ``measure`` returns ``(residual, cap)``.  ``families`` limits
+    the check to those superpotential families; ``None`` covers all.
+    """
+
+    name: str
+    tag: str
+    measure: Callable
+    h2_cap: float | None = None
+    abs_cap: float | None = None
+    refined: bool = True
+    ratio_window: bool = False
+    families: tuple[str, ...] | None = None
+    note: str = ""
+
+
+CHECKS: tuple[Check, ...] = (
+    Check("zero_mode_h0", "H0[exp(-chi)] = 0", lambda lv: _res_zero_mode(lv, 0), h2_cap=10.0),
+    Check("zero_mode_h2", "H2[exp(chi)] = 0", lambda lv: _res_zero_mode(lv, 2), h2_cap=10.0),
+    Check("vekua_main_powers", "V[Z^n(a)] = 0, n<=5",
+          lambda lv: _res_vekua_powers(lv, successor=False), h2_cap=100.0, ratio_window=True),
+    Check("vekua_succ_powers", "V1[Z1^n(a)] = 0, n<=5",
+          lambda lv: _res_vekua_powers(lv, successor=True), h2_cap=100.0, ratio_window=True),
+    Check("ground_state_h", "H P[Z^n(a)] = 0, n<=4", _res_ground_state_h, h2_cap=200.0),
+    Check("ground_state_h1", "H1 P[dZ^n(a)] = 0, n<=4", _res_ground_state_h1, h2_cap=200.0),
+    Check("darboux_projection", "DP = 2P Vbar (+3 companions)", _res_darboux_projection,
+          h2_cap=100.0, ratio_window=True),
+    Check("factorization", "HP = -4P V1 Vbar (+3 companions)", _res_factorization,
+          h2_cap=100.0, ratio_window=True),
+    Check("intertwining", "H0 qi+ = sum_k qk+ H1_ki (4 forms)", _res_intertwining,
+          h2_cap=100.0, ratio_window=True),
+    Check("supercharge_factorization", "Dadj D = H, D Dadj = H1, pseudo variants",
+          _res_supercharge_factorization, h2_cap=100.0, ratio_window=True),
+    Check("nilpotency", "sum_k pk+ qk- = 0 = sum_k qk+ pk-", _res_nilpotency,
+          h2_cap=100.0, ratio_window=True),
+    # relative error; equals 1e-2 at axis spacing 5e-3
+    Check("transmute_powers", "T1[x^k] = phi_k, k<=5 (relative)", _res_transmute_powers,
+          h2_cap=400.0, ratio_window=True),
+    Check("t0_t1_powers", "T0[a z^n] = Z^n(a), T1[a z^n] = Z1^n(a), n<=4", _res_t0_t1_powers,
+          h2_cap=300.0),
+    Check("diagram_differential", "V T0 = T1 dzbar (+3 companions)", _res_diagram_differential,
+          h2_cap=300.0),
+    Check("diagram_integral", "pair-int T0[w] = T1[int w] (+ swap)", _res_diagram_integral,
+          h2_cap=300.0),
+    Check("diagram_laplacian", "H P T0 = -P T0 lap, H1 P T1 = -P T1 lap",
+          _res_diagram_laplacian, h2_cap=300.0),
+    Check("conjugate_reconstruction", "Im Z^1(1) from Re Z^1(1), gauge-fitted", _res_conjugate,
+          h2_cap=50.0),
+    Check("fit_self_residual", "self-fit of a basis member", _res_fit_self_residual,
+          h2_cap=10.0),
+    Check("fit_self_coefficients", "unit on-slot, zero off-slot", _res_fit_self_coefficients,
+          abs_cap=1e-6, refined=False),
+    Check("taylor_roundtrip", "series(coefficients(Z^3)) on half-radius box",
+          _res_taylor_roundtrip, refined=False, note="cap is the reported stencil-noise bound"),
+    Check("transmute_commute", "T1 T2 = T2 T1", _res_t_commute, abs_cap=1e-12, refined=False),
+    # Z^n(1) - z^n is the O(h^2) trapezoid error of the 1-D systems: 33-39 h^2 at n = 41..201
+    Check("analytic_limit", "Z^n(1) = z^n for vanishing superpotential, n<=6",
+          _res_analytic_limit, h2_cap=50.0, ratio_window=True, families=("zero",)),
+)
+
+
+def checks_for(sp_name: str) -> list[Check]:
+    """The registry entries that cover a superpotential family, in report order."""
+    return [c for c in CHECKS if c.families is None or sp_name in c.families]
+
+
 def run_battery(cfg: RunConfig) -> list[Row]:
-    """Measure every identity at the configured grid and its refinement."""
+    """Measure every registered identity at the configured grid and its refinement."""
     coarse = _Level(cfg, cfg.grid())
     fine = _Level(cfg, cfg.grid().refined())
-    caps = dict(DEFAULT_CAPS)
-    caps.update(cfg.tolerances)
-    h2u = coarse.h2_unit
     grid_label = f"{cfg.n1}x{cfg.n2}"
-
-    ratio_enforced = {
-        "vekua_main_powers",
-        "vekua_succ_powers",
-        "darboux_projection",
-        "factorization",
-        "intertwining",
-        "supercharge_factorization",
-        "nilpotency",
-        "transmute_powers",
-    }
-
-    def ratio_of(c: float, f: float):
-        if c <= RATIO_FLOOR:
-            return None
-        return c / max(f, np.finfo(float).tiny)
-
     rows: list[Row] = []
-
-    def add(name, tag, res_fn, cap_abs, note=""):
-        rc = res_fn(coarse)
-        rf = res_fn(fine)
-        ratio = ratio_of(rc, rf)
-        checked = name in ratio_enforced
-        ok = rc <= cap_abs
-        if checked and ratio is not None:
-            ok = ok and (RATIO_WINDOW[0] <= ratio <= RATIO_WINDOW[1])
-        rows.append(Row(name, tag, grid_label, rc, cap_abs, ratio, checked, ok, note))
-
-    add("zero_mode_h0", "H0[exp(-chi)] = 0", lambda lv: _res_zero_mode(lv, 0), caps["zero_mode_h0"] * h2u)
-    add("zero_mode_h2", "H2[exp(chi)] = 0", lambda lv: _res_zero_mode(lv, 2), caps["zero_mode_h2"] * h2u)
-    add(
-        "vekua_main_powers",
-        "V[Z^n(a)] = 0, n<=5",
-        lambda lv: _res_vekua_powers(lv, successor=False),
-        caps["vekua_main_powers"] * h2u,
-    )
-    add(
-        "vekua_succ_powers",
-        "V1[Z1^n(a)] = 0, n<=5",
-        lambda lv: _res_vekua_powers(lv, successor=True),
-        caps["vekua_succ_powers"] * h2u,
-    )
-    add(
-        "ground_state_h",
-        "H P[Z^n(a)] = 0, n<=4",
-        _res_ground_state_h,
-        caps["ground_state_h"] * h2u,
-    )
-    add(
-        "ground_state_h1",
-        "H1 P[dZ^n(a)] = 0, n<=4",
-        _res_ground_state_h1,
-        caps["ground_state_h1"] * h2u,
-    )
-    add(
-        "darboux_projection",
-        "DP = 2P Vbar (+3 companions)",
-        _res_darboux_projection,
-        caps["darboux_projection"] * h2u,
-    )
-    add(
-        "factorization",
-        "HP = -4P V1 Vbar (+3 companions)",
-        _res_factorization,
-        caps["factorization"] * h2u,
-    )
-    add(
-        "intertwining",
-        "H0 qi+ = sum_k qk+ H1_ki (4 forms)",
-        _res_intertwining,
-        caps["intertwining"] * h2u,
-    )
-    add(
-        "supercharge_factorization",
-        "Dadj D = H, D Dadj = H1, pseudo variants",
-        _res_supercharge_factorization,
-        caps["supercharge_factorization"] * h2u,
-    )
-    add(
-        "nilpotency",
-        "sum_k pk+ qk- = 0 = sum_k qk+ pk-",
-        _res_nilpotency,
-        caps["nilpotency"] * h2u,
-    )
-    add(
-        "transmute_powers",
-        "T1[x^k] = phi_k, k<=5 (relative)",
-        _res_transmute_powers,
-        caps["transmute_powers"] * h2u,
-    )
-    add(
-        "t0_t1_powers",
-        "T0[a z^n] = Z^n(a), T1[a z^n] = Z1^n(a), n<=4",
-        _res_t0_t1_powers,
-        caps["t0_t1_powers"] * h2u,
-    )
-    add(
-        "diagram_differential",
-        "V T0 = T1 dzbar (+3 companions)",
-        _res_diagram_differential,
-        caps["diagram_differential"] * h2u,
-    )
-    add(
-        "diagram_integral",
-        "pair-int T0[w] = T1[int w] (+ swap)",
-        _res_diagram_integral,
-        caps["diagram_integral"] * h2u,
-    )
-    add(
-        "diagram_laplacian",
-        "H P T0 = -P T0 lap, H1 P T1 = -P T1 lap",
-        _res_diagram_laplacian,
-        caps["diagram_laplacian"] * h2u,
-    )
-    add(
-        "conjugate_reconstruction",
-        "Im Z^1(1) from Re Z^1(1), gauge-fitted",
-        _res_conjugate,
-        caps["conjugate_reconstruction"] * h2u,
-    )
-
-    # fit / taylor rows carry their own cap semantics
-    fit_resid_c, unit_err_c, off_c = _res_fit_self(coarse)
-    fit_resid_f, _, _ = _res_fit_self(fine)
-    rows.append(
-        Row(
-            "fit_self_residual",
-            "self-fit of a basis member",
-            grid_label,
-            fit_resid_c,
-            caps["fit_self_residual"] * h2u,
-            ratio_of(fit_resid_c, fit_resid_f),
-            False,
-            fit_resid_c <= caps["fit_self_residual"] * h2u,
-        )
-    )
-    off_cap = 1e-6
-    rows.append(
-        Row(
-            "fit_self_coefficients",
-            "unit on-slot, zero off-slot",
-            grid_label,
-            max(unit_err_c, off_c),
-            off_cap,
-            None,
-            False,
-            max(unit_err_c, off_c) <= off_cap,
-        )
-    )
-    taylor_resid, taylor_bound = _res_taylor_roundtrip(coarse)
-    rows.append(
-        Row(
-            "taylor_roundtrip",
-            "series(coefficients(Z^3)) on half-radius box",
-            grid_label,
-            taylor_resid,
-            taylor_bound,
-            None,
-            False,
-            taylor_resid <= taylor_bound,
-            note="cap is the reported stencil-noise bound",
-        )
-    )
-    commute = _res_t_commute(coarse)
-    rows.append(
-        Row(
-            "transmute_commute",
-            "T1 T2 = T2 T1",
-            grid_label,
-            commute,
-            1e-12,
-            None,
-            False,
-            commute <= 1e-12,
-        )
-    )
-    if cfg.sp_name == "zero":
-        res_c = _res_analytic_limit(coarse)
-        res_f = _res_analytic_limit(fine)
-        ratio = ratio_of(res_c, res_f)
-        ok = res_c <= 5e-3 and (ratio is None or RATIO_WINDOW[0] <= ratio <= RATIO_WINDOW[1])
-        rows.append(
-            Row(
-                "analytic_limit",
-                "Z^n(1) = z^n for vanishing superpotential, n<=6",
-                grid_label,
-                res_c,
-                5e-3,
-                ratio,
-                True,
-                ok,
-            )
-        )
+    for check in checks_for(cfg.sp_name):
+        if check.h2_cap is not None:
+            residual = check.measure(coarse)
+            cap = cfg.tolerances.get(check.name, check.h2_cap) * coarse.h2_unit
+        elif check.abs_cap is not None:
+            residual, cap = check.measure(coarse), check.abs_cap
+        else:
+            residual, cap = check.measure(coarse)
+        ratio = None
+        if check.refined and not residual <= RATIO_FLOOR:  # a NaN residual is not exact
+            ratio = residual / max(check.measure(fine), np.finfo(float).tiny)
+        passed = residual <= cap
+        if check.ratio_window and ratio is not None:
+            passed = passed and (RATIO_WINDOW[0] <= ratio <= RATIO_WINDOW[1])
+        rows.append(Row(check.name, check.tag, grid_label, residual, cap, ratio,
+                        check.ratio_window, passed, check.note))
     return rows
 
 

@@ -143,7 +143,7 @@ def test_differential_relation(quad, table_quad):
     # pair derivative of Z^n equals n * Z1^(n-1)
     for n in range(1, 6):
         for a in (1.0, 1j):
-            got = ops.bers_derivative(quad, table_quad.power(n, a))
+            got = ops.vekua_vbar(quad, table_quad.power(n, a))
             want = n * table_quad.power_succ(n - 1, a)
             assert interior_max(got - want, margin=2) <= 200 * H2
 

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vekua
 from vekua.cli import main
 from vekua.errors import ConfigError
 from vekua.fields_io import (
@@ -164,6 +167,26 @@ def test_cli_config_error_exit_code(tmp_path):
     assert code == 2  # tabulated family without table files
 
 
+@pytest.mark.parametrize(
+    "config, flags",
+    [
+        (None, ["--sp", "linear", "--params", "a,b"]),
+        ({"grid": {"n1": "abc"}}, []),
+        ({"tolerances": {"zero_mode_hO": 20.0}}, []),  # typo of zero_mode_h0
+        (None, ["--sp", "linear"]),  # family without its parameters
+    ],
+    ids=["params-not-numeric", "config-not-numeric", "tolerance-unknown", "params-missing"],
+)
+def test_cli_malformed_input_exit_code(tmp_path, capsys, config, flags):
+    argv = ["verify", "--nodes", "21", "--out", str(tmp_path / "out"), *flags]
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    assert main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_cli_env_output_override(tmp_path, monkeypatch):
     grid, inp = _write_sample_field(tmp_path)
     target = tmp_path / "env_out"
@@ -187,8 +210,12 @@ def test_cli_config_file(tmp_path):
 
 
 def test_cli_entry_point_runs():
+    # the child imports the same vekua as this process, installed or not
+    src = str(Path(vekua.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
-        [sys.executable, "-m", "vekua.cli", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "vekua.cli", "--help"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert "formal-powers" in proc.stdout

@@ -26,8 +26,8 @@ def test_zero_family(grid):
     assert np.all(sp.chi2d() == 0)
     assert np.all(sp.u0() == 0)
     assert np.all(sp.u2() == 0)
-    (p11, p12), (_, p22) = sp.matrix_potential()
-    assert np.all(p11 == 0) and np.all(p12 == 0) and np.all(p22 == 0)
+    p11, p22 = sp.matrix_potential()
+    assert np.all(p11 == 0) and np.all(p22 == 0)
 
 
 def test_quadratic_family_symbolic(grid, quad):

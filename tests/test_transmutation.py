@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import vekua.operators as ops
-from vekua.errors import NonConvergenceError
+from vekua.errors import GridShapeError, NonConvergenceError
 from vekua.formal_powers import assemble_formal_powers, build_aux_system, fg_integral
 from vekua.grid import (
     Grid1D,
@@ -148,7 +148,14 @@ def test_transmute_identity_for_zero_chi():
     op = build_transmute(sp.ax)
     x = grid.gx.nodes
     for k in range(4):
-        np.testing.assert_allclose(op(x**k), x**k, atol=1e-12)
+        np.testing.assert_allclose(op.along_x(x**k), x**k, atol=1e-12)
+
+
+def test_along_x_rejects_wrong_length():
+    grid = Grid2D.square(1.0, 21)
+    op = build_transmute(make_superpotential("zero", (), grid).ax)
+    with pytest.raises(GridShapeError):
+        op.along_x(np.ones(23))
 
 
 def test_transmute_linear_chi_sinh_oracle():
@@ -156,7 +163,7 @@ def test_transmute_linear_chi_sinh_oracle():
     sp = make_superpotential("linear", (1.0, 0.0), grid)
     op = build_transmute(sp.ax)
     x = grid.gx.nodes
-    got = op(x)
+    got = op.along_x(x)
     want = np.sinh(x)
     rel = np.max(np.abs(got - want)) / np.max(np.abs(want))
     assert rel <= 1e-2
@@ -170,7 +177,7 @@ def test_transmute_powers_match_dressed_system():
         op = build_transmute(sp.ax)
         x = grid.gx.nodes
         for k in range(6):
-            got = op(x**k)
+            got = op.along_x(x**k)
             rel = np.max(np.abs(got - aux.phi[k])) / np.max(np.abs(aux.phi[k]))
             assert rel <= 1e-2, (name, k, rel)
 
@@ -181,7 +188,7 @@ def test_transmute_convergence_ratio():
         sp = make_superpotential("linear", (1.0, 0.0), grid)
         op = build_transmute(sp.ax)
         x = grid.gx.nodes
-        return np.max(np.abs(op(x) - np.sinh(x))) / np.max(np.abs(np.sinh(x)))
+        return np.max(np.abs(op.along_x(x) - np.sinh(x))) / np.max(np.abs(np.sinh(x)))
 
     assert 3.5 <= rel_err(401) / rel_err(801) <= 4.5
 
@@ -194,7 +201,7 @@ def test_ttilde_matches_antiderivative_form(sp_linear):
         f = x**k
         df = k * x ** (k - 1) if k > 0 else np.zeros_like(x)
         via_anti = ttilde_antiderivative_form(t_op, sp_linear.ax, f, df)
-        np.testing.assert_allclose(tt_op(f), via_anti, atol=60 * H2)
+        np.testing.assert_allclose(tt_op.along_x(f), via_anti, atol=60 * H2)
 
 
 def test_ttilde_powers_match_tilde_system():
@@ -204,7 +211,7 @@ def test_ttilde_powers_match_tilde_system():
     op = build_transmute_tilde(sp.ax)
     x = grid.gx.nodes
     for k in range(5):
-        got = op(x**k)
+        got = op.along_x(x**k)
         rel = np.max(np.abs(got - aux.phi_t[k])) / np.max(np.abs(aux.phi_t[k]))
         assert rel <= 1e-2, (k, rel)
 
@@ -222,11 +229,11 @@ def test_intertwining_with_weighted_derivative(sp_linear):
     df = 3 * x**2 - 0.5
     up = np.exp(ax.chi)
     down = np.exp(-ax.chi)
-    lhs1 = _first_derivative(up * tt_op(f), grid.h, axis=0)
-    rhs1 = up * t_op(df)
+    lhs1 = _first_derivative(up * tt_op.along_x(f), grid.h, axis=0)
+    rhs1 = up * t_op.along_x(df)
     assert np.max(np.abs(lhs1 - rhs1)[2:-2]) <= 200 * H2
-    lhs2 = _first_derivative(down * t_op(f), grid.h, axis=0)
-    rhs2 = down * tt_op(df)
+    lhs2 = _first_derivative(down * t_op.along_x(f), grid.h, axis=0)
+    rhs2 = down * tt_op.along_x(df)
     assert np.max(np.abs(lhs2 - rhs2)[2:-2]) <= 200 * H2
 
 
@@ -241,11 +248,11 @@ def test_integral_counterpart_of_intertwining(sp_linear):
     anti = cumulative_integral(grid, f, grid.center)
     up = np.exp(ax.chi)
     down = np.exp(-ax.chi)
-    lhs1 = up * tt_op(anti)
-    rhs1 = cumulative_integral(grid, up * t_op(f), grid.center)
+    lhs1 = up * tt_op.along_x(anti)
+    rhs1 = cumulative_integral(grid, up * t_op.along_x(f), grid.center)
     assert np.max(np.abs(lhs1 - rhs1)) <= 100 * H2
-    lhs2 = down * t_op(anti)
-    rhs2 = cumulative_integral(grid, down * tt_op(f), grid.center)
+    lhs2 = down * t_op.along_x(anti)
+    rhs2 = cumulative_integral(grid, down * tt_op.along_x(f), grid.center)
     assert np.max(np.abs(lhs2 - rhs2)) <= 100 * H2
 
 
