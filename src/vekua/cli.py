@@ -18,14 +18,22 @@ key of the file is optional::
 h^2 (a check with an ``h2_cap`` in :data:`vekua.verification.CHECKS`) to a
 positive multiple of h^2 that replaces that cap.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/config error,
-3 numerical non-convergence.  Exit 2 covers unknown flags; an unreadable
+Exit codes: 0 success, 1 verification failure, 2 usage/config error, 3
+numerical non-convergence.  Exit 2 covers unknown flags; an unreadable
 config or input file; a non-numeric ``--params`` or config value; an even
-or too small node count; a tolerance name without an h^2 cap, or a
-tolerance that is not positive and finite; an unknown family or a wrong
-parameter count for it.  Identical configuration yields byte-identical
-outputs; the output directory defaults to ``--out`` and can be overridden
-with the ``VEKUA_OUTDIR`` environment variable.
+or too small node count; a half-width that is not positive and finite; a
+tolerance name without an h^2 cap, or a tolerance that is not positive and
+finite; an unknown family, a wrong parameter count for it or a non-finite
+parameter; a negative ``--n-max`` or ``--degree``; an input CSV with a
+short row, a non-numeric cell or a non-finite value; and a domain error of
+the input: a field outside the kernel the subcommand needs
+(``KernelMembershipError``), a gradient that fails its compatibility
+condition (``CompatibilityError``), a degenerate generating pair
+(``DegeneratePairError``) or a grid too small for the stencils
+(``GridShapeError``).  Each prints one line to stderr.  Identical
+configuration yields byte-identical outputs; the output directory defaults
+to ``--out`` and can be overridden with the ``VEKUA_OUTDIR`` environment
+variable.
 """
 
 from __future__ import annotations
@@ -39,7 +47,14 @@ from pathlib import Path
 import numpy as np
 
 from . import conjugate as conj
-from .errors import ConfigError, NonConvergenceError
+from .errors import (
+    CompatibilityError,
+    ConfigError,
+    DegeneratePairError,
+    GridShapeError,
+    KernelMembershipError,
+    NonConvergenceError,
+)
 from .expansion import evaluate_fit, fit_formal_polynomial
 from .fields_io import (
     read_axis_table,
@@ -57,6 +72,9 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NONCONVERGENCE = 3
+
+# errors of the input's mathematics rather than of its syntax; exit 2
+_DOMAIN_ERRORS = (KernelMembershipError, CompatibilityError, DegeneratePairError, GridShapeError)
 
 
 def _add_common(parser: argparse.ArgumentParser):
@@ -117,6 +135,11 @@ def _load_config(args) -> RunConfig:
     return RunConfig(**fields)
 
 
+def _non_negative(flag: str, value: int) -> None:
+    if value < 0:
+        raise ConfigError(f"{flag} must be non-negative, got {value}")
+
+
 def _build_sp(cfg: RunConfig, args, grid: Grid2D):
     tables = {}
     if cfg.sp_name == "tabulated":
@@ -138,6 +161,7 @@ def _out_dir(args) -> Path:
 
 
 def _cmd_formal_powers(args) -> int:
+    _non_negative("--n-max", args.n_max)
     cfg = _load_config(args)
     grid = cfg.grid()
     sp = _build_sp(cfg, args, grid)
@@ -229,6 +253,7 @@ def _cmd_conjugate(args) -> int:
 
 
 def _cmd_expand(args) -> int:
+    _non_negative("--degree", args.degree)
     cfg = _load_config(args)
     grid, values = read_field_csv(args.input)
     sp = _build_sp(cfg, args, grid)
@@ -332,6 +357,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except _DOMAIN_ERRORS as exc:
+        print(f"domain error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NonConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)

@@ -146,7 +146,6 @@ def fit_formal_polynomial(
     table: FormalPowerTable,
     basis_kind: str,
     degree: int,
-    margin: int = 2,
 ) -> FitResult:
     """Collocation fit of a kernel element in the degree-capped basis.
 
@@ -174,10 +173,10 @@ def fit_formal_polynomial(
 
     columns = []
     for n in range(degree + 1):
-        columns.append(interior(_basis_part(basis_kind, table.z_one[n]), margin).ravel())
-        columns.append(interior(_basis_part(basis_kind, table.z_i[n]), margin).ravel())
+        columns.append(interior(_basis_part(basis_kind, table.z_one[n]), margin=2).ravel())
+        columns.append(interior(_basis_part(basis_kind, table.z_i[n]), margin=2).ravel())
     design = np.column_stack(columns)
-    rhs = interior(target, margin).ravel()
+    rhs = interior(target, margin=2).ravel()
     coef, _, rank, sv = np.linalg.lstsq(design, rhs, rcond=None)
     resid = design @ coef - rhs
     return FitResult(

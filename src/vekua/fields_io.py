@@ -2,7 +2,10 @@
 
 Field CSV: header ``x,y,re,im``, row-major (x outer, y inner), every number
 rendered with 17 significant digits so exports are bit-faithful round trips.
-Grid metadata travels as a small JSON record (a1, a2, n1, n2).
+Grid metadata travels as a small JSON record (a1, a2, n1, n2).  Both CSV
+readers reject short rows and non-numeric cells (naming the file and line)
+and non-finite values (naming the data row) with a
+:class:`~vekua.errors.ConfigError`.
 """
 
 from __future__ import annotations
@@ -41,6 +44,16 @@ def write_field_csv(path, grid: Grid2D, values) -> None:
                 )
 
 
+def _bad_row(path: Path, line: int, exc: Exception) -> ConfigError:
+    return ConfigError(f"{path}:{line}: malformed row ({type(exc).__name__}: {exc})")
+
+
+def _check_finite(path: Path, *columns: np.ndarray) -> None:
+    bad = ~np.isfinite(np.vstack(columns)).all(axis=0)
+    if bad.any():
+        raise ConfigError(f"{path}: non-finite value in data row {int(np.argmax(bad)) + 1}")
+
+
 def _axis_from_values(values: np.ndarray, label: str) -> Grid1D:
     n = len(values)
     if n < 3 or n % 2 == 0:
@@ -66,16 +79,21 @@ def read_field_csv(path) -> tuple[Grid2D, np.ndarray]:
         for row in reader:
             if not row:
                 continue
-            xs.append(float(row[0]))
-            ys.append(float(row[1]))
-            res.append(float(row[2]))
-            ims.append(float(row[3]))
-    x_nodes = np.unique(np.asarray(xs))
-    y_nodes = np.unique(np.asarray(ys))
+            try:
+                xs.append(float(row[0]))
+                ys.append(float(row[1]))
+                res.append(float(row[2]))
+                ims.append(float(row[3]))
+            except (IndexError, ValueError) as exc:
+                raise _bad_row(path, reader.line_num, exc) from exc
+    xs, ys, res, ims = (np.asarray(c) for c in (xs, ys, res, ims))
+    _check_finite(path, xs, ys, res, ims)
+    x_nodes = np.unique(xs)
+    y_nodes = np.unique(ys)
     if len(x_nodes) * len(y_nodes) != len(xs):
         raise ConfigError(f"{path}: rows do not form a full tensor grid")
     grid = Grid2D(_axis_from_values(x_nodes, f"{path}:x"), _axis_from_values(y_nodes, f"{path}:y"))
-    values = (np.asarray(res) + 1j * np.asarray(ims)).reshape(grid.shape)
+    values = (res + 1j * ims).reshape(grid.shape)
     # row-major export means x is the slow index already
     return grid, values
 
@@ -113,10 +131,14 @@ def read_axis_table(path, grid: Grid1D, label: str) -> np.ndarray:
         for row in reader:
             if not row:
                 continue
-            coords.append(float(row[0]))
-            vals.append(float(row[1]))
+            try:
+                coords.append(float(row[0]))
+                vals.append(float(row[1]))
+            except (IndexError, ValueError) as exc:
+                raise _bad_row(path, reader.line_num, exc) from exc
     coords = np.asarray(coords)
     vals = np.asarray(vals)
+    _check_finite(path, coords, vals)
     if len(coords) != grid.n or not np.allclose(
         coords, grid.nodes, rtol=0, atol=1e-9 * max(1.0, grid.h)
     ):

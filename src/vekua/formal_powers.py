@@ -150,12 +150,9 @@ def _binomial_sum(n, even_pair, odd_pair, extra_i=False):
     return total
 
 
-def assemble_formal_powers(sp: Superpotential, n_max: int, aux: AuxSystem | None = None):
+def assemble_formal_powers(sp: Superpotential, n_max: int):
     """Explicit binomial assembly of all four power families up to ``n_max``."""
-    if aux is None:
-        aux = build_aux_system(sp, n_max)
-    if aux.n_max < n_max:
-        raise ValueError("auxiliary system built to a lower degree than requested")
+    aux = build_aux_system(sp, n_max)
     shape = (n_max + 1,) + sp.grid.shape
     z_one = np.empty(shape, dtype=complex)
     z_i = np.empty(shape, dtype=complex)
@@ -178,7 +175,7 @@ def _adjoint_pair(sp: Superpotential, m: int = 0):
     return -2.0 * np.conj(f_gen) / denom, 2.0 * np.conj(g_gen) / denom
 
 
-def fg_integral(sp: Superpotential, m: int, w, origin=None) -> np.ndarray:
+def fg_integral(sp: Superpotential, m: int, w) -> np.ndarray:
     """Pair integral of ``w`` from the origin node to every node.
 
     Realizes F(z) Re int(G* w dz) + G(z) Re int(F* w dz) with the line
@@ -190,8 +187,8 @@ def fg_integral(sp: Superpotential, m: int, w, origin=None) -> np.ndarray:
     w = grid.check(np.asarray(w, dtype=complex))
     f_gen, g_gen = generating_pair(sp, m)
     f_star, g_star = _adjoint_pair(sp, m)
-    int_g = lpath_complex(grid, g_star * w, origin)
-    int_f = lpath_complex(grid, f_star * w, origin)
+    int_g = lpath_complex(grid, g_star * w)
+    int_f = lpath_complex(grid, f_star * w)
     return f_gen * np.real(int_g) + g_gen * np.real(int_f)
 
 

@@ -6,16 +6,18 @@ Hamiltonians, the matrix potential of the 2x2 component, and the generating
 pairs (exp(chi), i exp(-chi)) and (exp(-chi1+chi2), i exp(chi1-chi2)) that
 drive the whole formal-power machinery.
 
-Catalog families carry analytic derivative callbacks so that potential
-evaluation is exact to machine precision; only tabulated input falls back to
-finite differences.  That separation keeps quadrature error and stencil
-error distinguishable in the verification suite.
+The catalog is one table, :data:`_CATALOG`: each family names its parameter
+count and, per axis, the coefficients (c1, c2) of the polynomial
+chi_j(s) = c1*s + c2*s^2/2.  A profile keeps those coefficients, so its
+potential is evaluated exactly off the nodes, and flipping chi_j -> -chi_j
+(the companion dressing) negates them.  Only tabulated input falls back to
+finite differences and interpolation.  That separation keeps quadrature
+error and stencil error distinguishable in the verification suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -39,18 +41,17 @@ _ORIGIN_TOL = 1e-10
 class AxisProfile:
     """One axis of a separable superpotential: chi_j with two derivatives.
 
-    ``fn``/``dfn``/``d2fn`` are optional analytic callbacks; when absent
-    (tabulated input) off-node evaluation falls back to linear interpolation
-    of the samples, which keeps the overall O(h^2) order.
+    ``poly`` holds the coefficients (c1, c2) of a catalog profile
+    chi_j = c1*s + c2*s^2/2, which give the potential exactly off the nodes;
+    when absent (tabulated input) off-node evaluation falls back to linear
+    interpolation of the samples, which keeps the overall O(h^2) order.
     """
 
     grid: Grid1D
     chi: np.ndarray
     dchi: np.ndarray
     d2chi: np.ndarray
-    fn: Callable | None = None
-    dfn: Callable | None = None
-    d2fn: Callable | None = None
+    poly: tuple[float, float] | None = None
 
     def __post_init__(self):
         self.chi = self.grid.check(np.asarray(self.chi, dtype=float))
@@ -81,27 +82,19 @@ class AxisProfile:
     @property
     def h_param(self) -> float:
         """chi'(0); equals the derivative of exp(chi) at 0 since chi(0) = 0."""
-        if self.dfn is not None:
-            return float(self.dfn(0.0))
         return float(self.dchi[self.grid.center])
-
-    def chi_at(self, s):
-        if self.fn is not None:
-            return self.fn(np.asarray(s, dtype=float))
-        return np.interp(s, self.grid.nodes, self.chi)
 
     def q_at(self, s):
         s = np.asarray(s, dtype=float)
-        if self.dfn is not None and self.d2fn is not None:
-            return self.d2fn(s) + self.dfn(s) ** 2
+        if self.poly is not None:
+            c1, c2 = self.poly
+            return c2 + (c1 + c2 * s) ** 2
         return np.interp(s, self.grid.nodes, self.q)
 
     def flipped(self) -> "AxisProfile":
         """The profile for -chi_j (partner potential (chi')^2 - chi'')."""
-        fn = (lambda s, f=self.fn: -f(s)) if self.fn is not None else None
-        dfn = (lambda s, f=self.dfn: -f(s)) if self.dfn is not None else None
-        d2fn = (lambda s, f=self.d2fn: -f(s)) if self.d2fn is not None else None
-        return AxisProfile(self.grid, -self.chi, -self.dchi, -self.d2chi, fn, dfn, d2fn)
+        poly = None if self.poly is None else (-self.poly[0], -self.poly[1])
+        return AxisProfile(self.grid, -self.chi, -self.dchi, -self.d2chi, poly)
 
 
 @dataclass(eq=False)
@@ -126,14 +119,10 @@ class Superpotential:
 
     def dz_chi(self) -> np.ndarray:
         """Wirtinger derivative of chi: (chi1'(x) - i chi2'(y)) / 2."""
-        return 0.5 * (self.ax.dchi[:, None] - 1j * self.ay.dchi[None, :]) * np.ones(
-            self.grid.shape
-        )
+        return 0.5 * (self.ax.dchi[:, None] - 1j * self.ay.dchi[None, :])
 
     def dzbar_chi(self) -> np.ndarray:
-        return 0.5 * (self.ax.dchi[:, None] + 1j * self.ay.dchi[None, :]) * np.ones(
-            self.grid.shape
-        )
+        return 0.5 * (self.ax.dchi[:, None] + 1j * self.ay.dchi[None, :])
 
     def grad_component(self, i: int) -> np.ndarray:
         """d chi / d x_i as a 2-D field, i in {1, 2}."""
@@ -163,46 +152,24 @@ class Superpotential:
         identically, so the off-diagonal entries are zero and not returned.
         """
         u0 = self.u0()
-        p11 = u0 + 2.0 * self.ax.d2chi[:, None] * np.ones(self.grid.shape)
-        p22 = u0 + 2.0 * self.ay.d2chi[None, :] * np.ones(self.grid.shape)
+        p11 = u0 + 2.0 * self.ax.d2chi[:, None]
+        p22 = u0 + 2.0 * self.ay.d2chi[None, :]
         return p11, p22
 
 
-def _constant(value: float) -> Callable:
-    def f(s):
-        return value * np.ones_like(np.asarray(s, dtype=float))
-
-    return f
-
-
-def _axis_zero(grid: Grid1D) -> AxisProfile:
-    z = np.zeros(grid.n)
-    return AxisProfile(grid, z, z.copy(), z.copy(), _constant(0.0), _constant(0.0), _constant(0.0))
+# family -> (parameter count, per-axis coefficients (c1, c2) of
+# chi_j(s) = c1*s + c2*s^2/2, as a function of the parameters)
+_CATALOG = {
+    "zero": (0, lambda: ((0.0, 0.0), (0.0, 0.0))),
+    "linear": (2, lambda alpha, beta: ((alpha, 0.0), (beta, 0.0))),
+    "quadratic": (2, lambda alpha, beta: ((0.0, alpha), (0.0, beta))),
+}
 
 
-def _axis_linear(grid: Grid1D, slope: float) -> AxisProfile:
+def _axis_poly(grid: Grid1D, c1: float, c2: float) -> AxisProfile:
     x = grid.nodes
     return AxisProfile(
-        grid,
-        slope * x,
-        slope * np.ones(grid.n),
-        np.zeros(grid.n),
-        lambda s: slope * np.asarray(s, dtype=float),
-        _constant(slope),
-        _constant(0.0),
-    )
-
-
-def _axis_quadratic(grid: Grid1D, curvature: float) -> AxisProfile:
-    x = grid.nodes
-    return AxisProfile(
-        grid,
-        0.5 * curvature * x**2,
-        curvature * x,
-        curvature * np.ones(grid.n),
-        lambda s: 0.5 * curvature * np.asarray(s, dtype=float) ** 2,
-        lambda s: curvature * np.asarray(s, dtype=float),
-        _constant(curvature),
+        grid, c1 * x + 0.5 * c2 * x**2, c1 + c2 * x, c2 * np.ones(grid.n), (c1, c2)
     )
 
 
@@ -218,7 +185,7 @@ def _axis_tabulated(grid: Grid1D, samples) -> AxisProfile:
 
 
 def catalog_names() -> tuple[str, ...]:
-    return ("zero", "linear", "quadratic", "tabulated")
+    return (*_CATALOG, "tabulated")
 
 
 def make_superpotential(
@@ -228,29 +195,23 @@ def make_superpotential(
     chi1_table=None,
     chi2_table=None,
 ) -> Superpotential:
-    """Build a catalog superpotential on the given grid.
+    """Build a superpotential on the given grid.
 
-    Families: ``zero`` (chi = 0, no parameters), ``linear`` (alpha*x +
-    beta*y), ``quadratic`` (alpha*x^2/2 + beta*y^2/2), ``tabulated``
-    (samples on the exact grid nodes, derivatives by finite differences).
+    The polynomial families and their parameters are those of
+    :data:`_CATALOG`; ``tabulated`` takes samples on the exact grid nodes
+    and differentiates them by finite differences.
     """
     params = tuple(float(p) for p in params)
-    if name == "zero":
-        if params:
-            raise ValueError("family 'zero' takes no parameters")
-        ax, ay = _axis_zero(grid.gx), _axis_zero(grid.gy)
-    elif name == "linear":
-        if len(params) != 2:
-            raise ValueError("family 'linear' takes parameters (alpha, beta)")
-        ax, ay = _axis_linear(grid.gx, params[0]), _axis_linear(grid.gy, params[1])
-    elif name == "quadratic":
-        if len(params) != 2:
-            raise ValueError("family 'quadratic' takes parameters (alpha, beta)")
-        ax, ay = _axis_quadratic(grid.gx, params[0]), _axis_quadratic(grid.gy, params[1])
-    elif name == "tabulated":
+    if name == "tabulated":
         if chi1_table is None or chi2_table is None:
             raise ValueError("family 'tabulated' needs chi1_table and chi2_table samples")
         ax, ay = _axis_tabulated(grid.gx, chi1_table), _axis_tabulated(grid.gy, chi2_table)
+    elif name in _CATALOG:
+        arity, coefficients = _CATALOG[name]
+        if len(params) != arity:
+            raise ValueError(f"family {name!r} takes {arity} parameters, got {len(params)}")
+        cx, cy = coefficients(*params)
+        ax, ay = _axis_poly(grid.gx, *cx), _axis_poly(grid.gy, *cy)
     else:
         raise ValueError(f"unknown superpotential family {name!r}; know {catalog_names()}")
     return Superpotential(name, params, grid, ax, ay)

@@ -11,11 +11,12 @@ grid spacing is half the axis spacing so that every pair of axis nodes
 
 The dressed kernel adds the boundary-slope parameter h = chi'(0) and turns
 into a Volterra operator T with T[x^k] equal to the k-th element of the
-dressed power system of :mod:`vekua.formal_powers`.  The companion operator
-acting on the opposite exponential dressing is the same construction run on
-the flipped profile (-chi), which swaps the potential to (chi')^2 - chi''
-and the parameter to -h; at build time it is cross-validated against its
-antiderivative representation and the build fails on disagreement.
+dressed power system of :mod:`vekua.formal_powers`.  There is one
+construction, :func:`build_transmute`.  The companion operator acting on the
+opposite exponential dressing is that construction run on the flipped
+profile (-chi, :meth:`AxisProfile.flipped`), which swaps the potential to
+(chi')^2 - chi'' and the parameter to -h; it is then cross-validated against
+its antiderivative representation and the build fails on disagreement.
 
 The 2-D operators apply the four 1-D operators axis-by-axis to the real and
 imaginary parts and map complex polynomials in z onto the formal powers.
@@ -44,8 +45,8 @@ __all__ = [
     "build_transmute_2d",
 ]
 
-DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 60
+TOL = 1e-12  # Picard stops once the max change of an iterate is below this
+MAX_ITER = 60
 TILDE_CHECK_CAP = 50.0  # units of h^2 * scale
 
 
@@ -62,7 +63,6 @@ class GoursatKernel:
     h_param: float
     char_values: np.ndarray
     axis_values: np.ndarray
-    diag_data: np.ndarray  # (1/2) int_0^x q at the axis nodes (Goursat data)
     iterations: int
     defects: list[float] = field(default_factory=list)
 
@@ -72,16 +72,13 @@ def _char_grid(grid: Grid1D) -> Grid1D:
     return Grid1D(grid.half_width, 2 * grid.n - 1)
 
 
-def solve_goursat(
-    profile: AxisProfile,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> GoursatKernel:
+def solve_goursat(profile: AxisProfile) -> GoursatKernel:
     """Picard iteration for the kernel of one axis.
 
     Iterates K <- G(u) + int_0^u int_0^v q(a+b) K(a,b) db da on the
     characteristic square until the successive max-difference drops below
-    ``tol``; raises with the defect history if the budget is exhausted.
+    :data:`TOL`; raises with the defect history if :data:`MAX_ITER` sweeps do
+    not get there.
     """
     grid = profile.grid
     cgrid = _char_grid(grid)
@@ -95,17 +92,17 @@ def solve_goursat(
 
     k_cur = np.broadcast_to(g_u[:, None], (cgrid.n, cgrid.n)).copy()
     defects: list[float] = []
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, MAX_ITER + 1):
         inner = cumulative_integral(cgrid, q_uv * k_cur, cgrid.center, axis=1)
         k_next = g_u[:, None] + cumulative_integral(cgrid, inner, cgrid.center, axis=0)
         defect = float(np.max(np.abs(k_next - k_cur)))
         defects.append(defect)
         k_cur = k_next
-        if defect <= tol:
+        if defect <= TOL:
             break
     else:
         raise NonConvergenceError(
-            f"Goursat iteration did not reach {tol:g} in {max_iter} steps "
+            f"Goursat iteration did not reach {TOL:g} in {MAX_ITER} steps "
             f"(last defect {defects[-1]:.3e})",
             defects=defects,
         )
@@ -113,13 +110,11 @@ def solve_goursat(
     n = grid.n
     kk, ll = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     axis_values = k_cur[kk + ll, kk - ll + n - 1]
-    diag_data = 0.5 * cumulative_integral(grid, profile.q_at(grid.nodes), grid.center)
     return GoursatKernel(
         axis_grid=grid,
         h_param=profile.h_param,
         char_values=k_cur,
         axis_values=axis_values,
-        diag_data=diag_data,
         iterations=iteration,
         defects=defects,
     )
@@ -167,7 +162,6 @@ class TransmuteOp:
     grid: Grid1D
     matrix: np.ndarray
     kernel: GoursatKernel
-    variant: str  # "plain" or "tilde"
 
     def along_x(self, f) -> np.ndarray:
         """Apply along the first axis of a 1-D or 2-D field."""
@@ -177,15 +171,11 @@ class TransmuteOp:
         return np.asarray(field2d) @ self.matrix.T
 
 
-def build_transmute(
-    profile: AxisProfile,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> TransmuteOp:
+def build_transmute(profile: AxisProfile) -> TransmuteOp:
     """Transmutation operator mapping plain powers onto the dressed system."""
-    gk = solve_goursat(profile, tol=tol, max_iter=max_iter)
+    gk = solve_goursat(profile)
     kernel = build_kernel_with_h(gk)
-    return TransmuteOp(profile.grid, _volterra_matrix(profile.grid, kernel), gk, "plain")
+    return TransmuteOp(profile.grid, _volterra_matrix(profile.grid, kernel), gk)
 
 
 def ttilde_antiderivative_form(t_op: TransmuteOp, profile: AxisProfile, f, df=None):
@@ -203,44 +193,33 @@ def ttilde_antiderivative_form(t_op: TransmuteOp, profile: AxisProfile, f, df=No
     return np.exp(-profile.chi) * (acc + f[grid.center])
 
 
-def build_transmute_tilde(
-    profile: AxisProfile,
-    t_op: TransmuteOp | None = None,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    check: bool = True,
-) -> TransmuteOp:
+def build_transmute_tilde(profile: AxisProfile, t_op: TransmuteOp | None = None) -> TransmuteOp:
     """Companion transmutation operator (opposite exponential dressing).
 
-    Built as the plain construction on the flipped profile, whose potential
-    is (chi')^2 - chi'' and whose slope parameter is -h.  When ``check`` is
-    on, the operator is compared on low powers against the antiderivative
-    representation through ``t_op`` (built here if not supplied); any
-    disagreement above 50 h^2 per unit scale fails the build.
+    Built as :func:`build_transmute` on the flipped profile, whose potential
+    is (chi')^2 - chi'' and whose slope parameter is -h.  The operator is
+    then compared on low powers against the antiderivative representation
+    through ``t_op`` (built here if not supplied); any disagreement above
+    50 h^2 per unit scale fails the build.
     """
-    flip = profile.flipped()
-    gk = solve_goursat(flip, tol=tol, max_iter=max_iter)
-    kernel = build_kernel_with_h(gk)
-    op = TransmuteOp(profile.grid, _volterra_matrix(profile.grid, kernel), gk, "tilde")
-    if check:
-        if t_op is None:
-            t_op = build_transmute(profile, tol=tol, max_iter=max_iter)
-        grid = profile.grid
-        x = grid.nodes
-        h2_unit = grid.h**2
-        for k in (1, 2, 3):
-            f = x**k
-            df = k * x ** (k - 1) if k > 1 else np.ones_like(x)
-            via_kernel = op.along_x(f)
-            via_anti = ttilde_antiderivative_form(t_op, profile, f, df)
-            scale = max(1.0, float(np.max(np.abs(via_anti))))
-            gap = float(np.max(np.abs(via_kernel - via_anti)))
-            if gap > TILDE_CHECK_CAP * h2_unit * scale:
-                raise NonConvergenceError(
-                    f"companion-transmutation cross-check failed on x^{k}: "
-                    f"gap {gap:.3e} > {TILDE_CHECK_CAP * h2_unit * scale:.3e}",
-                    defects=gk.defects,
-                )
+    op = build_transmute(profile.flipped())
+    if t_op is None:
+        t_op = build_transmute(profile)
+    x = profile.grid.nodes
+    h2_unit = profile.grid.h**2
+    for k in (1, 2, 3):
+        f = x**k
+        df = k * x ** (k - 1) if k > 1 else np.ones_like(x)
+        via_kernel = op.along_x(f)
+        via_anti = ttilde_antiderivative_form(t_op, profile, f, df)
+        scale = max(1.0, float(np.max(np.abs(via_anti))))
+        gap = float(np.max(np.abs(via_kernel - via_anti)))
+        if gap > TILDE_CHECK_CAP * h2_unit * scale:
+            raise NonConvergenceError(
+                f"companion-transmutation cross-check failed on x^{k}: "
+                f"gap {gap:.3e} > {TILDE_CHECK_CAP * h2_unit * scale:.3e}",
+                defects=op.kernel.defects,
+            )
     return op
 
 
@@ -259,27 +238,23 @@ class Transmute2D:
     tx_tilde: TransmuteOp
     ty_tilde: TransmuteOp
 
-    def t0(self, w) -> np.ndarray:
+    def _apply(self, w, re_x: TransmuteOp, im_x: TransmuteOp) -> np.ndarray:
+        # real part through (re_x, ty), imaginary part through (im_x, ty_tilde)
         w = self.sp.grid.check(np.asarray(w, dtype=complex))
-        re = self.tx.along_x(self.ty.along_y(w.real))
-        im = self.tx_tilde.along_x(self.ty_tilde.along_y(w.imag))
+        re = re_x.along_x(self.ty.along_y(w.real))
+        im = im_x.along_x(self.ty_tilde.along_y(w.imag))
         return re + 1j * im
+
+    def t0(self, w) -> np.ndarray:
+        return self._apply(w, self.tx, self.tx_tilde)
 
     def t1(self, w) -> np.ndarray:
-        w = self.sp.grid.check(np.asarray(w, dtype=complex))
-        re = self.tx_tilde.along_x(self.ty.along_y(w.real))
-        im = self.tx.along_x(self.ty_tilde.along_y(w.imag))
-        return re + 1j * im
+        return self._apply(w, self.tx_tilde, self.tx)
 
 
-def build_transmute_2d(
-    sp: Superpotential,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    check: bool = True,
-) -> Transmute2D:
-    tx = build_transmute(sp.ax, tol=tol, max_iter=max_iter)
-    ty = build_transmute(sp.ay, tol=tol, max_iter=max_iter)
-    txt = build_transmute_tilde(sp.ax, t_op=tx, tol=tol, max_iter=max_iter, check=check)
-    tyt = build_transmute_tilde(sp.ay, t_op=ty, tol=tol, max_iter=max_iter, check=check)
+def build_transmute_2d(sp: Superpotential) -> Transmute2D:
+    tx = build_transmute(sp.ax)
+    ty = build_transmute(sp.ay)
+    txt = build_transmute_tilde(sp.ax, t_op=tx)
+    tyt = build_transmute_tilde(sp.ay, t_op=ty)
     return Transmute2D(sp, tx, ty, txt, tyt)

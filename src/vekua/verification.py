@@ -48,7 +48,6 @@ from .expansion import evaluate_series, fit_formal_polynomial, taylor_coefficien
 from .formal_powers import (
     FormalPowerTable,
     assemble_formal_powers,
-    build_aux_system,
     fg_integral,
 )
 from .grid import (
@@ -68,6 +67,7 @@ __all__ = ["RunConfig", "Row", "Check", "CHECKS", "checks_for", "run_battery",
 
 RATIO_WINDOW = (3.5, 4.5)
 RATIO_FLOOR = 1e-11  # coarse residuals below this are machine-exact identities
+N_MAX = 6  # highest formal-power degree the battery builds
 
 
 @dataclass
@@ -84,7 +84,6 @@ class RunConfig:
     n2: int = 201
     sp_name: str = "zero"
     sp_params: tuple[float, ...] = ()
-    n_max: int = 6
     corrupt_u0: bool = False
     tolerances: dict = dc_field(default_factory=dict)
 
@@ -93,6 +92,12 @@ class RunConfig:
             n = getattr(self, key)
             if n < 3 or n % 2 == 0:
                 raise ConfigError(f"{key} must be odd and >= 3, got {n}")
+        for key in ("half_width1", "half_width2"):
+            a = getattr(self, key)
+            if not (np.isfinite(a) and a > 0):
+                raise ConfigError(f"{key} must be positive and finite, got {a}")
+        if not np.all(np.isfinite(self.sp_params)):
+            raise ConfigError(f"superpotential parameters must be finite, got {self.sp_params}")
         overridable = [c.name for c in CHECKS if c.h2_cap is not None]
         for key, tol in self.tolerances.items():
             if key not in overridable:
@@ -133,7 +138,7 @@ class _Level:
 
     @cached_property
     def table(self) -> FormalPowerTable:
-        return assemble_formal_powers(self.sp, self.cfg.n_max)
+        return assemble_formal_powers(self.sp, N_MAX)
 
     @cached_property
     def t2d(self) -> Transmute2D:
@@ -145,12 +150,10 @@ class _Level:
 
     @cached_property
     def self_fit(self):
-        """(n, fit): Im Z^n(i), n = min(3, n_max), fitted in the ker h0 basis."""
-        n_slot = min(3, self.table.n_max)
+        """(n, fit): Im Z^n(i), n = 3, fitted in the ker h0 basis."""
+        n_slot = 3
         target = np.imag(self.table.z_i[n_slot])
-        fit = fit_formal_polynomial(
-            self.sp, target, self.table, "ker_h0", degree=min(4, self.table.n_max)
-        )
+        fit = fit_formal_polynomial(self.sp, target, self.table, "ker_h0", degree=4)
         return n_slot, fit
 
 
@@ -177,7 +180,7 @@ def _res_zero_mode(level: _Level, which: int) -> float:
 def _res_vekua_powers(level: _Level, successor: bool) -> float:
     sp, table = level.sp, level.table
     worst = 0.0
-    for n in range(min(5, table.n_max) + 1):
+    for n in range(6):
         for a in (1.0, 1j):
             if successor:
                 w = table.power_succ(n, a)
@@ -192,7 +195,7 @@ def _res_vekua_powers(level: _Level, successor: bool) -> float:
 def _res_ground_state_h(level: _Level) -> float:
     sp, table = level.sp, level.table
     worst = 0.0
-    for n in range(min(4, table.n_max) + 1):
+    for n in range(5):
         for a in (1.0, 1j):
             g = ops.h_diag(sp, ops.project(table.power(n, a)))
             worst = max(worst, _vmax(g))
@@ -202,7 +205,7 @@ def _res_ground_state_h(level: _Level) -> float:
 def _res_ground_state_h1(level: _Level) -> float:
     sp, table = level.sp, level.table
     worst = 0.0
-    for n in range(1, min(4, table.n_max) + 1):
+    for n in range(1, 5):
         for a in (1.0, 1j):
             deriv = n * table.power_succ(n - 1, a)
             g = ops.h1(sp, ops.project(deriv))
@@ -297,14 +300,13 @@ def _res_nilpotency(level: _Level) -> float:
 
 
 def _res_transmute_powers(level: _Level) -> float:
-    sp = level.sp
-    aux = level.table.aux or build_aux_system(sp, level.cfg.n_max)
+    phi = level.table.aux.phi
     t_x = level.t2d.tx
-    x = sp.grid.gx.nodes
+    x = level.sp.grid.gx.nodes
     worst = 0.0
-    for k in range(min(5, level.cfg.n_max) + 1):
+    for k in range(6):
         got = t_x.along_x(x**k)
-        want = aux.phi[k]
+        want = phi[k]
         worst = max(worst, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
     return worst
 
@@ -313,7 +315,7 @@ def _res_t0_t1_powers(level: _Level) -> float:
     sp, table = level.sp, level.table
     z = sp.grid.zmesh()
     worst = 0.0
-    for n in range(min(4, table.n_max) + 1):
+    for n in range(5):
         for a in (1.0, 1j):
             worst = max(
                 worst,
@@ -404,9 +406,9 @@ def _res_fit_self_coefficients(level: _Level) -> float:
 
 def _res_taylor_roundtrip(level: _Level):
     sp, table = level.sp, level.table
-    n = min(3, table.n_max)
+    n = 3
     w = table.power(n, 1.0)
-    coeffs = taylor_coefficients(sp, w, degree=min(4, table.n_max))
+    coeffs = taylor_coefficients(sp, w, degree=4)
     series = evaluate_series(coeffs, table)
     quarter = (sp.grid.gx.n - 1) // 4
     sub = (slice(quarter, -quarter), slice(quarter, -quarter))
@@ -422,7 +424,7 @@ def _res_analytic_limit(level: _Level) -> float:
     table = level.table
     z = level.sp.grid.zmesh()
     worst = 0.0
-    for n in range(min(6, table.n_max) + 1):
+    for n in range(N_MAX + 1):
         worst = max(worst, interior_max(table.power(n, 1.0) - z**n, margin=1))
     return worst
 

@@ -8,15 +8,24 @@ import numpy as np
 import pytest
 
 import vekua
-from vekua.cli import main
-from vekua.errors import ConfigError
+import vekua.cli as cli
+from vekua.cli import build_parser, main
+from vekua.errors import (
+    CompatibilityError,
+    ConfigError,
+    DegeneratePairError,
+    GridShapeError,
+    KernelMembershipError,
+)
 from vekua.fields_io import (
+    read_axis_table,
     read_field_csv,
     read_grid_meta,
     write_field_csv,
     write_grid_meta,
 )
 from vekua.grid import Grid1D, Grid2D
+from vekua.superpotential import catalog_names
 
 
 @pytest.fixture()
@@ -174,8 +183,12 @@ def test_cli_config_error_exit_code(tmp_path):
         ({"grid": {"n1": "abc"}}, []),
         ({"tolerances": {"zero_mode_hO": 20.0}}, []),  # typo of zero_mode_h0
         (None, ["--sp", "linear"]),  # family without its parameters
+        (None, ["--sp", "linear", "--params", "nan,1"]),
+        (None, ["--half-width", "nan"]),
+        (None, ["--half-width", "1", "0"]),
     ],
-    ids=["params-not-numeric", "config-not-numeric", "tolerance-unknown", "params-missing"],
+    ids=["params-not-numeric", "config-not-numeric", "tolerance-unknown", "params-missing",
+         "params-not-finite", "half-width-not-finite", "half-width-zero"],
 )
 def test_cli_malformed_input_exit_code(tmp_path, capsys, config, flags):
     argv = ["verify", "--nodes", "21", "--out", str(tmp_path / "out"), *flags]
@@ -185,6 +198,112 @@ def test_cli_malformed_input_exit_code(tmp_path, capsys, config, flags):
         argv += ["--config", str(path)]
     assert main(argv) == 2
     assert "config error" in capsys.readouterr().err
+
+
+# data row 5 (file line 6) of a valid 21 x 21 field CSV, spoilt three ways,
+# and what the error names
+_SPOILT_ROWS = {
+    "nan-cell": (lambda cells: cells[:2] + ["nan", "0"], "non-finite value in data row 5"),
+    "short-row": (lambda cells: cells[:3], "input.csv:6: malformed row (IndexError"),
+    "word-cell": (lambda cells: cells[:2] + ["abc", "0"], "input.csv:6: malformed row (ValueError"),
+}
+
+
+def _write_spoilt_field(tmp_path, kind):
+    _, path = _write_sample_field(tmp_path)
+    lines = path.read_text().splitlines()
+    lines[5] = ",".join(_SPOILT_ROWS[kind][0](lines[5].split(",")))
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _one_line_error(capsys, prefix):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [("0,inf", "non-finite value in data row 3"), ("0,nan", "non-finite value in data row 3"),
+     ("0", r"chi1\.csv:4: malformed row")],
+    ids=["inf", "nan", "short"],
+)
+def test_read_axis_table_rejects_spoilt_row(tmp_path, row, message):
+    grid = Grid1D(1.0, 5)
+    rows = [f"{x:.17g},0" for x in grid.nodes]
+    rows[2] = row
+    path = tmp_path / "chi1.csv"
+    path.write_text("x,chi1\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ConfigError, match=message):
+        read_axis_table(path, grid, "chi1")
+
+
+@pytest.mark.parametrize("kind", sorted(_SPOILT_ROWS))
+def test_cli_transmute_rejects_spoilt_csv(tmp_path, capsys, kind):
+    path = _write_spoilt_field(tmp_path, kind)
+    argv = ["transmute", "--sp", "zero", "--input", str(path), "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert _SPOILT_ROWS[kind][1] in _one_line_error(capsys, "config error: ")
+    assert not (tmp_path / "o" / "transmuted.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def quadratic_fields(tmp_path_factory):
+    """x^2 + y^2 on the 3, 21 and 101 node grids: in neither kernel for chi = 0."""
+    paths = {}
+    for n in (3, 21, 101):
+        grid = Grid2D.square(1.0, n)
+        x, y = grid.meshes()
+        path = tmp_path_factory.mktemp("fields") / f"sq{n}.csv"
+        write_field_csv(path, grid, (x**2 + y**2).astype(complex))
+        paths[f"sq{n}"] = str(path)
+    return paths
+
+
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (["formal-powers", "--sp", "zero", "--nodes", "21", "--n-max", "-1"], "config error: "),
+        (["expand", "--sp", "zero", "--input", "{sq21}", "--basis", "ker_h2", "--degree", "-1"],
+         "config error: "),
+        (["expand", "--sp", "zero", "--input", "{sq101}", "--basis", "ker_h0"],
+         "domain error (KernelMembershipError): "),
+        (["expand", "--sp", "zero", "--input", "{sq3}", "--basis", "ker_h2"],
+         "domain error (GridShapeError): "),
+        (["conjugate", "--sp", "zero", "--input", "{sq101}", "--direction", "2to0"],
+         "domain error (KernelMembershipError): "),
+    ],
+    ids=["formal-powers-negative-n-max", "expand-negative-degree", "expand-not-in-kernel",
+         "expand-grid-too-small", "conjugate-not-in-kernel"],
+)
+def test_cli_domain_and_usage_errors_exit_2(tmp_path, capsys, quadratic_fields, argv, prefix):
+    argv = [a.format(**quadratic_fields) for a in argv] + ["--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    _one_line_error(capsys, prefix)
+
+
+@pytest.mark.parametrize(
+    "error", [KernelMembershipError, CompatibilityError, DegeneratePairError, GridShapeError]
+)
+def test_cli_maps_every_domain_error_to_exit_2(tmp_path, capsys, monkeypatch, error):
+    def fail(sp):
+        raise error("synthetic failure")
+
+    monkeypatch.setattr(cli, "build_transmute_2d", fail)
+    _, inp = _write_sample_field(tmp_path)
+    assert main(["transmute", "--sp", "zero", "--input", str(inp),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert _one_line_error(capsys, f"domain error ({error.__name__}): ").endswith(
+        "synthetic failure\n"
+    )
+
+
+def test_cli_sp_choices_are_the_catalog():
+    subcommands = build_parser()._subparsers._group_actions[0].choices
+    for name, sub in subcommands.items():
+        (sp_action,) = [a for a in sub._actions if a.dest == "sp_name"]
+        assert tuple(sp_action.choices) == catalog_names(), name
 
 
 def test_cli_env_output_override(tmp_path, monkeypatch):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vekua.errors import DegeneratePairError
-from vekua.grid import Grid2D, interior_max
+from vekua.grid import Grid1D, Grid2D, interior_max
 from vekua.superpotential import (
     characteristic_coefficients,
     generating_pair,
@@ -53,10 +53,27 @@ def test_unknown_family(grid):
 
 
 def test_param_arity(grid):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'quadratic' takes 2 parameters, got 1"):
         make_superpotential("quadratic", (1.0,), grid)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'zero' takes 0 parameters, got 1"):
         make_superpotential("zero", (1.0,), grid)
+
+
+@pytest.mark.parametrize(
+    "name, params", [("zero", ()), ("linear", (0.5, -1.0)), ("quadratic", (1.0, -0.5))]
+)
+def test_negated_parameters_give_the_flipped_axes(name, params):
+    # the catalog is linear in its parameters, so -p describes -chi exactly
+    grid = Grid2D.square(1.0, 61)
+    plain = make_superpotential(name, params, grid)
+    negated = make_superpotential(name, tuple(-p for p in params), grid)
+    char_nodes = Grid1D(1.0, 2 * 61 - 1).nodes
+    for axis in ("ax", "ay"):
+        flipped, want = getattr(plain, axis).flipped(), getattr(negated, axis)
+        for samples in ("chi", "dchi", "d2chi"):
+            assert np.array_equal(getattr(flipped, samples), getattr(want, samples))
+        assert np.array_equal(flipped.q_at(char_nodes), want.q_at(char_nodes))
+        assert flipped.h_param == want.h_param
 
 
 def test_tabulated_roundtrip(grid):
@@ -64,9 +81,9 @@ def test_tabulated_roundtrip(grid):
     chi2 = 0.2 * grid.gy.nodes**2
     sp = make_superpotential("tabulated", (), grid, chi1_table=chi1, chi2_table=chi2)
     np.testing.assert_allclose(sp.ax.dchi, 0.3 * np.cosh(grid.gx.nodes), atol=5e-5)
-    # interpolation callbacks work off the nodes
+    # off the nodes the potential is the linear interpolant of its samples
     mid = grid.gx.nodes[:-1] + grid.gx.h / 2
-    assert np.max(np.abs(sp.ax.chi_at(mid) - 0.3 * np.sinh(mid))) <= 5e-5
+    np.testing.assert_allclose(sp.ax.q_at(mid), 0.5 * (sp.ax.q[:-1] + sp.ax.q[1:]), atol=1e-12)
 
 
 def test_tabulated_rejects_nonzero_origin(grid):
@@ -159,21 +176,13 @@ def test_riccati_residual_linear(grid):
 def test_riccati_residual_order_for_analytic_profile():
     # catalog families make the residual vanish identically (polynomial
     # derivatives differentiate exactly); a sinh profile with analytic
-    # callbacks shows the honest O(h^2) of the d_zbar stencil
+    # derivative samples shows the honest O(h^2) of the d_zbar stencil
     from vekua.superpotential import AxisProfile, Superpotential
 
     def build(n):
         g = Grid2D.square(1.0, n)
         x = g.gx.nodes
-        ax = AxisProfile(
-            g.gx,
-            0.3 * np.sinh(x),
-            0.3 * np.cosh(x),
-            0.3 * np.sinh(x),
-            lambda s: 0.3 * np.sinh(s),
-            lambda s: 0.3 * np.cosh(s),
-            lambda s: 0.3 * np.sinh(s),
-        )
+        ax = AxisProfile(g.gx, 0.3 * np.sinh(x), 0.3 * np.cosh(x), 0.3 * np.sinh(x))
         y = g.gy.nodes
         ay = AxisProfile(g.gy, np.zeros_like(y), np.zeros_like(y), np.zeros_like(y))
         sp = Superpotential("custom", (), g, ax, ay)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 import vekua.operators as ops
+import vekua.transmutation as transmutation
 from vekua.errors import GridShapeError, NonConvergenceError
 from vekua.formal_powers import assemble_formal_powers, build_aux_system, fg_integral
 from vekua.grid import (
@@ -67,13 +69,15 @@ def test_goursat_zero_potential_is_zero_kernel(grid201):
 def test_goursat_boundary_data(sp_linear):
     # K(x, x) = (1/2) int_0^x q and K(x, -x) = 0
     gk = solve_goursat(sp_linear.ax)
-    n = sp_linear.grid.gx.n
+    grid = sp_linear.grid.gx
+    n = grid.n
+    half_int_q = 0.5 * cumulative_integral(grid, sp_linear.ax.q_at(grid.nodes), grid.center)
     diag = gk.axis_values[np.arange(n), np.arange(n)]
-    np.testing.assert_allclose(diag, gk.diag_data, atol=1e-12)
+    np.testing.assert_allclose(diag, half_int_q, atol=1e-12)
     anti = gk.axis_values[np.arange(n), n - 1 - np.arange(n)]
     np.testing.assert_allclose(anti, np.zeros(n), atol=1e-14)
     # q = 1 for chi1 = x, so the diagonal is x/2
-    np.testing.assert_allclose(gk.diag_data, sp_linear.grid.gx.nodes / 2.0, atol=1e-12)
+    np.testing.assert_allclose(half_int_q, grid.nodes / 2.0, atol=1e-12)
 
 
 def test_goursat_constant_potential_bessel_oracle(sp_linear):
@@ -101,9 +105,10 @@ def test_goursat_convergence_history(sp_quad):
     assert all(np.isfinite(gk.defects))
 
 
-def test_goursat_nonconvergence_raises(sp_quad):
+def test_goursat_nonconvergence_raises(sp_quad, monkeypatch):
+    monkeypatch.setattr(transmutation, "MAX_ITER", 2)
     with pytest.raises(NonConvergenceError) as err:
-        solve_goursat(sp_quad.ax, tol=1e-12, max_iter=2)
+        solve_goursat(sp_quad.ax)
     assert len(err.value.defects) == 2
 
 
@@ -135,7 +140,7 @@ def test_dressed_kernel_quadrature_oracle(sp_linear):
     for l in range(lo, k + 1):
         span = slice(l, k + 1)
         integrand = gk.axis_values[k, span] - gk.axis_values[k, ::-1][span]
-        direct = np.trapezoid(integrand, dx=grid.h)
+        direct = trapezoid(integrand, dx=grid.h)
         expected = 0.5 + gk.axis_values[k, l] + 0.5 * direct
         assert dressed[k, l] == pytest.approx(expected, abs=1e-12)
 
@@ -202,6 +207,14 @@ def test_ttilde_matches_antiderivative_form(sp_linear):
         df = k * x ** (k - 1) if k > 0 else np.zeros_like(x)
         via_anti = ttilde_antiderivative_form(t_op, sp_linear.ax, f, df)
         np.testing.assert_allclose(tt_op.along_x(f), via_anti, atol=60 * H2)
+
+
+@pytest.mark.parametrize("name, params", [("linear", (0.5, -1.0)), ("quadratic", (-1.0, 0.5))])
+def test_ttilde_is_the_plain_build_on_the_flipped_profile(name, params):
+    sp = make_superpotential(name, params, Grid2D.square(1.0, 61))
+    for profile in (sp.ax, sp.ay):
+        tilde = build_transmute_tilde(profile)
+        assert np.array_equal(tilde.matrix, build_transmute(profile.flipped()).matrix)
 
 
 def test_ttilde_powers_match_tilde_system():
