@@ -10,7 +10,6 @@ identity with quantified residuals and convergence ratios.
 from .grid import (
     Grid1D,
     Grid2D,
-    PathSpec,
     cumulative_integral,
     d_x,
     d_y,
@@ -21,7 +20,6 @@ from .grid import (
     laplacian,
     lpath_complex,
     lpath_field,
-    path_integral,
 )
 from .superpotential import (
     AxisProfile,
@@ -41,7 +39,6 @@ from .formal_powers import (
 )
 from .conjugate import (
     ConjugateResult,
-    a_op,
     abar_op,
     conjugate_from_w1,
     conjugate_from_w2,

@@ -23,13 +23,15 @@ numerical non-convergence.  Exit 2 covers unknown flags; an unreadable
 config or input file; a non-numeric ``--params`` or config value; an even
 or too small node count; a half-width that is not positive and finite; a
 tolerance name without an h^2 cap, or a tolerance that is not positive and
-finite; an unknown family, a wrong parameter count for it or a non-finite
-parameter; a negative ``--n-max`` or ``--degree``; an input CSV with a
-short row, a non-numeric cell or a non-finite value; and a domain error of
-the input: a field outside the kernel the subcommand needs
-(``KernelMembershipError``), a gradient that fails its compatibility
-condition (``CompatibilityError``), a degenerate generating pair
-(``DegeneratePairError``) or a grid too small for the stencils
+finite; an unknown family, a wrong parameter count for it (``tabulated``
+takes none) or a non-finite parameter; a negative ``--n-max`` or
+``--degree``; an input CSV with a short row, a non-numeric cell or a
+non-finite value; and a domain error of the input: a field outside the
+kernel the subcommand needs (``KernelMembershipError``: its h0 or h2
+residual exceeds 50 h^2 times the largest of 1, |f_xx|, |f_yy| and |U f|,
+see :func:`vekua.operators.require_kernel`), a gradient that fails its
+compatibility condition (``CompatibilityError``), a degenerate generating
+pair (``DegeneratePairError``) or a grid too small for the stencils
 (``GridShapeError``).  Each prints one line to stderr.  Identical
 configuration yields byte-identical outputs; the output directory defaults
 to ``--out`` and can be overridden with the ``VEKUA_OUTDIR`` environment

@@ -4,9 +4,11 @@ A real field in the kernel of one scalar Hamiltonian determines (up to one
 real gauge constant times the zero mode) the partner field that completes it
 to a solution of the main Vekua equation.  The construction is a dressed
 antigradient: differentiate, weight with exponentials of the superpotential,
-integrate back along L-paths.  The gauge is fixed by a zero value at the
-origin node; comparisons against references should fit the constant first
-(:func:`fit_gauge`).
+integrate back along L-paths (:func:`vekua.grid.lpath_field`).  Kernel
+membership of the input implies the compatibility of the integrand, so only
+:func:`abar_op`, the entry for outside input, checks compatibility.  The
+gauge is fixed by a zero value at the origin node; comparisons against
+references should fit the constant first (:func:`fit_gauge`).
 """
 
 from __future__ import annotations
@@ -16,15 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CompatibilityError, KernelMembershipError
+from .errors import CompatibilityError
 from .grid import Grid2D, d_x, d_y, d_zbar, interior_max, lpath_field
-from .operators import h0, h2, vekua_v
+from .operators import h0, h2, require_kernel, vekua_v
 from .superpotential import Superpotential
 
 __all__ = [
     "ConjugateResult",
     "abar_op",
-    "a_op",
     "conjugate_from_w1",
     "conjugate_from_w2",
     "fit_gauge",
@@ -32,7 +33,6 @@ __all__ = [
 
 COMPAT_WARN = 100.0  # in units of h^2 * scale
 COMPAT_ERROR = 1000.0
-PRECONDITION_ERROR = 1000.0
 
 
 @dataclass(eq=False)
@@ -42,55 +42,37 @@ class ConjugateResult:
     vekua_residual: float
 
 
-def _compat_defect(grid: Grid2D, phi, sign):
-    """Max interior defect of d2(Re phi) - sign * d1(Im phi) and its node."""
-    defect = d_y(grid, np.real(phi)) - sign * d_x(grid, np.imag(phi))
+def _compat_defect(grid: Grid2D, phi):
+    """Max interior defect of d2(Re phi) - d1(Im phi) and its node."""
+    defect = d_y(grid, np.real(phi)) - d_x(grid, np.imag(phi))
     inner = np.abs(defect[1:-1, 1:-1])
     i, j = np.unravel_index(int(np.argmax(inner)), inner.shape)
     return float(inner[i, j]), (int(i) + 1, int(j) + 1)
 
 
-def _antigradient(grid, phi, origin, sign, warn_cap, error_cap, label):
+def abar_op(grid: Grid2D, phi):
+    """Antigradient for the conjugate Wirtinger derivative.
+
+    Returns the real field vanishing at the centre node whose d_zbar is
+    (approximately) ``phi``; requires d2(Re phi) = d1(Im phi), warning above
+    :data:`COMPAT_WARN` and raising above :data:`COMPAT_ERROR` * h^2 * scale.
+    """
     phi = grid.check(np.asarray(phi, dtype=complex))
     h2_unit = grid.hmax**2
     scale = max(1.0, float(np.max(np.abs(phi))))
-    defect, node = _compat_defect(grid, phi, sign)
-    if error_cap is not None and defect > error_cap * h2_unit * scale:
+    defect, node = _compat_defect(grid, phi)
+    if defect > COMPAT_ERROR * h2_unit * scale:
         raise CompatibilityError(
-            f"{label}: compatibility defect {defect:.3e} at node {node} exceeds "
-            f"{error_cap:g}*h^2*scale = {error_cap * h2_unit * scale:.3e}"
+            f"abar_op: compatibility defect {defect:.3e} at node {node} exceeds "
+            f"{COMPAT_ERROR:g}*h^2*scale = {COMPAT_ERROR * h2_unit * scale:.3e}"
         )
-    if warn_cap is not None and defect > warn_cap * h2_unit * scale:
+    if defect > COMPAT_WARN * h2_unit * scale:
         warnings.warn(
-            f"{label}: compatibility defect {defect:.3e} at node {node} above "
-            f"{warn_cap:g}*h^2*scale",
-            stacklevel=3,
+            f"abar_op: compatibility defect {defect:.3e} at node {node} above "
+            f"{COMPAT_WARN:g}*h^2*scale",
+            stacklevel=2,
         )
-    return lpath_field(grid, np.real(phi), np.imag(phi), origin=origin, sign=sign)
-
-
-def abar_op(grid: Grid2D, phi, origin=None, warn_cap=COMPAT_WARN, error_cap=COMPAT_ERROR):
-    """Antigradient for the conjugate Wirtinger derivative.
-
-    Returns the real field vanishing at the origin node whose d_zbar is
-    (approximately) ``phi``; requires d2(Re phi) = d1(Im phi).
-    """
-    return _antigradient(grid, phi, origin, +1.0, warn_cap, error_cap, "abar_op")
-
-
-def a_op(grid: Grid2D, phi, origin=None, warn_cap=COMPAT_WARN, error_cap=COMPAT_ERROR):
-    """Antigradient for the plain Wirtinger derivative (minus-sign variant)."""
-    return _antigradient(grid, phi, origin, -1.0, warn_cap, error_cap, "a_op")
-
-
-def _check_kernel(label, residual, h2_unit, scale):
-    cap = PRECONDITION_ERROR * h2_unit * scale
-    if residual > cap:
-        raise KernelMembershipError(
-            f"{label}: kernel residual {residual:.3e} exceeds {cap:.3e}"
-        )
-    if residual > 0.2 * cap:
-        warnings.warn(f"{label}: kernel residual {residual:.3e} is large", stacklevel=3)
+    return lpath_field(grid, np.real(phi), np.imag(phi))
 
 
 def conjugate_from_w1(sp: Superpotential, w1) -> ConjugateResult:
@@ -101,14 +83,9 @@ def conjugate_from_w1(sp: Superpotential, w1) -> ConjugateResult:
     """
     grid = sp.grid
     w1 = grid.check(np.asarray(w1, dtype=float))
-    h2_unit = grid.hmax**2
-    scale = max(1.0, float(np.max(np.abs(w1))))
-    _check_kernel("conjugate_from_w1", interior_max(h2(sp, w1), margin=2), h2_unit, scale)
+    require_kernel(sp, h2, w1, "conjugate_from_w1")
     integrand = 1j * sp.exp_chi(2.0) * d_zbar(grid, sp.exp_chi(-1.0) * w1)
-    # the kernel precondition above subsumes the compatibility condition of
-    # the integrand (they differ by an exponential weight), so the inner
-    # antigradient runs without its own caps
-    w2 = sp.exp_chi(-1.0) * abar_op(grid, integrand, warn_cap=None, error_cap=None)
+    w2 = sp.exp_chi(-1.0) * lpath_field(grid, np.real(integrand), np.imag(integrand))
     residual = interior_max(vekua_v(sp, w1 + 1j * w2), margin=2)
     return ConjugateResult(partner=w2, gauge_constant=0.0, vekua_residual=residual)
 
@@ -121,11 +98,9 @@ def conjugate_from_w2(sp: Superpotential, w2) -> ConjugateResult:
     """
     grid = sp.grid
     w2 = grid.check(np.asarray(w2, dtype=float))
-    h2_unit = grid.hmax**2
-    scale = max(1.0, float(np.max(np.abs(w2))))
-    _check_kernel("conjugate_from_w2", interior_max(h0(sp, w2), margin=2), h2_unit, scale)
+    require_kernel(sp, h0, w2, "conjugate_from_w2")
     integrand = 1j * sp.exp_chi(-2.0) * d_zbar(grid, sp.exp_chi(1.0) * w2)
-    w1 = -sp.exp_chi(1.0) * abar_op(grid, integrand, warn_cap=None, error_cap=None)
+    w1 = -sp.exp_chi(1.0) * lpath_field(grid, np.real(integrand), np.imag(integrand))
     residual = interior_max(vekua_v(sp, w1 + 1j * w2), margin=2)
     return ConjugateResult(partner=w1, gauge_constant=0.0, vekua_residual=residual)
 

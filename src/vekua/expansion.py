@@ -16,10 +16,9 @@ from math import factorial
 
 import numpy as np
 
-from .errors import KernelMembershipError
 from .grid import d_x, d_y, interior, interior_max
 from .formal_powers import FormalPowerTable
-from .operators import bers_derivative_seq, h0, h2
+from .operators import bers_derivative_seq, h0, h2, require_kernel
 from .superpotential import Superpotential
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
 ]
 
 MAX_TAYLOR_DEGREE = 6
-KERNEL_CAP = 1000.0  # units of h^2 * scale
 # Safety factor on the propagated stencil-noise model; calibrated once
 # against round trips of sampled formal powers.
 NOISE_SAFETY = 5.0
@@ -159,17 +157,10 @@ def fit_formal_polynomial(
     target = grid.check(np.asarray(target, dtype=float))
     if degree > table.n_max:
         raise ValueError("degree exceeds the table range")
-    h2_unit = grid.hmax**2
-    scale = max(1.0, float(np.max(np.abs(target))))
     op = h0 if basis_kind == "ker_h0" else h2 if basis_kind == "ker_h2" else None
     if op is None:
         raise ValueError("basis_kind must be 'ker_h0' or 'ker_h2'")
-    kernel_resid = interior_max(op(sp, target), margin=2)
-    if kernel_resid > KERNEL_CAP * h2_unit * scale:
-        raise KernelMembershipError(
-            f"target is not in {basis_kind}: residual {kernel_resid:.3e} exceeds "
-            f"{KERNEL_CAP * h2_unit * scale:.3e}"
-        )
+    require_kernel(sp, op, target, "fit_formal_polynomial")
 
     columns = []
     for n in range(degree + 1):

@@ -2,9 +2,10 @@
 
 Everything downstream lives on a tensor-product grid over the rectangle
 ``[-a1, a1] x [-a2, a2]``.  Node counts are odd so that the origin is a grid
-node; the origin is the default base point of every cumulative integral and
-path integral.  All derivative stencils are second order: central differences
-on interior nodes and one-sided three/four-point formulas on the boundary.
+node; it is the default base point of every cumulative integral, and every
+L-path integral starts at that centre node.  All derivative stencils are
+second order: central differences on interior nodes and one-sided
+three/four-point formulas on the boundary.
 Quadrature is the composite trapezoid rule throughout, so antiderivatives
 exist at every node and share the O(h^2) order of the stencils.
 
@@ -26,7 +27,6 @@ from .errors import GridShapeError
 __all__ = [
     "Grid1D",
     "Grid2D",
-    "PathSpec",
     "cumulative_integral",
     "d_x",
     "d_y",
@@ -35,7 +35,6 @@ __all__ = [
     "laplacian",
     "lpath_field",
     "lpath_complex",
-    "path_integral",
     "interior",
     "interior_max",
 ]
@@ -69,13 +68,6 @@ class Grid1D:
     def center(self) -> int:
         """Index of the node at 0."""
         return (self.n - 1) // 2
-
-    def index_of(self, value: float) -> int:
-        """Index of the node at ``value``; raises if ``value`` is off-grid."""
-        i = int(round((value + self.half_width) / self.h))
-        if i < 0 or i >= self.n or abs(self.nodes[i] - value) > 1e-9 * max(self.h, 1.0):
-            raise ValueError(f"{value} is not a node of {self}")
-        return i
 
     def check(self, samples) -> np.ndarray:
         samples = np.asarray(samples)
@@ -132,14 +124,6 @@ class Grid2D:
 
     def refined(self) -> "Grid2D":
         return Grid2D(self.gx.refined(), self.gy.refined())
-
-
-@dataclass(frozen=True)
-class PathSpec:
-    """Axis-parallel L-path: from ``start`` first along x at fixed y, then along y."""
-
-    start: tuple[float, float]
-    end: tuple[float, float]
 
 
 def cumulative_integral(grid: Grid1D, samples, origin_index: int | None = None, axis: int = 0):
@@ -241,61 +225,25 @@ def interior_max(f: np.ndarray, margin: int = 1) -> float:
     return float(np.max(np.abs(interior(f, margin))))
 
 
-def lpath_field(
-    grid: Grid2D,
-    f1,
-    f2,
-    origin: tuple[int, int] | None = None,
-    sign: float = 1.0,
-    order: str = "xy",
-) -> np.ndarray:
-    """``2 * (int f1 dx + sign * int f2 dy)`` along L-paths to every node.
+def lpath_field(grid: Grid2D, f1, f2) -> np.ndarray:
+    """``2 * (int f1 dx + int f2 dy)`` along L-paths to every node.
 
-    The path runs from the origin node first along x at fixed y, then along
-    y at fixed x (``order="xy"``; ``"yx"`` swaps the legs).  With
-    ``sign=+1`` this is the gradient-reconstruction integral for the
-    conjugate Wirtinger derivative of a real field, with ``sign=-1`` the one
-    for the plain Wirtinger derivative.
+    The path runs from the centre node first along x at fixed y, then along
+    y at fixed x.  This is the gradient-reconstruction integral for the
+    conjugate Wirtinger derivative of a real field.
     """
     f1 = grid.check(f1)
     f2 = grid.check(f2)
-    if origin is None:
-        origin = grid.center
-    i0, j0 = origin
-    if order == "xy":
-        leg_x = cumulative_integral(grid.gx, f1[:, j0], i0)
-        leg_y = cumulative_integral(grid.gy, f2, j0, axis=1)
-        total = leg_x[:, None] + sign * leg_y
-    elif order == "yx":
-        leg_y = cumulative_integral(grid.gy, f2[i0, :], j0)
-        leg_x = cumulative_integral(grid.gx, f1, i0, axis=0)
-        total = sign * leg_y[None, :] + leg_x
-    else:
-        raise ValueError(f"unknown leg order {order!r}")
-    return 2.0 * total
+    i0, j0 = grid.center
+    leg_x = cumulative_integral(grid.gx, f1[:, j0], i0)
+    leg_y = cumulative_integral(grid.gy, f2, j0, axis=1)
+    return 2.0 * (leg_x[:, None] + leg_y)
 
 
-def lpath_complex(grid: Grid2D, w, origin: tuple[int, int] | None = None) -> np.ndarray:
-    """Complex line integral ``int w dzeta`` along L-paths to every node."""
+def lpath_complex(grid: Grid2D, w) -> np.ndarray:
+    """Complex line integral ``int w dzeta`` along the same L-paths."""
     w = grid.check(w)
-    if origin is None:
-        origin = grid.center
-    i0, j0 = origin
+    i0, j0 = grid.center
     leg_x = cumulative_integral(grid.gx, w[:, j0], i0)
     leg_y = cumulative_integral(grid.gy, w, j0, axis=1)
     return leg_x[:, None] + 1j * leg_y
-
-
-def path_integral(grid: Grid2D, f1, f2, path: PathSpec, sign: float = 1.0) -> float:
-    """Single L-path value of ``2 * (int f1 dx + sign * int f2 dy)``.
-
-    Both endpoints must be grid nodes.
-    """
-    i0 = grid.gx.index_of(path.start[0])
-    j0 = grid.gy.index_of(path.start[1])
-    i1 = grid.gx.index_of(path.end[0])
-    j1 = grid.gy.index_of(path.end[1])
-    values = lpath_field(grid, f1, f2, origin=(i0, j0), sign=sign)
-    return float(np.real(values[i1, j1]))
-
-

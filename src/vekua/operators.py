@@ -10,9 +10,12 @@ plain pairs ``(c1, c2)`` of arrays sharing one grid.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
-from .grid import Grid2D, d_x, d_y, d_z, d_zbar, laplacian
+from .errors import KernelMembershipError
+from .grid import Grid2D, _second_derivative, d_x, d_y, d_z, d_zbar, interior_max, laplacian
 from .superpotential import Superpotential
 
 __all__ = [
@@ -22,6 +25,7 @@ __all__ = [
     "h2",
     "h1",
     "h_diag",
+    "require_kernel",
     "vekua_v",
     "vekua_vbar",
     "vekua_v1",
@@ -91,6 +95,35 @@ def h1_element(sp: Superpotential, i: int, f) -> np.ndarray:
 def h_diag(sp: Superpotential, v):
     """Block-diagonal Hamiltonian diag(h0, h2) on (psi0, psi2)."""
     return h0(sp, v[0]), h2(sp, v[1])
+
+
+# A kernel member's five-point residual is its truncation error
+# (h^2/12)(f_xxxx + f_yyyy), so the cap scales with the terms that cancel in
+# h f = -f_xx - f_yy + U f: KERNEL_CAP * h^2 * T, T = max(1, |f_xx|, |f_yy|,
+# |U f|) on the margin-2 interior.  Formal powers up to degree 6 and their
+# combinations stay below 14 h^2 T from n = 21 up; exp(xy) with chi = 0
+# reads 200 h^2 T at n = 21.
+KERNEL_CAP = 50.0
+
+
+def require_kernel(sp: Superpotential, op, f, label: str) -> None:
+    """Raise :class:`KernelMembershipError` unless ``op`` (h0 or h2) annihilates
+    ``f`` up to :data:`KERNEL_CAP` * h^2 * T; warn above a fifth of that.
+    The residual ``op(sp, f)`` is summed from the terms that give T."""
+    grid = sp.grid
+    fxx = _second_derivative(f, grid.gx.h, axis=0)
+    fyy = _second_derivative(f, grid.gy.h, axis=1)
+    uf = (sp.u0() if op is h0 else sp.u2()) * f
+    scale = max(1.0, *(interior_max(t, margin=2) for t in (fxx, fyy, uf)))
+    cap = KERNEL_CAP * grid.hmax**2 * scale
+    residual = interior_max(-(fxx + fyy) + uf, margin=2)
+    if residual > cap:
+        raise KernelMembershipError(
+            f"{label}: field is not in ker {op.__name__}: residual {residual:.3e} "
+            f"exceeds {KERNEL_CAP:g}*h^2*T = {cap:.3e}"
+        )
+    if residual > 0.2 * cap:
+        warnings.warn(f"{label}: kernel residual {residual:.3e} is large", stacklevel=3)
 
 
 # -- complex first-order operators ---------------------------------------

@@ -198,22 +198,22 @@ def make_superpotential(
     """Build a superpotential on the given grid.
 
     The polynomial families and their parameters are those of
-    :data:`_CATALOG`; ``tabulated`` takes samples on the exact grid nodes
-    and differentiates them by finite differences.
+    :data:`_CATALOG`; ``tabulated`` takes no parameters, only samples on the
+    exact grid nodes, and differentiates them by finite differences.
     """
     params = tuple(float(p) for p in params)
+    if name not in catalog_names():
+        raise ValueError(f"unknown superpotential family {name!r}; know {catalog_names()}")
+    arity, coefficients = _CATALOG.get(name, (0, None))
+    if len(params) != arity:
+        raise ValueError(f"family {name!r} takes {arity} parameters, got {len(params)}")
     if name == "tabulated":
         if chi1_table is None or chi2_table is None:
             raise ValueError("family 'tabulated' needs chi1_table and chi2_table samples")
         ax, ay = _axis_tabulated(grid.gx, chi1_table), _axis_tabulated(grid.gy, chi2_table)
-    elif name in _CATALOG:
-        arity, coefficients = _CATALOG[name]
-        if len(params) != arity:
-            raise ValueError(f"family {name!r} takes {arity} parameters, got {len(params)}")
+    else:
         cx, cy = coefficients(*params)
         ax, ay = _axis_poly(grid.gx, *cx), _axis_poly(grid.gy, *cy)
-    else:
-        raise ValueError(f"unknown superpotential family {name!r}; know {catalog_names()}")
     return Superpotential(name, params, grid, ax, ay)
 
 

@@ -27,10 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import NonConvergenceError
-from .grid import Grid1D, Grid2D, _first_derivative, cumulative_integral
+from .grid import Grid1D, _first_derivative, cumulative_integral
 from .superpotential import AxisProfile, Superpotential
 
 __all__ = [
@@ -67,11 +66,6 @@ class GoursatKernel:
     defects: list[float] = field(default_factory=list)
 
 
-def _char_grid(grid: Grid1D) -> Grid1D:
-    # spacing h/2 on the same interval; odd count is preserved
-    return Grid1D(grid.half_width, 2 * grid.n - 1)
-
-
 def solve_goursat(profile: AxisProfile) -> GoursatKernel:
     """Picard iteration for the kernel of one axis.
 
@@ -81,7 +75,7 @@ def solve_goursat(profile: AxisProfile) -> GoursatKernel:
     not get there.
     """
     grid = profile.grid
-    cgrid = _char_grid(grid)
+    cgrid = grid.refined()  # spacing h/2 on the same interval
     u = cgrid.nodes
     a = grid.half_width
     # q is only defined on [-a, a]; u+v leaves it outside the physical
@@ -131,7 +125,7 @@ def build_kernel_with_h(gk: GoursatKernel) -> np.ndarray:
         return k_axis.copy()
     n = gk.axis_grid.n
     odd_part = k_axis - k_axis[:, ::-1]  # K(x, s) - K(x, -s) along s
-    anti = cumulative_trapezoid(odd_part, dx=gk.axis_grid.h, axis=1, initial=0.0)
+    anti = cumulative_integral(gk.axis_grid, odd_part, 0, axis=1)
     # int_t^x = C(x) - C(t), rows indexed by x
     upper = anti[np.arange(n), np.arange(n)]
     correction = upper[:, None] - anti

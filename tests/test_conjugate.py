@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from vekua.conjugate import (
-    a_op,
     abar_op,
     conjugate_from_w1,
     conjugate_from_w2,
@@ -10,7 +9,7 @@ from vekua.conjugate import (
 )
 from vekua.errors import CompatibilityError, KernelMembershipError
 from vekua.formal_powers import assemble_formal_powers
-from vekua.grid import Grid2D, d_z, d_zbar, interior_max
+from vekua.grid import Grid2D, d_zbar, interior_max
 from vekua.superpotential import make_superpotential
 
 
@@ -52,13 +51,6 @@ def test_abar_analytic_oracle(grid):
     phi = np.exp(x) * np.cos(y)
     rebuilt = abar_op(grid, d_zbar(grid, phi))
     assert np.max(np.abs(rebuilt - (phi - 1.0))) <= 10 * H2
-
-
-def test_a_op_reconstructs_through_dz(grid):
-    x, y = grid.meshes()
-    phi = x**3 + x * y**2 * 0.5
-    rebuilt = a_op(grid, d_z(grid, phi))
-    assert np.max(np.abs(rebuilt - (phi - phi[grid.center]))) <= 20 * H2
 
 
 def test_abar_rejects_incompatible_field(grid):

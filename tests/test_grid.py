@@ -9,7 +9,6 @@ from vekua.errors import GridShapeError
 from vekua.grid import (
     Grid1D,
     Grid2D,
-    PathSpec,
     cumulative_integral,
     d_x,
     d_y,
@@ -20,7 +19,6 @@ from vekua.grid import (
     laplacian,
     lpath_complex,
     lpath_field,
-    path_integral,
 )
 
 
@@ -45,14 +43,6 @@ def test_grid_nodes_symmetric_about_zero():
     assert g.nodes[g.center] == 0.0
     np.testing.assert_array_equal(g.nodes + g.nodes[::-1], np.zeros(g.n))
     assert abs(g.h * (g.n - 1) - 2 * g.half_width) <= 1e-12 * g.half_width
-
-
-def test_grid_index_of():
-    g = Grid1D(1.0, 11)
-    assert g.index_of(0.0) == 5
-    assert g.index_of(-1.0) == 0
-    with pytest.raises(ValueError):
-        g.index_of(0.05)
 
 
 # ---------------------------------------------------- cumulative integral
@@ -201,7 +191,7 @@ def test_lpath_gradient_reconstruction(grid):
     x, y = grid.meshes()
     phi = x**2 + y**2
     grad = d_zbar(grid, phi)
-    rebuilt = lpath_field(grid, np.real(grad), np.imag(grad), sign=+1)
+    rebuilt = lpath_field(grid, np.real(grad), np.imag(grad))
     assert np.max(np.abs(rebuilt - phi)) <= 1e-10
 
 
@@ -214,34 +204,8 @@ def test_lpath_exponential_oracle(grid):
     x, y = grid.meshes()
     phi = np.exp(x + y)
     grad = d_zbar(grid, phi)
-    rebuilt = lpath_field(grid, np.real(grad), np.imag(grad), sign=+1)
+    rebuilt = lpath_field(grid, np.real(grad), np.imag(grad))
     assert np.max(np.abs(rebuilt - (phi - 1.0))) <= 5e-4
-
-
-def test_lpath_order_independence_for_gradients(grid):
-    x, y = grid.meshes()
-    phi = x**3 * y + x * y**2
-    grad = d_zbar(grid, phi)
-    xy = lpath_field(grid, np.real(grad), np.imag(grad), order="xy")
-    yx = lpath_field(grid, np.real(grad), np.imag(grad), order="yx")
-    # both reconstruct phi up to the trapezoid error of either leg
-    bound = 10.0 * grid.hmax**2 * interior_max(laplacian(grid, phi))
-    assert np.max(np.abs(xy - yx)) <= bound
-
-
-def test_path_integral_endpoint(grid):
-    x, y = grid.meshes()
-    phi = x**2 + y**2
-    grad = d_zbar(grid, phi)
-    spec = PathSpec(start=(0.0, 0.0), end=(0.5, -0.5))
-    val = path_integral(grid, np.real(grad), np.imag(grad), spec, sign=+1)
-    assert val == pytest.approx(0.5, abs=1e-10)
-
-
-def test_path_integral_rejects_off_grid(grid):
-    zeros = np.zeros(grid.shape)
-    with pytest.raises(ValueError):
-        path_integral(grid, zeros, zeros, PathSpec((0.0, 0.0), (0.5003, 0.0)))
 
 
 def test_lpath_complex_polynomial(grid):

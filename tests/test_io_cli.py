@@ -249,15 +249,20 @@ def test_cli_transmute_rejects_spoilt_csv(tmp_path, capsys, kind):
 
 
 @pytest.fixture(scope="module")
-def quadratic_fields(tmp_path_factory):
-    """x^2 + y^2 on the 3, 21 and 101 node grids: in neither kernel for chi = 0."""
+def exit_2_inputs(tmp_path_factory):
+    """x^2 + y^2 on the 3, 21 and 101 node grids and exp(xy) on the 21 node
+    grid (in neither kernel for chi = 0), and a zero chi table on 21 nodes."""
+    fields = {f"sq{n}": (n, lambda x, y: x**2 + y**2) for n in (3, 21, 101)}
+    fields["expxy21"] = (21, lambda x, y: np.exp(x * y))
     paths = {}
-    for n in (3, 21, 101):
+    for label, (n, f) in fields.items():
         grid = Grid2D.square(1.0, n)
-        x, y = grid.meshes()
-        path = tmp_path_factory.mktemp("fields") / f"sq{n}.csv"
-        write_field_csv(path, grid, (x**2 + y**2).astype(complex))
-        paths[f"sq{n}"] = str(path)
+        path = tmp_path_factory.mktemp("fields") / f"{label}.csv"
+        write_field_csv(path, grid, f(*grid.meshes()).astype(complex))
+        paths[label] = str(path)
+    path = tmp_path_factory.mktemp("tables") / "chi0_21.csv"
+    path.write_text("s,chi\n" + "".join(f"{s:.17g},0\n" for s in Grid1D(1.0, 21).nodes))
+    paths["chi0_21"] = str(path)
     return paths
 
 
@@ -273,12 +278,22 @@ def quadratic_fields(tmp_path_factory):
          "domain error (GridShapeError): "),
         (["conjugate", "--sp", "zero", "--input", "{sq101}", "--direction", "2to0"],
          "domain error (KernelMembershipError): "),
+        # exp(xy) has Laplacian (x^2 + y^2) exp(xy); on a coarse grid the cap
+        # must still see that against the size of f_xx, f_yy
+        (["expand", "--sp", "zero", "--input", "{expxy21}", "--basis", "ker_h0"],
+         "domain error (KernelMembershipError): "),
+        (["conjugate", "--sp", "zero", "--input", "{expxy21}", "--direction", "2to0"],
+         "domain error (KernelMembershipError): "),
+        (["transmute", "--sp", "tabulated", "--params", "1,2", "--input", "{sq21}",
+          "--chi1-file", "{chi0_21}", "--chi2-file", "{chi0_21}"],
+         "config error: family 'tabulated' takes 0 parameters, got 2"),
     ],
     ids=["formal-powers-negative-n-max", "expand-negative-degree", "expand-not-in-kernel",
-         "expand-grid-too-small", "conjugate-not-in-kernel"],
+         "expand-grid-too-small", "conjugate-not-in-kernel", "expand-exp-xy-coarse",
+         "conjugate-exp-xy-coarse", "transmute-tabulated-with-params"],
 )
-def test_cli_domain_and_usage_errors_exit_2(tmp_path, capsys, quadratic_fields, argv, prefix):
-    argv = [a.format(**quadratic_fields) for a in argv] + ["--out", str(tmp_path / "o")]
+def test_cli_domain_and_usage_errors_exit_2(tmp_path, capsys, exit_2_inputs, argv, prefix):
+    argv = [a.format(**exit_2_inputs) for a in argv] + ["--out", str(tmp_path / "o")]
     assert main(argv) == 2
     _one_line_error(capsys, prefix)
 

@@ -1,8 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import vekua.operators as ops
+from vekua.conjugate import conjugate_from_w1, conjugate_from_w2
 from vekua.corpus import corpus_scale, smooth_corpus
+from vekua.errors import KernelMembershipError
+from vekua.expansion import fit_formal_polynomial
+from vekua.formal_powers import assemble_formal_powers
 from vekua.grid import Grid2D, interior_max
 from vekua.superpotential import make_superpotential
 
@@ -233,3 +239,25 @@ def test_identity_residuals_shrink_at_order_two():
         )
 
     assert 3.5 <= residual(101) / residual(201) <= 4.5
+
+
+def test_one_kernel_check_serves_the_fit_and_both_conjugates():
+    # chi = 0: ker h0 = ker h2 = harmonic fields, so every caller of
+    # require_kernel must accept the same member and reject the same
+    # non-member, here on a coarse grid where an absolute cap cannot tell
+    grid = Grid2D.square(1.0, 21)
+    sp = make_superpotential("zero", (), grid)
+    table = assemble_formal_powers(sp, 3)
+    x, y = grid.meshes()
+    callers = (
+        lambda f: fit_formal_polynomial(sp, f, table, "ker_h0", 3),
+        lambda f: fit_formal_polynomial(sp, f, table, "ker_h2", 3),
+        lambda f: conjugate_from_w1(sp, f),
+        lambda f: conjugate_from_w2(sp, f),
+    )
+    for call in callers:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            call(np.exp(x) * np.cos(y))
+        with pytest.raises(KernelMembershipError, match="is not in ker h"):
+            call(np.exp(x * y))

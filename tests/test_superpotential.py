@@ -57,6 +57,9 @@ def test_param_arity(grid):
         make_superpotential("quadratic", (1.0,), grid)
     with pytest.raises(ValueError, match="'zero' takes 0 parameters, got 1"):
         make_superpotential("zero", (1.0,), grid)
+    zeros = np.zeros(grid.gx.n), np.zeros(grid.gy.n)
+    with pytest.raises(ValueError, match="'tabulated' takes 0 parameters, got 3"):
+        make_superpotential("tabulated", (5, 7, 9), grid, *zeros)
 
 
 @pytest.mark.parametrize(
