@@ -7,7 +7,11 @@ L-path integral starts at that centre node.  All derivative stencils are
 second order: central differences on interior nodes and one-sided
 three/four-point formulas on the boundary.
 Quadrature is the composite trapezoid rule throughout, so antiderivatives
-exist at every node and share the O(h^2) order of the stencils.
+exist at every node and share the O(h^2) order of the stencils.  It is
+plain numpy: a cumulative sum with the floating-point operations of
+``scipy.integrate.cumulative_trapezoid``, so its values equal scipy's bit for
+bit.  The stencils and the quadrature write into their output array instead
+of building full-size temporaries.
 
 Fields are plain ``numpy`` arrays of shape ``(gx.n, gy.n)`` indexed as
 ``f[ix, iy]``.  Residual norms are meant to be taken on interior nodes only
@@ -20,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import GridShapeError
 
@@ -141,8 +144,28 @@ def cumulative_integral(grid: Grid1D, samples, origin_index: int | None = None, 
         origin_index = grid.center
     if not 0 <= origin_index < grid.n:
         raise ValueError(f"origin index {origin_index} out of range [0, {grid.n})")
-    acc = cumulative_trapezoid(y, dx=grid.h, initial=0.0, axis=axis)
-    return acc - np.take(acc, [origin_index], axis=axis)
+    out = np.empty(y.shape, dtype=np.result_type(y.dtype, np.float64))
+    return _cumulative_trapezoid(y, grid.h, origin_index, axis, out)
+
+
+def _cumulative_trapezoid(y: np.ndarray, h: float, origin_index: int, axis: int, out: np.ndarray):
+    """Write the trapezoid antiderivative of ``y`` along ``axis`` into ``out``.
+
+    Same operations in the same order as scipy's
+    ``cumulative_trapezoid(y, dx=h, initial=0)`` (neighbour sum, times h,
+    halved, running sum), then the value at ``origin_index`` is subtracted.
+    ``out`` must not overlap ``y``.
+    """
+    ym = y.swapaxes(0, axis)
+    om = out.swapaxes(0, axis)
+    om[0] = 0.0
+    body = om[1:]
+    np.add(ym[1:], ym[:-1], out=body)
+    body *= h
+    body /= 2.0
+    np.cumsum(body, axis=0, out=body)
+    om -= om[origin_index].copy()
+    return out
 
 
 def _first_derivative(f: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -150,9 +173,12 @@ def _first_derivative(f: np.ndarray, h: float, axis: int) -> np.ndarray:
     if f.shape[axis] < 3:
         raise GridShapeError("need at least 3 nodes to differentiate")
     out = np.empty_like(f, dtype=np.result_type(f.dtype, np.float64))
-    fm = np.moveaxis(f, axis, 0)
-    om = np.moveaxis(out, axis, 0)
-    om[1:-1] = (fm[2:] - fm[:-2]) / (2.0 * h)
+    fm = f.swapaxes(0, axis)
+    om = out.swapaxes(0, axis)
+    # (f[k+1] - f[k-1]) / 2h, evaluated in place
+    mid = om[1:-1]
+    np.subtract(fm[2:], fm[:-2], out=mid)
+    mid /= 2.0 * h
     om[0] = (-3.0 * fm[0] + 4.0 * fm[1] - fm[2]) / (2.0 * h)
     om[-1] = (3.0 * fm[-1] - 4.0 * fm[-2] + fm[-3]) / (2.0 * h)
     return out
@@ -163,10 +189,15 @@ def _second_derivative(f: np.ndarray, h: float, axis: int) -> np.ndarray:
     if f.shape[axis] < 3:
         raise GridShapeError("need at least 3 nodes for a second derivative")
     out = np.empty_like(f, dtype=np.result_type(f.dtype, np.float64))
-    fm = np.moveaxis(f, axis, 0)
-    om = np.moveaxis(out, axis, 0)
+    fm = f.swapaxes(0, axis)
+    om = out.swapaxes(0, axis)
     h2 = h * h
-    om[1:-1] = (fm[2:] - 2.0 * fm[1:-1] + fm[:-2]) / h2
+    # (f[k+1] - 2 f[k] + f[k-1]) / h^2, evaluated in place in that order
+    mid = om[1:-1]
+    np.multiply(fm[1:-1], 2.0, out=mid)
+    np.subtract(fm[2:], mid, out=mid)
+    mid += fm[:-2]
+    mid /= h2
     if f.shape[axis] >= 4:
         om[0] = (2.0 * fm[0] - 5.0 * fm[1] + 4.0 * fm[2] - fm[3]) / h2
         om[-1] = (2.0 * fm[-1] - 5.0 * fm[-2] + 4.0 * fm[-3] - fm[-4]) / h2
@@ -205,7 +236,9 @@ def laplacian(grid: Grid2D, f) -> np.ndarray:
     accuracy contract: exclude them from norms (see :func:`interior_max`).
     """
     f = grid.check(f)
-    return _second_derivative(f, grid.gx.h, axis=0) + _second_derivative(f, grid.gy.h, axis=1)
+    lap = _second_derivative(f, grid.gx.h, axis=0)
+    lap += _second_derivative(f, grid.gy.h, axis=1)
+    return lap
 
 
 def interior(f: np.ndarray, margin: int = 1) -> np.ndarray:

@@ -100,16 +100,21 @@ def h_diag(sp: Superpotential, v):
 # A kernel member's five-point residual is its truncation error
 # (h^2/12)(f_xxxx + f_yyyy), so the cap scales with the terms that cancel in
 # h f = -f_xx - f_yy + U f: KERNEL_CAP * h^2 * T, T = max(1, |f_xx|, |f_yy|,
-# |U f|) on the margin-2 interior.  Formal powers up to degree 6 and their
-# combinations stay below 14 h^2 T from n = 21 up; exp(xy) with chi = 0
-# reads 200 h^2 T at n = 21.
+# |U f|) on the margin-2 interior.  Measured member envelope (Re and Im of
+# Z^k(1), Z^k(i), k <= 6; zero, linear and quadratic with (+-1, -1) and
+# (+-1, 0.5)): at most 13.3 h^2 T at n = 21 (Im Z^6(1), linear (-1, -1)),
+# 18.2 at n = 11, 10.5 at n = 61, 9.7 at n = 201, falling towards the
+# truncation limit.  The warning sits at 1.5 times the n = 21 envelope, so
+# members from n = 11 up stay silent; exp(xy) with chi = 0 reads 200 h^2 T at
+# n = 21 and is rejected.
 KERNEL_CAP = 50.0
+KERNEL_WARN = 20.0
 
 
 def require_kernel(sp: Superpotential, op, f, label: str) -> None:
     """Raise :class:`KernelMembershipError` unless ``op`` (h0 or h2) annihilates
-    ``f`` up to :data:`KERNEL_CAP` * h^2 * T; warn above a fifth of that.
-    The residual ``op(sp, f)`` is summed from the terms that give T."""
+    ``f`` up to :data:`KERNEL_CAP` * h^2 * T; warn above :data:`KERNEL_WARN`
+    * h^2 * T.  The residual ``op(sp, f)`` is summed from the terms that give T."""
     grid = sp.grid
     fxx = _second_derivative(f, grid.gx.h, axis=0)
     fyy = _second_derivative(f, grid.gy.h, axis=1)
@@ -122,7 +127,7 @@ def require_kernel(sp: Superpotential, op, f, label: str) -> None:
             f"{label}: field is not in ker {op.__name__}: residual {residual:.3e} "
             f"exceeds {KERNEL_CAP:g}*h^2*T = {cap:.3e}"
         )
-    if residual > 0.2 * cap:
+    if residual > KERNEL_WARN * grid.hmax**2 * scale:
         warnings.warn(f"{label}: kernel residual {residual:.3e} is large", stacklevel=3)
 
 

@@ -9,17 +9,22 @@ iteration converges unconditionally for continuous q.  The characteristic
 grid spacing is half the axis spacing so that every pair of axis nodes
 (x, t) lands exactly on a characteristic node.
 
-The dressed kernel adds the boundary-slope parameter h = chi'(0) and turns
-into a Volterra operator T with T[x^k] equal to the k-th element of the
-dressed power system of :mod:`vekua.formal_powers`.  There is one
-construction, :func:`build_transmute`.  The companion operator acting on the
-opposite exponential dressing is that construction run on the flipped
-profile (-chi, :meth:`AxisProfile.flipped`), which swaps the potential to
-(chi')^2 - chi'' and the parameter to -h; it is then cross-validated against
-its antiderivative representation and the build fails on disagreement.
+The kernel K depends on q alone.  Dressing it with the boundary-slope
+parameter h = chi'(0) turns it into a Volterra operator T with T[x^k] equal
+to the k-th element of the dressed power system of
+:mod:`vekua.formal_powers`.  There is one construction,
+:func:`build_transmute`.  The companion operator acting on the opposite
+exponential dressing is that construction run on the flipped profile (-chi,
+:meth:`AxisProfile.flipped`), which swaps the potential to (chi')^2 - chi''
+and the parameter to -h; it is then cross-validated against its
+antiderivative representation and the build fails on disagreement.
 
 The 2-D operators apply the four 1-D operators axis-by-axis to the real and
 imaginary parts and map complex polynomials in z onto the formal powers.
+:func:`build_transmute_2d` and :func:`build_transmute_tilde` solve one
+Goursat problem per distinct sampled potential among their profiles: a
+linear chi_j has the same q = c1^2 as its flip, and two axes with equal
+samples share one solve.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonConvergenceError
-from .grid import Grid1D, _first_derivative, cumulative_integral
+from .grid import Grid1D, _cumulative_trapezoid, _first_derivative, cumulative_integral
 from .superpotential import AxisProfile, Superpotential
 
 __all__ = [
@@ -51,7 +56,7 @@ TILDE_CHECK_CAP = 50.0  # units of h^2 * scale
 
 @dataclass(eq=False)
 class GoursatKernel:
-    """Solved kernel for one axis.
+    """Solved kernel for one axis; it depends on the potential q alone.
 
     ``char_values`` is the table on the characteristic square (spacing h/2),
     ``axis_values`` the same kernel re-indexed to axis-node pairs (x_k, t_l);
@@ -59,11 +64,19 @@ class GoursatKernel:
     """
 
     axis_grid: Grid1D
-    h_param: float
     char_values: np.ndarray
     axis_values: np.ndarray
     iterations: int
     defects: list[float] = field(default_factory=list)
+
+
+def _char_potential(profile: AxisProfile) -> np.ndarray:
+    """q(u + v) on the characteristic square: the potential the solve uses."""
+    u = profile.grid.refined().nodes
+    a = profile.grid.half_width
+    # q is only defined on [-a, a]; u+v leaves it outside the physical
+    # triangle only, so clamping cannot affect valid kernel entries.
+    return profile.q_at(np.clip(u[:, None] + u[None, :], -a, a))
 
 
 def solve_goursat(profile: AxisProfile) -> GoursatKernel:
@@ -72,26 +85,29 @@ def solve_goursat(profile: AxisProfile) -> GoursatKernel:
     Iterates K <- G(u) + int_0^u int_0^v q(a+b) K(a,b) db da on the
     characteristic square until the successive max-difference drops below
     :data:`TOL`; raises with the defect history if :data:`MAX_ITER` sweeps do
-    not get there.
+    not get there.  Each sweep works in four preallocated tables.
     """
     grid = profile.grid
     cgrid = grid.refined()  # spacing h/2 on the same interval
-    u = cgrid.nodes
-    a = grid.half_width
-    # q is only defined on [-a, a]; u+v leaves it outside the physical
-    # triangle only, so clamping cannot affect valid kernel entries.
-    q_u = profile.q_at(np.clip(u, -a, a))
-    g_u = 0.5 * cumulative_integral(cgrid, q_u, cgrid.center)
-    q_uv = profile.q_at(np.clip(u[:, None] + u[None, :], -a, a))
+    c = cgrid.center
+    q_u = profile.q_at(np.clip(cgrid.nodes, -grid.half_width, grid.half_width))
+    g_u = 0.5 * cumulative_integral(cgrid, q_u, c)
+    q_uv = _char_potential(profile)
 
     k_cur = np.broadcast_to(g_u[:, None], (cgrid.n, cgrid.n)).copy()
+    k_next = np.empty_like(k_cur)
+    inner = np.empty_like(k_cur)
+    work = np.empty_like(k_cur)
     defects: list[float] = []
     for iteration in range(1, MAX_ITER + 1):
-        inner = cumulative_integral(cgrid, q_uv * k_cur, cgrid.center, axis=1)
-        k_next = g_u[:, None] + cumulative_integral(cgrid, inner, cgrid.center, axis=0)
-        defect = float(np.max(np.abs(k_next - k_cur)))
+        np.multiply(q_uv, k_cur, out=work)
+        _cumulative_trapezoid(work, cgrid.h, c, 1, inner)
+        _cumulative_trapezoid(inner, cgrid.h, c, 0, k_next)
+        k_next += g_u[:, None]
+        np.subtract(k_next, k_cur, out=work)
+        defect = float(np.max(np.abs(work, out=work)))
         defects.append(defect)
-        k_cur = k_next
+        k_cur, k_next = k_next, k_cur
         if defect <= TOL:
             break
     else:
@@ -106,7 +122,6 @@ def solve_goursat(profile: AxisProfile) -> GoursatKernel:
     axis_values = k_cur[kk + ll, kk - ll + n - 1]
     return GoursatKernel(
         axis_grid=grid,
-        h_param=profile.h_param,
         char_values=k_cur,
         axis_values=axis_values,
         iterations=iteration,
@@ -114,14 +129,14 @@ def solve_goursat(profile: AxisProfile) -> GoursatKernel:
     )
 
 
-def build_kernel_with_h(gk: GoursatKernel) -> np.ndarray:
-    """Dress the Goursat kernel with the boundary-slope parameter.
+def build_kernel_with_h(gk: GoursatKernel, h_param: float) -> np.ndarray:
+    """Dress the Goursat kernel with the boundary-slope parameter h.
 
     Returns the full Volterra kernel h/2 + K(x,t) + (h/2) * int_t^x
     [K(x,s) - K(x,-s)] ds on axis-node pairs; reduces to K when h = 0.
     """
     k_axis = gk.axis_values
-    if gk.h_param == 0.0:
+    if h_param == 0.0:
         return k_axis.copy()
     n = gk.axis_grid.n
     odd_part = k_axis - k_axis[:, ::-1]  # K(x, s) - K(x, -s) along s
@@ -129,7 +144,7 @@ def build_kernel_with_h(gk: GoursatKernel) -> np.ndarray:
     # int_t^x = C(x) - C(t), rows indexed by x
     upper = anti[np.arange(n), np.arange(n)]
     correction = upper[:, None] - anti
-    return 0.5 * gk.h_param + k_axis + 0.5 * gk.h_param * correction
+    return 0.5 * h_param + k_axis + 0.5 * h_param * correction
 
 
 def _volterra_matrix(grid: Grid1D, kernel: np.ndarray) -> np.ndarray:
@@ -165,11 +180,15 @@ class TransmuteOp:
         return np.asarray(field2d) @ self.matrix.T
 
 
+def _dressed(profile: AxisProfile, gk: GoursatKernel) -> TransmuteOp:
+    """The operator of ``profile`` from a kernel solved for its potential."""
+    kernel = build_kernel_with_h(gk, profile.h_param)
+    return TransmuteOp(profile.grid, _volterra_matrix(profile.grid, kernel), gk)
+
+
 def build_transmute(profile: AxisProfile) -> TransmuteOp:
     """Transmutation operator mapping plain powers onto the dressed system."""
-    gk = solve_goursat(profile)
-    kernel = build_kernel_with_h(gk)
-    return TransmuteOp(profile.grid, _volterra_matrix(profile.grid, kernel), gk)
+    return _dressed(profile, solve_goursat(profile))
 
 
 def ttilde_antiderivative_form(t_op: TransmuteOp, profile: AxisProfile, f, df=None):
@@ -187,18 +206,40 @@ def ttilde_antiderivative_form(t_op: TransmuteOp, profile: AxisProfile, f, df=No
     return np.exp(-profile.chi) * (acc + f[grid.center])
 
 
-def build_transmute_tilde(profile: AxisProfile, t_op: TransmuteOp | None = None) -> TransmuteOp:
+def _operators(*profiles: AxisProfile) -> list[TransmuteOp]:
+    """One operator per profile, from one Goursat solve per distinct sampled potential.
+
+    Profiles share a kernel when their characteristic potential samples are
+    equal bit for bit on the same axis interval and node count; each
+    operator is dressed with its own slope parameter.
+    """
+    kernels: dict[tuple[float, int, bytes], GoursatKernel] = {}
+    ops = []
+    for profile in profiles:
+        key = (profile.grid.half_width, profile.grid.n, _char_potential(profile).tobytes())
+        if key not in kernels:
+            kernels[key] = solve_goursat(profile)
+        ops.append(_dressed(profile, kernels[key]))
+    return ops
+
+
+def build_transmute_tilde(profile: AxisProfile) -> TransmuteOp:
     """Companion transmutation operator (opposite exponential dressing).
 
-    Built as :func:`build_transmute` on the flipped profile, whose potential
+    Equal to :func:`build_transmute` on the flipped profile, whose potential
     is (chi')^2 - chi'' and whose slope parameter is -h.  The operator is
     then compared on low powers against the antiderivative representation
-    through ``t_op`` (built here if not supplied); any disagreement above
-    50 h^2 per unit scale fails the build.
+    through the plain operator; any disagreement above 50 h^2 per unit scale
+    fails the build.  The two share one Goursat solve when the flip keeps
+    the potential (chi'' = 0).
     """
-    op = build_transmute(profile.flipped())
-    if t_op is None:
-        t_op = build_transmute(profile)
+    t_op, op = _operators(profile, profile.flipped())
+    _check_tilde(profile, op, t_op)
+    return op
+
+
+def _check_tilde(profile: AxisProfile, op: TransmuteOp, t_op: TransmuteOp) -> None:
+    """Raise unless the companion ``op`` matches its antiderivative form on x, x^2, x^3."""
     x = profile.grid.nodes
     h2_unit = profile.grid.h**2
     for k in (1, 2, 3):
@@ -214,7 +255,6 @@ def build_transmute_tilde(profile: AxisProfile, t_op: TransmuteOp | None = None)
                 f"gap {gap:.3e} > {TILDE_CHECK_CAP * h2_unit * scale:.3e}",
                 defects=op.kernel.defects,
             )
-    return op
 
 
 @dataclass(eq=False)
@@ -245,10 +285,22 @@ class Transmute2D:
     def t1(self, w) -> np.ndarray:
         return self._apply(w, self.tx_tilde, self.tx)
 
+    def t0_t1(self, w) -> tuple[np.ndarray, np.ndarray]:
+        """``(t0(w), t1(w))``, sharing the two y-passes: six products, not eight."""
+        w = self.sp.grid.check(np.asarray(w, dtype=complex))
+        re_y = self.ty.along_y(w.real)
+        im_y = self.ty_tilde.along_y(w.imag)
+        t0 = self.tx.along_x(re_y) + 1j * self.tx_tilde.along_x(im_y)
+        t1 = self.tx_tilde.along_x(re_y) + 1j * self.tx.along_x(im_y)
+        return t0, t1
+
 
 def build_transmute_2d(sp: Superpotential) -> Transmute2D:
-    tx = build_transmute(sp.ax)
-    ty = build_transmute(sp.ay)
-    txt = build_transmute_tilde(sp.ax, t_op=tx)
-    tyt = build_transmute_tilde(sp.ay, t_op=ty)
+    """The four axis operators, one Goursat solve per distinct sampled potential.
+
+    The companions are cross-checked as in :func:`build_transmute_tilde`.
+    """
+    tx, ty, txt, tyt = _operators(sp.ax, sp.ay, sp.ax.flipped(), sp.ay.flipped())
+    _check_tilde(sp.ax, txt, tx)
+    _check_tilde(sp.ay, tyt, ty)
     return Transmute2D(sp, tx, ty, txt, tyt)

@@ -145,8 +145,13 @@ class _Level:
         return build_transmute_2d(self.sp)
 
     @cached_property
-    def corpus(self):
-        return smooth_corpus(self.grid)
+    def corpus(self) -> list["_CorpusField"]:
+        return [_CorpusField(self.grid, w) for _, w in smooth_corpus(self.grid)]
+
+    @cached_property
+    def images(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(T0[w], T1[w]) of each corpus field, shared by the diagram checks."""
+        return [self.t2d.t0_t1(fld.w) for fld in self.corpus]
 
     @cached_property
     def self_fit(self):
@@ -155,6 +160,26 @@ class _Level:
         target = np.imag(self.table.z_i[n_slot])
         fit = fit_formal_polynomial(self.sp, target, self.table, "ker_h0", degree=4)
         return n_slot, fit
+
+
+class _CorpusField:
+    """One smooth corpus field with its scales, each computed on first use."""
+
+    def __init__(self, grid: Grid2D, w: np.ndarray):
+        self.grid = grid
+        self.w = w
+
+    @cached_property
+    def scale(self) -> float:
+        return corpus_scale(self.grid, self.w)
+
+    @cached_property
+    def scale_re(self) -> float:
+        return corpus_scale(self.grid, np.real(self.w))
+
+    @cached_property
+    def scale_im(self) -> float:
+        return corpus_scale(self.grid, np.imag(self.w))
 
 
 def _vmax(pair, margin=2) -> float:
@@ -216,8 +241,8 @@ def _res_ground_state_h1(level: _Level) -> float:
 def _res_darboux_projection(level: _Level) -> float:
     sp = level.sp
     worst = 0.0
-    for _, w in level.corpus:
-        scale = corpus_scale(sp.grid, w)
+    for fld in level.corpus:
+        w, scale = fld.w, fld.scale
         pw = ops.project(w)
         pairs = [
             (ops.darboux(sp, pw), ops.project(2.0 * ops.vekua_vbar(sp, w))),
@@ -233,14 +258,15 @@ def _res_darboux_projection(level: _Level) -> float:
 def _res_factorization(level: _Level) -> float:
     sp = level.sp
     worst = 0.0
-    for _, w in level.corpus:
-        scale = corpus_scale(sp.grid, w)
+    for fld in level.corpus:
+        w, scale = fld.w, fld.scale
         pw = ops.project(w)
+        h, h1 = ops.h_diag(sp, pw), ops.h1(sp, pw)
         combos = [
-            (ops.h_diag(sp, pw), ops.vekua_v1(sp, ops.vekua_vbar(sp, w))),
-            (ops.h_diag(sp, pw), ops.vekua_v1bar(sp, ops.vekua_v(sp, w))),
-            (ops.h1(sp, pw), ops.vekua_vbar(sp, ops.vekua_v1(sp, w))),
-            (ops.h1(sp, pw), ops.vekua_v(sp, ops.vekua_v1bar(sp, w))),
+            (h, ops.vekua_v1(sp, ops.vekua_vbar(sp, w))),
+            (h, ops.vekua_v1bar(sp, ops.vekua_v(sp, w))),
+            (h1, ops.vekua_vbar(sp, ops.vekua_v1(sp, w))),
+            (h1, ops.vekua_v(sp, ops.vekua_v1bar(sp, w))),
         ]
         for left, inner in combos:
             proj = ops.project(4.0 * inner)
@@ -252,15 +278,16 @@ def _res_factorization(level: _Level) -> float:
 def _res_intertwining(level: _Level) -> float:
     sp = level.sp
     worst = 0.0
-    for _, w in level.corpus:
-        f = np.real(w)
-        scale = corpus_scale(sp.grid, f)
+    for fld in level.corpus:
+        f, scale = np.real(fld.w), fld.scale_re
+        h0f, h2f = ops.h0(sp, f), ops.h2(sp, f)
         for i in (1, 2):
             # H1 is diagonal for separable chi, so each sum over k is its k = i term
-            r1 = ops.h0(sp, ops.q_op(sp, i, +1, f)) - ops.q_op(sp, i, +1, ops.h1_element(sp, i, f))
-            r2 = ops.q_op(sp, i, -1, ops.h0(sp, f)) - ops.h1_element(sp, i, ops.q_op(sp, i, -1, f))
-            r3 = ops.h2(sp, ops.p_op(sp, i, +1, f)) - ops.p_op(sp, i, +1, ops.h1_element(sp, i, f))
-            r4 = ops.p_op(sp, i, -1, ops.h2(sp, f)) - ops.h1_element(sp, i, ops.p_op(sp, i, -1, f))
+            h1f = ops.h1_element(sp, i, f)
+            r1 = ops.h0(sp, ops.q_op(sp, i, +1, f)) - ops.q_op(sp, i, +1, h1f)
+            r2 = ops.q_op(sp, i, -1, h0f) - ops.h1_element(sp, i, ops.q_op(sp, i, -1, f))
+            r3 = ops.h2(sp, ops.p_op(sp, i, +1, f)) - ops.p_op(sp, i, +1, h1f)
+            r4 = ops.p_op(sp, i, -1, h2f) - ops.h1_element(sp, i, ops.p_op(sp, i, -1, f))
             for r in (r1, r2, r3, r4):
                 worst = max(worst, interior_max(r, margin=2) / scale)
     return worst
@@ -269,14 +296,15 @@ def _res_intertwining(level: _Level) -> float:
 def _res_supercharge_factorization(level: _Level) -> float:
     sp = level.sp
     worst = 0.0
-    for _, w in level.corpus:
-        v = (np.real(w), np.imag(w))
-        scale = max(corpus_scale(sp.grid, v[0]), corpus_scale(sp.grid, v[1]))
+    for fld in level.corpus:
+        v = (np.real(fld.w), np.imag(fld.w))
+        scale = max(fld.scale_re, fld.scale_im)
+        h, h1 = ops.h_diag(sp, v), ops.h1(sp, v)
         combos = [
-            (ops.darboux_adjoint(sp, ops.darboux(sp, v)), ops.h_diag(sp, v)),
-            (ops.darboux(sp, ops.darboux_adjoint(sp, v)), ops.h1(sp, v)),
-            (ops.pseudo_darboux(sp, ops.pseudo_darboux_adjoint(sp, v)), ops.h_diag(sp, v)),
-            (ops.pseudo_darboux_adjoint(sp, ops.pseudo_darboux(sp, v)), ops.h1(sp, v)),
+            (ops.darboux_adjoint(sp, ops.darboux(sp, v)), h),
+            (ops.darboux(sp, ops.darboux_adjoint(sp, v)), h1),
+            (ops.pseudo_darboux(sp, ops.pseudo_darboux_adjoint(sp, v)), h),
+            (ops.pseudo_darboux_adjoint(sp, ops.pseudo_darboux(sp, v)), h1),
         ]
         for got, want in combos:
             worst = max(worst, _vmax(_vdiff(got, want)) / scale)
@@ -286,9 +314,8 @@ def _res_supercharge_factorization(level: _Level) -> float:
 def _res_nilpotency(level: _Level) -> float:
     sp = level.sp
     worst = 0.0
-    for _, w in level.corpus:
-        f = np.real(w)
-        scale = corpus_scale(sp.grid, f)
+    for fld in level.corpus:
+        f, scale = np.real(fld.w), fld.scale_re
         s1 = sum(ops.p_op(sp, k, +1, ops.q_op(sp, k, -1, f)) for k in (1, 2))
         s2 = sum(ops.q_op(sp, k, +1, ops.p_op(sp, k, -1, f)) for k in (1, 2))
         worst = max(
@@ -317,10 +344,11 @@ def _res_t0_t1_powers(level: _Level) -> float:
     worst = 0.0
     for n in range(5):
         for a in (1.0, 1j):
+            t0, t1 = level.t2d.t0_t1(a * z**n)
             worst = max(
                 worst,
-                float(np.max(np.abs(level.t2d.t0(a * z**n) - table.power(n, a)))),
-                float(np.max(np.abs(level.t2d.t1(a * z**n) - table.power_succ(n, a)))),
+                float(np.max(np.abs(t0 - table.power(n, a)))),
+                float(np.max(np.abs(t1 - table.power_succ(n, a)))),
             )
     return worst
 
@@ -330,15 +358,15 @@ def _res_diagram_differential(level: _Level) -> float:
     grid = sp.grid
     t2d = level.t2d
     worst = 0.0
-    for _, w in level.corpus:
-        scale = corpus_scale(grid, w)
-        wzb = d_zbar(grid, w)
-        wz = d_z(grid, w)
+    for fld, (t0w, t1w) in zip(level.corpus, level.images):
+        w, scale = fld.w, fld.scale
+        t0_wzb, t1_wzb = t2d.t0_t1(d_zbar(grid, w))
+        t0_wz, t1_wz = t2d.t0_t1(d_z(grid, w))
         rs = [
-            ops.vekua_v(sp, t2d.t0(w)) - t2d.t1(wzb),
-            ops.vekua_v1(sp, t2d.t1(w)) - t2d.t0(wzb),
-            ops.vekua_vbar(sp, t2d.t0(w)) - t2d.t1(wz),
-            ops.vekua_v1bar(sp, t2d.t1(w)) - t2d.t0(wz),
+            ops.vekua_v(sp, t0w) - t1_wzb,
+            ops.vekua_v1(sp, t1w) - t0_wzb,
+            ops.vekua_vbar(sp, t0w) - t1_wz,
+            ops.vekua_v1bar(sp, t1w) - t0_wz,
         ]
         for r in rs:
             worst = max(worst, interior_max(r, margin=2) / scale)
@@ -350,11 +378,11 @@ def _res_diagram_integral(level: _Level) -> float:
     grid = sp.grid
     t2d = level.t2d
     worst = 0.0
-    for _, w in level.corpus:
-        scale = corpus_scale(grid, w)
-        anti = lpath_complex(grid, w)
-        r1 = fg_integral(sp, 1, t2d.t0(w)) - t2d.t1(anti)
-        r2 = fg_integral(sp, 0, t2d.t1(w)) - t2d.t0(anti)
+    for fld, (t0w, t1w) in zip(level.corpus, level.images):
+        scale = fld.scale
+        t0_anti, t1_anti = t2d.t0_t1(lpath_complex(grid, fld.w))
+        r1 = fg_integral(sp, 1, t0w) - t1_anti
+        r2 = fg_integral(sp, 0, t1w) - t0_anti
         worst = max(
             worst,
             interior_max(r1, margin=1) / scale,
@@ -368,16 +396,16 @@ def _res_diagram_laplacian(level: _Level) -> float:
     grid = sp.grid
     t2d = level.t2d
     worst = 0.0
-    for _, w in level.corpus:
-        scale = corpus_scale(grid, w)
-        lap = laplacian(grid, w)
+    for fld, (t0w, t1w) in zip(level.corpus, level.images):
+        scale = fld.scale
+        t0_lap, t1_lap = t2d.t0_t1(laplacian(grid, fld.w))
         r1 = _vdiff(
-            ops.h_diag(sp, ops.project(t2d.t0(w))),
-            tuple(-c for c in ops.project(t2d.t0(lap))),
+            ops.h_diag(sp, ops.project(t0w)),
+            tuple(-c for c in ops.project(t0_lap)),
         )
         r2 = _vdiff(
-            ops.h1(sp, ops.project(t2d.t1(w))),
-            tuple(-c for c in ops.project(t2d.t1(lap))),
+            ops.h1(sp, ops.project(t1w)),
+            tuple(-c for c in ops.project(t1_lap)),
         )
         worst = max(worst, _vmax(r1) / scale, _vmax(r2) / scale)
     return worst
@@ -432,9 +460,10 @@ def _res_analytic_limit(level: _Level) -> float:
 def _res_t_commute(level: _Level) -> float:
     t2d = level.t2d
     worst = 0.0
-    for _, w in level.corpus:
-        f = np.real(w)
-        scale = corpus_scale(t2d.sp.grid, f)
+    for fld in level.corpus:
+        f, scale = np.real(fld.w), fld.scale_re
+        # its own products, not the shared images: the residual is the rounding-level
+        # difference between the two orders of the axis products
         ab = t2d.tx.along_x(t2d.ty.along_y(f))
         ba = t2d.ty.along_y(t2d.tx.along_x(f))
         worst = max(worst, float(np.max(np.abs(ab - ba))) / scale)

@@ -9,6 +9,8 @@ from vekua.errors import GridShapeError
 from vekua.grid import (
     Grid1D,
     Grid2D,
+    _first_derivative,
+    _second_derivative,
     cumulative_integral,
     d_x,
     d_y,
@@ -105,6 +107,28 @@ def test_cumulative_integral_additive_over_subintervals(samples, split):
     assert np.max(np.abs(recombined - from_split)) <= 1e-13 * scale
 
 
+def _samples(n, kind, seed):
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal((n, n + 2))
+    return f + 1j * rng.standard_normal(f.shape) if kind == "complex" else f
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("n", [3, 5, 201])
+def test_cumulative_integral_is_scipys_trapezoid_bit_for_bit(n, kind):
+    from scipy.integrate import cumulative_trapezoid
+
+    g = Grid1D(1.3, n)
+    f = _samples(n, kind, n)
+    for axis, y in ((0, f), (1, f.T), (0, f[:, 1])):
+        for origin in sorted({0, g.center, n - 1, n // 3}):
+            acc = cumulative_trapezoid(y, dx=g.h, initial=0.0, axis=axis)
+            want = acc - np.take(acc, [origin], axis=axis)
+            got = cumulative_integral(g, y, origin, axis=axis)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), (axis, origin)
+
+
 # ------------------------------------------------------------ derivatives
 
 def test_dx_quadratic_exact(grid):
@@ -183,6 +207,28 @@ def test_convergence_order(op):
 
     coarse, fine = residual(101), residual(201)
     assert 3.5 <= coarse / fine <= 4.5
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("n", [3, 4, 5, 201])
+def test_stencils_are_the_textbook_expressions_bit_for_bit(n, kind):
+    h = 2.0 / (n - 1)
+    f = _samples(n, kind, 7 * n)[:, :n]
+    for axis in (0, 1):
+        fm = np.moveaxis(f, axis, 0)
+        d1 = np.empty_like(fm)
+        d1[1:-1] = (fm[2:] - fm[:-2]) / (2.0 * h)
+        d1[0] = (-3.0 * fm[0] + 4.0 * fm[1] - fm[2]) / (2.0 * h)
+        d1[-1] = (3.0 * fm[-1] - 4.0 * fm[-2] + fm[-3]) / (2.0 * h)
+        d2 = np.empty_like(fm)
+        d2[1:-1] = (fm[2:] - 2.0 * fm[1:-1] + fm[:-2]) / (h * h)
+        if n >= 4:
+            d2[0] = (2.0 * fm[0] - 5.0 * fm[1] + 4.0 * fm[2] - fm[3]) / (h * h)
+            d2[-1] = (2.0 * fm[-1] - 5.0 * fm[-2] + 4.0 * fm[-3] - fm[-4]) / (h * h)
+        else:  # 3 nodes: the central value is replicated
+            d2[0] = d2[-1] = d2[1]
+        assert np.array_equal(_first_derivative(f, h, axis), np.moveaxis(d1, 0, axis))
+        assert np.array_equal(_second_derivative(f, h, axis), np.moveaxis(d2, 0, axis))
 
 
 # ---------------------------------------------------------- path integrals

@@ -343,13 +343,27 @@ def test_cli_config_file(tmp_path):
     assert code == 0
 
 
-def test_cli_entry_point_runs():
-    # the child imports the same vekua as this process, installed or not
+def _child_env():
+    # a child process imports the same vekua as this process, installed or not
     src = str(Path(vekua.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
+def test_cli_entry_point_runs():
     proc = subprocess.run(
-        [sys.executable, "-m", "vekua.cli", "--help"], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "vekua.cli", "--help"], capture_output=True, text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert "formal-powers" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # the runtime needs numpy only; importing scipy would add most of the start-up time
+    code = "import sys, vekua.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -261,3 +261,17 @@ def test_one_kernel_check_serves_the_fit_and_both_conjugates():
             call(np.exp(x) * np.cos(y))
         with pytest.raises(KernelMembershipError, match="is not in ker h"):
             call(np.exp(x * y))
+
+
+def test_coarse_grid_kernel_members_raise_no_warning():
+    # the largest member reading in the envelope behind KERNEL_WARN: degree-6
+    # powers of linear (-1, -1) at n = 21 (Im Z^6(1) reads 13.3 h^2 T)
+    sp = make_superpotential("linear", (-1.0, -1.0), Grid2D.square(1.0, 21))
+    table = assemble_formal_powers(sp, 6)
+    for z in (table.z_one[6], table.z_i[6]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit_formal_polynomial(sp, np.imag(z), table, "ker_h0", 6)
+            conjugate_from_w2(sp, np.imag(z))
+            fit_formal_polynomial(sp, np.real(z), table, "ker_h2", 6)
+            conjugate_from_w1(sp, np.real(z))

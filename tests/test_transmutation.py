@@ -114,9 +114,9 @@ def test_goursat_nonconvergence_raises(sp_quad, monkeypatch):
 
 def test_dressed_kernel_reduces_to_plain_when_h_zero(sp_quad):
     # chi1 = x^2/2 has chi1'(0) = 0
+    assert sp_quad.ax.h_param == 0.0
     gk = solve_goursat(sp_quad.ax)
-    assert gk.h_param == 0.0
-    np.testing.assert_array_equal(build_kernel_with_h(gk), gk.axis_values)
+    np.testing.assert_array_equal(build_kernel_with_h(gk, sp_quad.ax.h_param), gk.axis_values)
 
 
 def test_dressed_kernel_constant_for_zero_potential():
@@ -124,8 +124,7 @@ def test_dressed_kernel_constant_for_zero_potential():
     grid = Grid2D.square(1.0, 101)
     sp = make_superpotential("zero", (), grid)
     gk = solve_goursat(sp.ax)
-    gk.h_param = 0.6
-    dressed = build_kernel_with_h(gk)
+    dressed = build_kernel_with_h(gk, 0.6)
     np.testing.assert_allclose(dressed, 0.3 * np.ones_like(dressed), atol=1e-14)
 
 
@@ -133,7 +132,7 @@ def test_dressed_kernel_quadrature_oracle(sp_linear):
     # chi1 = x: dressed = 1/2 + K + (1/2) int_t^x [K(x,s) - K(x,-s)] ds,
     # checked against direct quadrature at a probe row
     gk = solve_goursat(sp_linear.ax)
-    dressed = build_kernel_with_h(gk)
+    dressed = build_kernel_with_h(gk, sp_linear.ax.h_param)
     grid = sp_linear.grid.gx
     k = grid.center + round(0.5 / grid.h)
     lo = grid.center + round(-0.5 / grid.h)
@@ -200,7 +199,7 @@ def test_transmute_convergence_ratio():
 
 def test_ttilde_matches_antiderivative_form(sp_linear):
     t_op = build_transmute(sp_linear.ax)
-    tt_op = build_transmute_tilde(sp_linear.ax, t_op=t_op)
+    tt_op = build_transmute_tilde(sp_linear.ax)
     x = sp_linear.grid.gx.nodes
     for k in (0, 1, 2, 3):
         f = x**k
@@ -236,7 +235,7 @@ def test_intertwining_with_weighted_derivative(sp_linear):
     ax = sp_linear.ax
     grid = ax.grid
     t_op = build_transmute(ax)
-    tt_op = build_transmute_tilde(ax, t_op=t_op)
+    tt_op = build_transmute_tilde(ax)
     x = grid.nodes
     f = x**3 - 0.5 * x
     df = 3 * x**2 - 0.5
@@ -255,7 +254,7 @@ def test_integral_counterpart_of_intertwining(sp_linear):
     ax = sp_linear.ax
     grid = ax.grid
     t_op = build_transmute(ax)
-    tt_op = build_transmute_tilde(ax, t_op=t_op)
+    tt_op = build_transmute_tilde(ax)
     x = grid.nodes
     f = np.cos(2.0 * x) + x
     anti = cumulative_integral(grid, f, grid.center)
@@ -278,6 +277,44 @@ def test_t0_identity_for_zero_chi(grid201):
     w = z**2 + 1j * z
     np.testing.assert_allclose(t2d.t0(w), w, atol=1e-12)
     np.testing.assert_allclose(t2d.t1(w), w, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "name, params, solves",
+    [("zero", (), 1), ("linear", (0.5, -1.0), 2), ("linear", (1.0, -1.0), 1),
+     ("quadratic", (1.0, -0.5), 4), ("quadratic", (0.5, 0.5), 2)],
+)
+def test_builds_solve_once_per_distinct_potential(name, params, solves, monkeypatch):
+    # a linear axis and its flip share q = c1^2; equal axes share theirs
+    sp = make_superpotential(name, params, Grid2D.square(1.0, 41))
+    calls = []
+
+    def counted(profile):
+        calls.append(profile)
+        return solve_goursat(profile)
+
+    monkeypatch.setattr(transmutation, "solve_goursat", counted)
+    t2d = build_transmute_2d(sp)
+    assert len(calls) == solves
+    calls.clear()
+    build_transmute_tilde(sp.ax)
+    assert len(calls) == (2 if name == "quadratic" else 1)
+    monkeypatch.undo()
+    # one solve each, nothing shared
+    independent = (
+        build_transmute(sp.ax),
+        build_transmute(sp.ay),
+        build_transmute(sp.ax.flipped()),
+        build_transmute(sp.ay.flipped()),
+    )
+    shared = (t2d.tx, t2d.ty, t2d.tx_tilde, t2d.ty_tilde)
+    for got, want in zip(shared, independent):
+        assert np.array_equal(got.matrix, want.matrix)
+    z = sp.grid.zmesh()
+    w = (1.0 + 0.5j) * z**3 - 0.3j * z + np.exp(-np.abs(z) ** 2)
+    t0, t1 = t2d.t0_t1(w)
+    assert np.array_equal(t0, t2d.t0(w))
+    assert np.array_equal(t1, t2d.t1(w))
 
 
 def test_t0_maps_powers_to_formal_powers(t2d_quad, table_quad, sp_quad):
