@@ -26,10 +26,11 @@ tolerance name without an h^2 cap, or a tolerance that is not positive and
 finite; an unknown family, a wrong parameter count for it (``tabulated``
 takes none) or a non-finite parameter; a negative ``--n-max`` or
 ``--degree``; an input CSV with a short row, a non-numeric cell or a
-non-finite value; and a domain error of the input: a field outside the
-kernel the subcommand needs (``KernelMembershipError``: its h0 or h2
-residual exceeds 50 h^2 times the largest of 1, |f_xx|, |f_yy| and |U f|,
-see :func:`vekua.operators.require_kernel`), a gradient that fails its
+non-finite value; field CSV rows out of x-major order; and a domain error
+of the input: a field outside the kernel the subcommand needs
+(``KernelMembershipError``: its h0 or h2 residual exceeds 50 h^2 times the
+largest of 1, |f_xx|, |f_yy| and |U f|, see
+:func:`vekua.operators.require_kernel`), a gradient that fails its
 compatibility condition (``CompatibilityError``), a degenerate generating
 pair (``DegeneratePairError``) or a grid too small for the stencils
 (``GridShapeError``).  Each prints one line to stderr.  Identical

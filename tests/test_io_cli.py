@@ -36,13 +36,58 @@ def small_grid():
 def test_field_csv_roundtrip(tmp_path, small_grid):
     x, y = small_grid.meshes()
     values = np.exp(x) * np.cos(y) + 1j * (x - y) / 3.0
+    values[0, :4] = [complex(-0.0, 5e-324), complex(-5e-324, -0.0), 1e300 - 1e-300j, 0.1]
     path = tmp_path / "field.csv"
     write_field_csv(path, small_grid, values)
     grid2, back = read_field_csv(path)
     assert grid2.shape == small_grid.shape
-    np.testing.assert_array_equal(back, values)  # 17 significant digits round-trip
+    # 17 significant digits round-trip bit for bit, signed zeros and subnormals too
+    np.testing.assert_array_equal(back.view(np.uint64), values.view(np.uint64))
     header = path.read_text().splitlines()[0]
     assert header == "x,y,re,im"
+
+
+def test_field_csv_golden_bytes(tmp_path):
+    values = np.array([[complex(-0.0, 5e-324), complex(1e300, 0.1), complex(0.1, -1e300)],
+                       [complex(0.0, -0.0), complex(-5e-324, 1.0), complex(1 / 3, 2.5)],
+                       [complex(-2.5e-310, 1e22), complex(123456789.0, -0.1), complex(-0.0, -0.0)]])
+    path = tmp_path / "field.csv"
+    write_field_csv(path, Grid2D.square(1.0, 3), values)
+    assert path.read_bytes() == (
+        b"x,y,re,im\r\n"
+        b"-1,-1,-0,4.9406564584124654e-324\r\n"
+        b"-1,0,1.0000000000000001e+300,0.10000000000000001\r\n"
+        b"-1,1,0.10000000000000001,-1.0000000000000001e+300\r\n"
+        b"0,-1,0,-0\r\n"
+        b"0,0,-4.9406564584124654e-324,1\r\n"
+        b"0,1,0.33333333333333331,2.5\r\n"
+        b"1,-1,-2.5000000000000171e-310,1e+22\r\n"
+        b"1,0,123456789,-0.10000000000000001\r\n"
+        b"1,1,-0,-0\r\n"
+    )
+
+
+# the cells of one data row, spelt as a hand-written export might
+_CELL_SPELLINGS = ("-1", " -1.0 ", '"-1"', '" -1e0"', "-1.", "-.1e1", "+0", "-0", "0.0",
+                   "5e-324", "1E300", "0.1", "-2.5e-310", "+1e22", " 0.33333333333333331\t")
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_read_field_csv_parses_cells_as_float_does(tmp_path, newline):
+    grid = Grid2D.square(1.0, 3)
+    lines, want = ["x, y ,re,im,note"], []
+    for k, (x, y) in enumerate(zip(*(m.ravel() for m in grid.meshes()))):
+        re, im = _CELL_SPELLINGS[k], _CELL_SPELLINGS[-1 - k]
+        want.append(complex(float(re.strip('"')), float(im.strip('"'))))
+        extra = ["", ",7", ",text,more"][k % 3]  # ragged trailing columns
+        lines.append(f'{x:.17g},"{y:.17g}",{re},{im}{extra}')
+        if k % 4 == 0:
+            lines.append("")
+    path = tmp_path / "field.csv"
+    path.write_bytes(newline.join(lines).encode() + newline.encode())
+    _, back = read_field_csv(path)
+    np.testing.assert_array_equal(back.ravel().view(np.uint64),
+                                  np.array(want).view(np.uint64))
 
 
 def test_grid_meta_roundtrip(tmp_path, small_grid):
@@ -206,6 +251,12 @@ _SPOILT_ROWS = {
     "nan-cell": (lambda cells: cells[:2] + ["nan", "0"], "non-finite value in data row 5"),
     "short-row": (lambda cells: cells[:3], "input.csv:6: malformed row (IndexError"),
     "word-cell": (lambda cells: cells[:2] + ["abc", "0"], "input.csv:6: malformed row (ValueError"),
+    # float() takes these two, but they are no plain numbers: refused, never misread
+    "underscore-cell": (lambda cells: cells[:2] + ["1_0", "0"],
+                        "input.csv:6: malformed row (ValueError: could not convert string to "
+                        "float: '1_0')"),
+    "fullwidth-digit-cell": (lambda cells: cells[:2] + ["\uff11", "0"],
+                             "input.csv:6: malformed row (ValueError"),
 }
 
 
@@ -246,6 +297,26 @@ def test_cli_transmute_rejects_spoilt_csv(tmp_path, capsys, kind):
     assert main(argv) == 2
     assert _SPOILT_ROWS[kind][1] in _one_line_error(capsys, "config error: ")
     assert not (tmp_path / "o" / "transmuted.csv").exists()
+
+
+@pytest.mark.parametrize("order, row", [("y-major", 2), ("duplicated-row", 7)])
+def test_rows_out_of_x_major_order_exit_2(tmp_path, capsys, order, row):
+    grid = Grid2D.square(1.0, 5)
+    x, y = grid.meshes()
+    path = tmp_path / "input.csv"
+    write_field_csv(path, grid, x + 2j * y)
+    header, *data = path.read_text().splitlines()
+    if order == "y-major":
+        data = [data[5 * j + i] for i in range(5) for j in range(5)]
+    else:
+        data[6] = data[5]  # node (x1, y1) is missing, (x1, y0) twice
+    path.write_text("\n".join([header, *data]) + "\n")
+    message = f"data row {row} is out of x-major order"
+    with pytest.raises(ConfigError, match=message):
+        read_field_csv(path)
+    argv = ["transmute", "--sp", "zero", "--input", str(path), "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert message in _one_line_error(capsys, "config error: ")
 
 
 @pytest.fixture(scope="module")
