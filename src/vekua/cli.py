@@ -28,9 +28,9 @@ takes none) or a non-finite parameter; a negative ``--n-max`` or
 ``--degree``; an input CSV with a short row, a non-numeric cell or a
 non-finite value; field CSV rows out of x-major order; and a domain error
 of the input: a field outside the kernel the subcommand needs
-(``KernelMembershipError``: its h0 or h2 residual exceeds 50 h^2 times the
-largest of 1, |f_xx|, |f_yy| and |U f|, see
-:func:`vekua.operators.require_kernel`), a gradient that fails its
+(``KernelMembershipError``: it has a non-finite value, or its h0 or h2
+residual is not within 50 h^2 times the largest of 1, |f_xx|, |f_yy| and
+|U f|, see :func:`vekua.operators.require_kernel`), a gradient that fails its
 compatibility condition (``CompatibilityError``), a degenerate generating
 pair (``DegeneratePairError``) or a grid too small for the stencils
 (``GridShapeError``).  Each prints one line to stderr.  Identical
@@ -196,6 +196,23 @@ def _cmd_formal_powers(args) -> int:
     return EXIT_OK
 
 
+def _write_kernel_csv(path: Path, gk) -> None:
+    """Kernel CSV: the header ``x,t,K``, then one LF-ended line per node pair
+    (x_k, t_l) with l from min(k, n-1-k) to max(k, n-1-k), x outer, every
+    number written as ``format(v, ".17g")``; one ``write`` per x-row."""
+    nodes = gk.axis_grid.nodes
+    n = len(nodes)
+    # each node is formatted once; line (k, l) is x_k + tails[l], K filled in by %
+    tails = [f",{format(t, '.17g')},%.17g\n" for t in nodes]
+    with path.open("w", newline="") as fh:
+        fh.write("x,t,K\n")
+        for k, x in enumerate(nodes):
+            lo, hi = min(k, n - 1 - k), max(k, n - 1 - k)
+            head = format(x, ".17g")
+            cells = tuple(gk.axis_values[k, lo:hi + 1].tolist())
+            fh.write((head + head.join(tails[lo:hi + 1])) % cells)
+
+
 def _cmd_transmute(args) -> int:
     cfg = _load_config(args)
     in_grid, values = read_field_csv(args.input)
@@ -219,17 +236,7 @@ def _cmd_transmute(args) -> int:
     write_grid_meta(out / "grid.json", grid)
     if args.dump_kernel:
         for label, op in kernels.items():
-            gk = op.kernel
-            nodes = gk.axis_grid.nodes
-            lines = ["x,t,K"]
-            for k, xk in enumerate(nodes):
-                lo, hi = min(k, len(nodes) - 1 - k), max(k, len(nodes) - 1 - k)
-                for l in range(lo, hi + 1):
-                    lines.append(
-                        f"{format(xk, '.17g')},{format(nodes[l], '.17g')},"
-                        f"{format(gk.axis_values[k, l], '.17g')}"
-                    )
-            (out / f"kernel_{label}.csv").write_text("\n".join(lines) + "\n")
+            _write_kernel_csv(out / f"kernel_{label}.csv", op.kernel)
     print(f"applied {args.op}, output in {out}")
     return EXIT_OK
 

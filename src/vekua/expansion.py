@@ -3,7 +3,8 @@
 Two approximation routes.  The collocation fit is the workhorse: linear
 least squares over the real span of the imaginary (or real) parts of the
 sampled formal powers, which are complete for the respective kernels.  The
-Taylor route evaluates successive pair derivatives at the origin; repeated
+Taylor route evaluates successive pair derivatives at the origin, on the
+centred window that the origin values and the noise model read; repeated
 numerical differentiation is ill-conditioned, so it is capped at degree 6
 and every coefficient carries an explicit uncertainty estimate derived from
 the stencil model.
@@ -16,9 +17,9 @@ from math import factorial
 
 import numpy as np
 
-from .grid import d_x, d_y, interior, interior_max
+from .grid import _first_derivative, interior, interior_max
 from .formal_powers import FormalPowerTable
-from .operators import bers_derivative_seq, h0, h2, require_kernel
+from .operators import h0, h2, require_kernel
 from .superpotential import Superpotential
 
 __all__ = [
@@ -49,24 +50,24 @@ class TaylorCoefficients:
         return len(self.values) - 1
 
 
-def _third_derivative_scale(sp, w) -> float:
-    # the coefficients are read at the origin, so the noise model samples a
-    # centered window: one-sided boundary stencils leave kinks in iterated
-    # derivative fields that would otherwise dominate the estimate
-    grid = sp.grid
-    margin = max(2, min(grid.gx.n, grid.gy.n) // 4)
-    dx3 = d_x(grid, d_x(grid, d_x(grid, w)))
-    dy3 = d_y(grid, d_y(grid, d_y(grid, w)))
-    return interior_max(dx3, margin=margin) + interior_max(dy3, margin=margin)
-
-
 def taylor_coefficients(sp: Superpotential, w, degree: int) -> TaylorCoefficients:
     """Origin-centered coefficients of a field in the formal-power basis.
 
-    Applies the alternating pair derivatives of the period-two sequence and
-    reads off the origin value at each level.  Raises when the propagated
-    stencil-noise estimate drowns out every computed coefficient, which is
-    the signal that the grid is too coarse for the requested degree.
+    Applies the alternating pair derivatives of the period-two sequence
+    (:func:`~vekua.operators.bers_derivative_seq`) and reads off the origin
+    value at each level.  Raises ``ValueError`` for a field with non-finite
+    values, and when the propagated stencil-noise estimate drowns out every
+    computed coefficient, which is the signal that the grid is too coarse for
+    the requested degree.
+
+    Every level lives on one centred window ``[lo, n - lo)`` per axis, with
+    ``lo = max(0, margin - degree - 2)`` and ``margin`` the noise model's
+    margin.  The window's one-sided edge stencils spoil one more node per
+    derivative, so level m is exact (bit for bit the full-grid value) from
+    m nodes inside the window edge, and its third derivatives from m + 3.
+    For m < degree that covers the margin interior the noise model reads,
+    and the origin is deeper still.  Each level's d_x and d_y serve both the
+    noise model and the pair derivative.
     """
     if degree > MAX_TAYLOR_DEGREE:
         raise ValueError(f"degree {degree} exceeds the supported maximum {MAX_TAYLOR_DEGREE}")
@@ -74,24 +75,52 @@ def taylor_coefficients(sp: Superpotential, w, degree: int) -> TaylorCoefficient
         raise ValueError("degree must be non-negative")
     grid = sp.grid
     w = grid.check(np.asarray(w, dtype=complex))
+    if not np.isfinite(w).all():
+        raise ValueError("taylor_coefficients: field has non-finite values")
     i0, j0 = grid.center
     h = grid.hmax
+    hx, hy = grid.gx.h, grid.gy.h
+    n1, n2 = grid.shape
+    # the noise model samples a centered window: one-sided boundary stencils
+    # leave kinks in iterated derivative fields that would otherwise dominate
+    # the estimate
+    margin = max(2, min(n1, n2) // 4)
+    lo = max(0, margin - degree - 2)
+    window = (slice(lo, n1 - lo), slice(lo, n2 - lo))
+    dz_chi = sp.dz_chi()
+    # coefficients of the conjugate terms of the two pairs, on the window;
+    # contiguous, so that each product runs the loop of the full-grid one
+    conj_coef = tuple(np.ascontiguousarray(c[window]) for c in (dz_chi, sp.dzbar_chi()))
 
     values = np.empty(degree + 1, dtype=complex)
     noise = np.empty(degree + 1)
-    cur = w
+    cur = np.ascontiguousarray(w[window])
     level_noise = 1e-14 * max(1.0, interior_max(w, margin=1))
-    values[0] = cur[i0, j0]
+    values[0] = w[i0, j0]
     noise[0] = level_noise
     # per-level model: new truncation (h^2/6) * |third derivatives|, while
     # noise already present is re-scaled by the conjugate-term weight; the
     # safety factor absorbs the smooth growth of differentiated error fields
-    carry = 1.0 + float(np.max(np.abs(sp.dz_chi())))
+    carry = 1.0 + float(np.max(np.abs(dz_chi)))
     for m in range(degree):
-        trunc = (h**2 / 6.0) * _third_derivative_scale(sp, cur)
+        dx = _first_derivative(cur, hx, 0)
+        dy = _first_derivative(cur, hy, 1)
+        dx3 = _first_derivative(_first_derivative(dx, hx, 0), hx, 0)
+        dy3 = _first_derivative(_first_derivative(dy, hy, 1), hy, 1)
+        scale = interior_max(dx3, margin=margin - lo) + interior_max(dy3, margin=margin - lo)
+        trunc = (h**2 / 6.0) * scale
         level_noise = NOISE_SAFETY * trunc + carry * level_noise
-        cur = bers_derivative_seq(sp, m, cur)
-        values[m + 1] = cur[i0, j0] / factorial(m + 1)
+        # d_z cur -+ coefficient * conj(cur).  The coefficient stays the left
+        # operand, as in operators.vekua_vbar / vekua_v1bar: swapping the
+        # operands of a complex product can move the last bit of its
+        # imaginary part.
+        prod = np.multiply(conj_coef[m % 2], np.conj(cur))
+        cur = 0.5 * (dx - 1j * dy)
+        if m % 2 == 0:
+            cur -= prod
+        else:
+            cur += prod
+        values[m + 1] = cur[i0 - lo, j0 - lo] / factorial(m + 1)
         noise[m + 1] = level_noise / factorial(m + 1)
 
     biggest = float(np.max(np.abs(values)))

@@ -11,7 +11,8 @@ exist at every node and share the O(h^2) order of the stencils.  It is
 plain numpy: a cumulative sum with the floating-point operations of
 ``scipy.integrate.cumulative_trapezoid``, so its values equal scipy's bit for
 bit.  The stencils and the quadrature write into their output array instead
-of building full-size temporaries.
+of building full-size temporaries; the stencils take the interior nodes of
+either axis as one contiguous slice of the flattened field.
 
 Fields are plain ``numpy`` arrays of shape ``(gx.n, gy.n)`` indexed as
 ``f[ix, iy]``.  Residual norms are meant to be taken on interior nodes only
@@ -172,13 +173,17 @@ def _first_derivative(f: np.ndarray, h: float, axis: int) -> np.ndarray:
     f = np.asarray(f)
     if f.shape[axis] < 3:
         raise GridShapeError("need at least 3 nodes to differentiate")
-    out = np.empty_like(f, dtype=np.result_type(f.dtype, np.float64))
+    out = np.empty(f.shape, dtype=np.result_type(f.dtype, np.float64))
+    # flattened, the neighbours along ``axis`` are ``step`` apart, so one slice
+    # holds every interior node (for step 1 also the ends of each row, which
+    # the boundary stencils overwrite)
+    step = int(np.prod(f.shape[axis + 1:]))
+    ff, mid = f.reshape(-1), out.reshape(-1)[step:f.size - step]
+    # (f[k+1] - f[k-1]) / 2h, evaluated in place
+    np.subtract(ff[2 * step:], ff[:f.size - 2 * step], out=mid)
+    mid /= 2.0 * h
     fm = f.swapaxes(0, axis)
     om = out.swapaxes(0, axis)
-    # (f[k+1] - f[k-1]) / 2h, evaluated in place
-    mid = om[1:-1]
-    np.subtract(fm[2:], fm[:-2], out=mid)
-    mid /= 2.0 * h
     om[0] = (-3.0 * fm[0] + 4.0 * fm[1] - fm[2]) / (2.0 * h)
     om[-1] = (3.0 * fm[-1] - 4.0 * fm[-2] + fm[-3]) / (2.0 * h)
     return out
@@ -188,16 +193,18 @@ def _second_derivative(f: np.ndarray, h: float, axis: int) -> np.ndarray:
     f = np.asarray(f)
     if f.shape[axis] < 3:
         raise GridShapeError("need at least 3 nodes for a second derivative")
-    out = np.empty_like(f, dtype=np.result_type(f.dtype, np.float64))
-    fm = f.swapaxes(0, axis)
-    om = out.swapaxes(0, axis)
+    out = np.empty(f.shape, dtype=np.result_type(f.dtype, np.float64))
+    # the flattened interior slice of _first_derivative
+    step = int(np.prod(f.shape[axis + 1:]))
+    ff, mid = f.reshape(-1), out.reshape(-1)[step:f.size - step]
     h2 = h * h
     # (f[k+1] - 2 f[k] + f[k-1]) / h^2, evaluated in place in that order
-    mid = om[1:-1]
-    np.multiply(fm[1:-1], 2.0, out=mid)
-    np.subtract(fm[2:], mid, out=mid)
-    mid += fm[:-2]
+    np.multiply(ff[step:f.size - step], 2.0, out=mid)
+    np.subtract(ff[2 * step:], mid, out=mid)
+    mid += ff[:f.size - 2 * step]
     mid /= h2
+    fm = f.swapaxes(0, axis)
+    om = out.swapaxes(0, axis)
     if f.shape[axis] >= 4:
         om[0] = (2.0 * fm[0] - 5.0 * fm[1] + 4.0 * fm[2] - fm[3]) / h2
         om[-1] = (2.0 * fm[-1] - 5.0 * fm[-2] + 4.0 * fm[-3] - fm[-4]) / h2

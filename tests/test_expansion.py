@@ -1,15 +1,20 @@
+from math import factorial
+
 import numpy as np
 import pytest
 
+import vekua.expansion as expansion
 from vekua.errors import KernelMembershipError
 from vekua.expansion import (
+    NOISE_SAFETY,
     evaluate_fit,
     evaluate_series,
     fit_formal_polynomial,
     taylor_coefficients,
 )
 from vekua.formal_powers import assemble_formal_powers
-from vekua.grid import Grid2D
+from vekua.grid import Grid1D, Grid2D, d_x, d_y, interior_max
+from vekua.operators import bers_derivative_seq
 from vekua.superpotential import make_superpotential
 
 
@@ -87,6 +92,103 @@ def test_taylor_noise_error_on_coarse_grid():
     table = assemble_formal_powers(sp, 6)
     with pytest.raises(ValueError, match="finer grid"):
         taylor_coefficients(sp, table.power(6, 1.0), degree=6)
+
+
+def _full_grid_taylor(sp, w, degree):
+    """Oracle: the Taylor route with every level and its third derivatives
+    taken on the whole grid through the public stencils and operators."""
+    grid = sp.grid
+    w = np.asarray(w, dtype=complex)
+    margin = max(2, min(grid.shape) // 4)
+    i0, j0 = grid.center
+    h = grid.hmax
+    values = np.empty(degree + 1, dtype=complex)
+    noise = np.empty(degree + 1)
+    cur = w
+    level_noise = 1e-14 * max(1.0, interior_max(w, margin=1))
+    values[0] = cur[i0, j0]
+    noise[0] = level_noise
+    carry = 1.0 + float(np.max(np.abs(sp.dz_chi())))
+    for m in range(degree):
+        dx3 = d_x(grid, d_x(grid, d_x(grid, cur)))
+        dy3 = d_y(grid, d_y(grid, d_y(grid, cur)))
+        trunc = (h**2 / 6.0) * (interior_max(dx3, margin=margin) + interior_max(dy3, margin=margin))
+        level_noise = NOISE_SAFETY * trunc + carry * level_noise
+        cur = bers_derivative_seq(sp, m, cur)
+        values[m + 1] = cur[i0, j0] / factorial(m + 1)
+        noise[m + 1] = level_noise / factorial(m + 1)
+    biggest = float(np.max(np.abs(values)))
+    if noise[degree] > max(biggest, 1e-12):
+        raise ValueError(
+            f"stencil noise {noise[degree]:.3e} exceeds every coefficient "
+            f"({biggest:.3e}); use a finer grid for degree {degree}"
+        )
+    return values, noise
+
+
+def _outcome(call):
+    try:
+        values, noise = call()
+    except ValueError as exc:
+        return str(exc)
+    return values.view(np.uint64).tolist(), noise.view(np.uint64).tolist()
+
+
+_TAYLOR_GRIDS = {
+    "n21": Grid2D.square(1.0, 21),
+    "n61": Grid2D.square(1.0, 61),
+    "n201": Grid2D.square(1.0, 201),
+    "61x101": Grid2D(Grid1D(1.0, 61), Grid1D(1.5, 101)),
+}
+
+
+@pytest.mark.parametrize("family,params", [
+    ("zero", ()), ("linear", (0.5, -1.0)), ("quadratic", (1.0, -0.5)),
+])
+@pytest.mark.parametrize("grid_name", list(_TAYLOR_GRIDS))
+def test_taylor_window_is_bit_for_bit(grid_name, family, params):
+    grid = _TAYLOR_GRIDS[grid_name]
+    sp = make_superpotential(family, params, grid)
+    z = grid.zmesh()
+    x, y = grid.meshes()
+    fields = (
+        np.exp(0.7 * z) + z**3 - 0.3j * z**2,
+        np.exp(x) * np.cos(2 * y) + 1j * x * y**2,
+        np.exp(12j * x),  # too rough for n = 21 beyond degree 0
+    )
+    raised = 0
+    for w in fields:
+        for degree in range(7):
+            def windowed():
+                c = taylor_coefficients(sp, w, degree)
+                return c.values, c.uncertainty
+
+            want = _outcome(lambda: _full_grid_taylor(sp, w, degree))
+            assert _outcome(windowed) == want, (degree, w[grid.center])
+            raised += isinstance(want, str)
+    assert raised > 0 if grid_name == "n21" else raised == 0
+
+
+def test_taylor_differentiates_each_level_once_on_the_window(monkeypatch, quad, grid):
+    shapes = []
+    stencil = expansion._first_derivative
+
+    def counting(f, h, axis):
+        shapes.append(np.shape(f))
+        return stencil(f, h, axis)
+
+    monkeypatch.setattr(expansion, "_first_derivative", counting)
+    degree = 4
+    taylor_coefficients(quad, np.exp(0.5 * grid.zmesh()), degree)
+    # margin 201 // 4 = 50, lo = 50 - degree - 2 = 44: 201 - 88 = 113 nodes a side
+    assert shapes == [(113, 113)] * (6 * degree)
+
+
+def test_taylor_rejects_non_finite_field(quad, grid):
+    w = grid.zmesh() ** 2
+    w[3, 170] = np.nan  # far outside the window the levels run on
+    with pytest.raises(ValueError, match="non-finite"):
+        taylor_coefficients(quad, w, degree=2)
 
 
 def test_series_roundtrip_single_power(quad, table_quad):

@@ -209,26 +209,36 @@ def test_convergence_order(op):
     assert 3.5 <= coarse / fine <= 4.5
 
 
+def _layouts(f):
+    """The same samples as views with other strides, and a 1-D cut."""
+    views = {"c": f, "transposed": f.T, "reversed": f[::-1, ::-1], "column": f[:, 1]}
+    if np.iscomplexobj(f):
+        views.update(real=f.real, imag=f.T.imag)
+    return views
+
+
 @pytest.mark.parametrize("kind", ["real", "complex"])
-@pytest.mark.parametrize("n", [3, 4, 5, 201])
+@pytest.mark.parametrize("n", [3, 4, 5, 21, 201, 401])
 def test_stencils_are_the_textbook_expressions_bit_for_bit(n, kind):
     h = 2.0 / (n - 1)
-    f = _samples(n, kind, 7 * n)[:, :n]
-    for axis in (0, 1):
-        fm = np.moveaxis(f, axis, 0)
-        d1 = np.empty_like(fm)
-        d1[1:-1] = (fm[2:] - fm[:-2]) / (2.0 * h)
-        d1[0] = (-3.0 * fm[0] + 4.0 * fm[1] - fm[2]) / (2.0 * h)
-        d1[-1] = (3.0 * fm[-1] - 4.0 * fm[-2] + fm[-3]) / (2.0 * h)
-        d2 = np.empty_like(fm)
-        d2[1:-1] = (fm[2:] - 2.0 * fm[1:-1] + fm[:-2]) / (h * h)
-        if n >= 4:
-            d2[0] = (2.0 * fm[0] - 5.0 * fm[1] + 4.0 * fm[2] - fm[3]) / (h * h)
-            d2[-1] = (2.0 * fm[-1] - 5.0 * fm[-2] + 4.0 * fm[-3] - fm[-4]) / (h * h)
-        else:  # 3 nodes: the central value is replicated
-            d2[0] = d2[-1] = d2[1]
-        assert np.array_equal(_first_derivative(f, h, axis), np.moveaxis(d1, 0, axis))
-        assert np.array_equal(_second_derivative(f, h, axis), np.moveaxis(d2, 0, axis))
+    for layout, f in _layouts(_samples(n, kind, 7 * n)[:, :n]).items():
+        for axis in range(f.ndim):
+            fm = np.moveaxis(f, axis, 0)
+            d1 = np.empty_like(fm)
+            d1[1:-1] = (fm[2:] - fm[:-2]) / (2.0 * h)
+            d1[0] = (-3.0 * fm[0] + 4.0 * fm[1] - fm[2]) / (2.0 * h)
+            d1[-1] = (3.0 * fm[-1] - 4.0 * fm[-2] + fm[-3]) / (2.0 * h)
+            d2 = np.empty_like(fm)
+            d2[1:-1] = (fm[2:] - 2.0 * fm[1:-1] + fm[:-2]) / (h * h)
+            if n >= 4:
+                d2[0] = (2.0 * fm[0] - 5.0 * fm[1] + 4.0 * fm[2] - fm[3]) / (h * h)
+                d2[-1] = (2.0 * fm[-1] - 5.0 * fm[-2] + 4.0 * fm[-3] - fm[-4]) / (h * h)
+            else:  # 3 nodes: the central value is replicated
+                d2[0] = d2[-1] = d2[1]
+            got1, got2 = _first_derivative(f, h, axis), _second_derivative(f, h, axis)
+            assert got1.dtype == got2.dtype == f.dtype
+            assert np.array_equal(got1, np.moveaxis(d1, 0, axis)), (layout, axis)
+            assert np.array_equal(got2, np.moveaxis(d2, 0, axis)), (layout, axis)
 
 
 # ---------------------------------------------------------- path integrals

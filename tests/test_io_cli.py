@@ -142,6 +142,41 @@ def test_cli_transmute_identity_for_zero_chi(tmp_path):
     assert (out / "kernel_x.csv").read_text().splitlines()[0] == "x,t,K"
 
 
+def _kernel_csv_oracle(gk) -> bytes:
+    """The kernel CSV cell by cell: header, then x,t,K per node pair, LF-ended."""
+    nodes = gk.axis_grid.nodes
+    n = len(nodes)
+    lines = ["x,t,K"]
+    for k in range(n):
+        for l in range(min(k, n - 1 - k), max(k, n - 1 - k) + 1):
+            cells = (nodes[k], nodes[l], gk.axis_values[k, l])
+            lines.append(",".join(format(v, ".17g") for v in cells))
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("op", ["T0", "T1d-tilde", "T2d"])
+def test_cli_kernel_dump_bytes(tmp_path, op):
+    from vekua.superpotential import make_superpotential
+    from vekua.transmutation import build_transmute, build_transmute_2d, build_transmute_tilde
+
+    _, inp = _write_sample_field(tmp_path, n=11)
+    out = tmp_path / "out"
+    argv = ["transmute", "--sp", "quadratic", "--params=1,-0.5", "--input", str(inp),
+            "--op", op, "--out", str(out), "--dump-kernel"]
+    assert main(argv) == 0
+    sp = make_superpotential("quadratic", (1.0, -0.5), read_field_csv(inp)[0])
+    if op == "T0":
+        t2d = build_transmute_2d(sp)
+        kernels = {"x": t2d.tx, "y": t2d.ty}
+    elif op == "T1d-tilde":
+        kernels = {"x": build_transmute_tilde(sp.ax)}
+    else:
+        kernels = {"y": build_transmute(sp.ay)}
+    assert sorted(p.name for p in out.glob("kernel_*.csv")) == [f"kernel_{k}.csv" for k in kernels]
+    for label, t in kernels.items():
+        assert (out / f"kernel_{label}.csv").read_bytes() == _kernel_csv_oracle(t.kernel)
+
+
 def test_cli_formal_powers_zero_chi(tmp_path):
     out = tmp_path / "fp"
     code = main(

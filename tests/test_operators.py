@@ -263,6 +263,28 @@ def test_one_kernel_check_serves_the_fit_and_both_conjugates():
             call(np.exp(x * y))
 
 
+@pytest.mark.parametrize("node", [(30, 20), (0, 5)])
+def test_kernel_check_rejects_non_finite_fields(node):
+    # one NaN node, inside the margin-2 interior (its residual is NaN, which
+    # no cap comparison rejects) or on the boundary (outside the residual's
+    # reach): neither the fit nor a conjugate may return a non-finite result
+    sp = make_superpotential("linear", (0.5, -1.0), Grid2D.square(1.0, 61))
+    table = assemble_formal_powers(sp, 3)
+    member = table.power(2, 1.0)
+    callers = (
+        lambda f: fit_formal_polynomial(sp, np.imag(f), table, "ker_h0", 3),
+        lambda f: fit_formal_polynomial(sp, np.real(f), table, "ker_h2", 3),
+        lambda f: conjugate_from_w1(sp, np.real(f)),
+        lambda f: conjugate_from_w2(sp, np.imag(f)),
+    )
+    for value in (np.nan, np.inf):
+        spoilt = member.copy()
+        spoilt[node] = complex(value, value)
+        for call in callers:
+            with pytest.raises(KernelMembershipError, match="non-finite"):
+                call(spoilt)
+
+
 def test_coarse_grid_kernel_members_raise_no_warning():
     # the largest member reading in the envelope behind KERNEL_WARN: degree-6
     # powers of linear (-1, -1) at n = 21 (Im Z^6(1) reads 13.3 h^2 T)
