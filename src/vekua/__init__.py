@@ -1,10 +1,10 @@
 """Numerical toolkit for the main Vekua equation with separable superpotentials.
 
-Builds formal powers explicitly and recursively, realizes the 2-D SUSY QM
-operator algebra (supercharges, Hamiltonian components, Darboux transforms,
-Vekua-type first-order operators, transmutation operators) on sampled
-fields, constructs metaharmonic conjugates, and verifies every operator
-identity with quantified residuals and convergence ratios.
+Builds formal powers explicitly, realizes the 2-D SUSY QM operator algebra
+(supercharges, Hamiltonian components, Darboux transforms, Vekua-type
+first-order operators, transmutation operators) on sampled fields,
+constructs metaharmonic conjugates, and verifies every operator identity
+with quantified residuals and convergence ratios.
 """
 
 from .grid import (
@@ -24,10 +24,8 @@ from .grid import (
 from .superpotential import (
     AxisProfile,
     Superpotential,
-    characteristic_coefficients,
     generating_pair,
     make_superpotential,
-    riccati_residual,
 )
 from .formal_powers import (
     AuxSystem,
@@ -35,11 +33,9 @@ from .formal_powers import (
     assemble_formal_powers,
     build_aux_system,
     fg_integral,
-    recursive_formal_powers,
 )
 from .conjugate import (
     ConjugateResult,
-    abar_op,
     conjugate_from_w1,
     conjugate_from_w2,
     fit_gauge,

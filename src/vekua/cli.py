@@ -30,10 +30,8 @@ non-finite value; field CSV rows out of x-major order; and a domain error
 of the input: a field outside the kernel the subcommand needs
 (``KernelMembershipError``: it has a non-finite value, or its h0 or h2
 residual is not within 50 h^2 times the largest of 1, |f_xx|, |f_yy| and
-|U f|, see :func:`vekua.operators.require_kernel`), a gradient that fails its
-compatibility condition (``CompatibilityError``), a degenerate generating
-pair (``DegeneratePairError``) or a grid too small for the stencils
-(``GridShapeError``).  Each prints one line to stderr.  Identical
+|U f|, see :func:`vekua.operators.require_kernel`) or a grid too small for
+the stencils (``GridShapeError``).  Each prints one line to stderr.  Identical
 configuration yields byte-identical outputs; the output directory defaults
 to ``--out`` and can be overridden with the ``VEKUA_OUTDIR`` environment
 variable.
@@ -51,9 +49,7 @@ import numpy as np
 
 from . import conjugate as conj
 from .errors import (
-    CompatibilityError,
     ConfigError,
-    DegeneratePairError,
     GridShapeError,
     KernelMembershipError,
     NonConvergenceError,
@@ -77,7 +73,7 @@ EXIT_USAGE = 2
 EXIT_NONCONVERGENCE = 3
 
 # errors of the input's mathematics rather than of its syntax; exit 2
-_DOMAIN_ERRORS = (KernelMembershipError, CompatibilityError, DegeneratePairError, GridShapeError)
+_DOMAIN_ERRORS = (KernelMembershipError, GridShapeError)
 
 
 def _add_common(parser: argparse.ArgumentParser):
@@ -290,7 +286,6 @@ def _cmd_expand(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg = _load_config(args)
-    cfg.corrupt_u0 = args.corrupt_potential
     if cfg.sp_name == "tabulated":
         raise ConfigError("verify runs on catalog families (the battery refines the grid)")
     _build_sp(cfg, args, cfg.grid())  # unknown family or parameter count: exit 2, not 1
@@ -347,11 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the full identity battery at two resolutions")
     _add_common(p)
-    p.add_argument(
-        "--corrupt-potential",
-        action="store_true",
-        help="testing aid: shift U0 by +1 so the zero-mode identity must fail",
-    )
     p.set_defaults(func=_cmd_verify)
     return parser
 

@@ -4,35 +4,31 @@ A real field in the kernel of one scalar Hamiltonian determines (up to one
 real gauge constant times the zero mode) the partner field that completes it
 to a solution of the main Vekua equation.  The construction is a dressed
 antigradient: differentiate, weight with exponentials of the superpotential,
-integrate back along L-paths (:func:`vekua.grid.lpath_field`).  Kernel
-membership of the input implies the compatibility of the integrand, so only
-:func:`abar_op`, the entry for outside input, checks compatibility.  The
-gauge is fixed by a zero value at the origin node; comparisons against
-references should fit the constant first (:func:`fit_gauge`).
+integrate back along L-paths.  Abar[phi] below is that integral,
+:func:`vekua.grid.lpath_field` of (Re phi, Im phi): the real field vanishing
+at the origin node whose d_zbar is phi.  Both entries require the input to
+be a kernel member, which implies the compatibility d2(Re phi) = d1(Im phi)
+of the integrand, so the integrand is not checked again.  The gauge is fixed
+by a zero value at the origin node; comparisons against references should
+fit the constant first (:func:`fit_gauge`).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CompatibilityError
-from .grid import Grid2D, d_x, d_y, d_zbar, interior_max, lpath_field
+from .grid import d_zbar, interior_max, lpath_field
 from .operators import h0, h2, require_kernel, vekua_v
 from .superpotential import Superpotential
 
 __all__ = [
     "ConjugateResult",
-    "abar_op",
     "conjugate_from_w1",
     "conjugate_from_w2",
     "fit_gauge",
 ]
-
-COMPAT_WARN = 100.0  # in units of h^2 * scale
-COMPAT_ERROR = 1000.0
 
 
 @dataclass(eq=False)
@@ -40,39 +36,6 @@ class ConjugateResult:
     partner: np.ndarray
     gauge_constant: float
     vekua_residual: float
-
-
-def _compat_defect(grid: Grid2D, phi):
-    """Max interior defect of d2(Re phi) - d1(Im phi) and its node."""
-    defect = d_y(grid, np.real(phi)) - d_x(grid, np.imag(phi))
-    inner = np.abs(defect[1:-1, 1:-1])
-    i, j = np.unravel_index(int(np.argmax(inner)), inner.shape)
-    return float(inner[i, j]), (int(i) + 1, int(j) + 1)
-
-
-def abar_op(grid: Grid2D, phi):
-    """Antigradient for the conjugate Wirtinger derivative.
-
-    Returns the real field vanishing at the centre node whose d_zbar is
-    (approximately) ``phi``; requires d2(Re phi) = d1(Im phi), warning above
-    :data:`COMPAT_WARN` and raising above :data:`COMPAT_ERROR` * h^2 * scale.
-    """
-    phi = grid.check(np.asarray(phi, dtype=complex))
-    h2_unit = grid.hmax**2
-    scale = max(1.0, float(np.max(np.abs(phi))))
-    defect, node = _compat_defect(grid, phi)
-    if defect > COMPAT_ERROR * h2_unit * scale:
-        raise CompatibilityError(
-            f"abar_op: compatibility defect {defect:.3e} at node {node} exceeds "
-            f"{COMPAT_ERROR:g}*h^2*scale = {COMPAT_ERROR * h2_unit * scale:.3e}"
-        )
-    if defect > COMPAT_WARN * h2_unit * scale:
-        warnings.warn(
-            f"abar_op: compatibility defect {defect:.3e} at node {node} above "
-            f"{COMPAT_WARN:g}*h^2*scale",
-            stacklevel=2,
-        )
-    return lpath_field(grid, np.real(phi), np.imag(phi))
 
 
 def conjugate_from_w1(sp: Superpotential, w1) -> ConjugateResult:

@@ -5,14 +5,6 @@ class GridShapeError(ValueError):
     """Sample array does not match the grid it is supposed to live on."""
 
 
-class DegeneratePairError(ValueError):
-    """Generating pair with vanishing Im(conj(F)*G) at some node."""
-
-
-class CompatibilityError(ValueError):
-    """Gradient-reconstruction integrand violates its compatibility condition."""
-
-
 class KernelMembershipError(ValueError):
     """Target field is not (approximately) in the kernel of the required operator."""
 

@@ -54,11 +54,12 @@ def taylor_coefficients(sp: Superpotential, w, degree: int) -> TaylorCoefficient
     """Origin-centered coefficients of a field in the formal-power basis.
 
     Applies the alternating pair derivatives of the period-two sequence
-    (:func:`~vekua.operators.bers_derivative_seq`) and reads off the origin
-    value at each level.  Raises ``ValueError`` for a field with non-finite
-    values, and when the propagated stencil-noise estimate drowns out every
-    computed coefficient, which is the signal that the grid is too coarse for
-    the requested degree.
+    (:func:`~vekua.operators.vekua_vbar` at even levels,
+    :func:`~vekua.operators.vekua_v1bar` at odd ones) and reads off the
+    origin value at each level.  Raises ``ValueError`` for a field with
+    non-finite values, and when the propagated stencil-noise estimate drowns
+    out every computed coefficient, which is the signal that the grid is too
+    coarse for the requested degree.
 
     Every level lives on one centred window ``[lo, n - lo)`` per axis, with
     ``lo = max(0, margin - degree - 2)`` and ``margin`` the noise model's

@@ -6,7 +6,8 @@ per grid node in x-major order (x outer, y inner), every line ended by
 is a bit-faithful round trip.  These are the bytes :class:`csv.writer`
 writes for those cells.  The reader accepts any line ending, blank lines,
 extra trailing columns and space-padded or quoted cells, and it enforces the
-x-major order.  Grid metadata travels as a small JSON record (a1, a2, n1, n2).
+x-major order.  Grid metadata is written next to the fields as a small JSON
+record (a1, a2, n1, n2) for the reader; the package never reads it back.
 
 Both CSV readers parse every data row with one :func:`numpy.loadtxt` call,
 which gives the float64 that ``float()`` gives for each cell.  They reject
@@ -31,7 +32,6 @@ __all__ = [
     "write_field_csv",
     "read_field_csv",
     "write_grid_meta",
-    "read_grid_meta",
     "read_axis_table",
 ]
 
@@ -147,17 +147,6 @@ def write_grid_meta(path, grid: Grid2D) -> None:
         "n2": grid.gy.n,
     }
     Path(path).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-
-
-def read_grid_meta(path) -> Grid2D:
-    record = json.loads(Path(path).read_text())
-    try:
-        return Grid2D(
-            Grid1D(float(record["a1"]), int(record["n1"])),
-            Grid1D(float(record["a2"]), int(record["n2"])),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: bad grid metadata ({exc})") from exc
 
 
 def read_axis_table(path, grid: Grid1D, label: str) -> np.ndarray:

@@ -1,13 +1,13 @@
-"""Explicit and recursive construction of formal powers.
+"""Explicit construction of formal powers.
 
 For a separable superpotential the pseudoanalytic analogues of a*(z-z0)^n
 admit a closed construction: two families of one-dimensional cumulative
 integrals per axis (with alternating exponential weights), two derived
 function systems per axis, and a binomial recombination.  That explicit
-assembly is the primary path here.  The generic recursive construction by
-pair-alternating integration is retained as an independent oracle: it
-exercises the adjoint-pair integral instead of the 1-D systems, so agreement
-of the two tables is a strong cross-check of both.
+assembly is the only construction here.  The pair integral
+:func:`fg_integral`, the step of the generic recursive construction by
+pair-alternating integration, serves the battery's ``diagram_integral`` row,
+where it must commute with the transmutation operators.
 
 All tables are built at the origin node z0 = 0, where the normalization
 chi1(0) = chi2(0) = 0 makes the degree-zero coefficients trivially solvable.
@@ -29,7 +29,6 @@ __all__ = [
     "build_aux_system",
     "assemble_formal_powers",
     "fg_integral",
-    "recursive_formal_powers",
 ]
 
 
@@ -191,29 +190,3 @@ def fg_integral(sp: Superpotential, m: int, w) -> np.ndarray:
     int_f = lpath_complex(grid, f_star * w)
     return f_gen * np.real(int_g) + g_gen * np.real(int_f)
 
-
-def recursive_formal_powers(sp: Superpotential, n_max: int) -> FormalPowerTable:
-    """Independent construction of the same table by recursive integration.
-
-    Degree zero starts from the generating pairs themselves; each next degree
-    integrates the opposite family with the alternating pair integral.  Path
-    integration error compounds with the degree, so this is the oracle, not
-    the production path.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
-    shape = (n_max + 1,) + sp.grid.shape
-    z_one = np.empty(shape, dtype=complex)
-    z_i = np.empty(shape, dtype=complex)
-    z1_one = np.empty(shape, dtype=complex)
-    z1_i = np.empty(shape, dtype=complex)
-    f0, g0 = generating_pair(sp, 0)
-    f1, g1 = generating_pair(sp, 1)
-    z_one[0], z_i[0] = f0, g0
-    z1_one[0], z1_i[0] = f1, g1
-    for n in range(n_max):
-        z_one[n + 1] = (n + 1) * fg_integral(sp, 0, z1_one[n])
-        z_i[n + 1] = (n + 1) * fg_integral(sp, 0, z1_i[n])
-        z1_one[n + 1] = (n + 1) * fg_integral(sp, 1, z_one[n])
-        z1_i[n + 1] = (n + 1) * fg_integral(sp, 1, z_i[n])
-    return FormalPowerTable(sp, n_max, z_one, z_i, z1_one, z1_i, None)

@@ -57,8 +57,8 @@ class Grid1D:
     nodes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.half_width <= 0:
-            raise ValueError(f"half_width must be positive, got {self.half_width}")
+        if not (np.isfinite(self.half_width) and self.half_width > 0):
+            raise ValueError(f"half_width must be positive and finite, got {self.half_width}")
         if self.n < 3 or self.n % 2 == 0:
             raise ValueError(f"node count must be odd and >= 3, got {self.n}")
         # index arithmetic keeps the nodes exactly antisymmetric about 0

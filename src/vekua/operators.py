@@ -30,7 +30,6 @@ __all__ = [
     "vekua_vbar",
     "vekua_v1",
     "vekua_v1bar",
-    "bers_derivative_seq",
     "project",
     "darboux",
     "darboux_adjoint",
@@ -154,11 +153,6 @@ def vekua_v1(sp: Superpotential, w) -> np.ndarray:
 def vekua_v1bar(sp: Superpotential, w) -> np.ndarray:
     """d_z w + (d_zbar chi) conj(w); the derivative operator of the successor pair."""
     return d_z(sp.grid, w) + sp.dzbar_chi() * np.conj(w)
-
-
-def bers_derivative_seq(sp: Superpotential, m: int, w) -> np.ndarray:
-    """Derivative taken with respect to the m-th pair of the period-two sequence."""
-    return vekua_vbar(sp, w) if m % 2 == 0 else vekua_v1bar(sp, w)
 
 
 # -- projections ----------------------------------------------------------

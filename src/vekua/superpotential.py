@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePairError
-from .grid import Grid1D, Grid2D, _first_derivative, d_z, d_zbar
+from .grid import Grid1D, Grid2D, _first_derivative
 
 __all__ = [
     "AxisProfile",
@@ -30,8 +29,6 @@ __all__ = [
     "make_superpotential",
     "catalog_names",
     "generating_pair",
-    "characteristic_coefficients",
-    "riccati_residual",
 ]
 
 _ORIGIN_TOL = 1e-10
@@ -108,9 +105,6 @@ class Superpotential:
     ay: AxisProfile
 
     # -- broadcast helpers ------------------------------------------------
-    def chi2d(self) -> np.ndarray:
-        return self.ax.chi[:, None] + self.ay.chi[None, :]
-
     def exp_chi(self, s1: float = 1.0, s2: float | None = None) -> np.ndarray:
         """exp(s1*chi1 + s2*chi2) as a 2-D field (s2 defaults to s1)."""
         if s2 is None:
@@ -228,48 +222,3 @@ def generating_pair(sp: Superpotential, m: int = 0):
         return sp.exp_chi(1.0, 1.0), 1j * sp.exp_chi(-1.0, -1.0)
     return sp.exp_chi(-1.0, 1.0), 1j * sp.exp_chi(1.0, -1.0)
 
-
-def characteristic_coefficients(grid: Grid2D, f_gen, g_gen):
-    """Coefficient fields (a, b, A, B) determined by a generating pair.
-
-    The four quotient formulas are evaluated nodewise with finite-difference
-    Wirtinger derivatives.  A vanishing Im(conj(F) G) anywhere makes the
-    pair degenerate and raises, naming the offending node.
-    """
-    f_gen = grid.check(np.asarray(f_gen, dtype=complex))
-    g_gen = grid.check(np.asarray(g_gen, dtype=complex))
-    im = np.imag(np.conj(f_gen) * g_gen)
-    floor = 1e-14 * max(1.0, float(np.max(np.abs(f_gen) * np.abs(g_gen))))
-    bad = np.abs(im) <= floor
-    if np.any(bad):
-        i, j = np.unravel_index(int(np.argmin(np.abs(im))), im.shape)
-        raise DegeneratePairError(
-            f"Im(conj(F)G) vanishes at node ({i}, {j}) = "
-            f"({grid.gx.nodes[i]:.6g}, {grid.gy.nodes[j]:.6g})"
-        )
-    denom = f_gen * np.conj(g_gen) - np.conj(f_gen) * g_gen  # = -2i Im(conj(F)G)
-    fz, fzb = d_z(grid, f_gen), d_zbar(grid, f_gen)
-    gz, gzb = d_z(grid, g_gen), d_zbar(grid, g_gen)
-    a = -(np.conj(f_gen) * gzb - np.conj(g_gen) * fzb) / denom
-    b = (f_gen * gzb - g_gen * fzb) / denom
-    big_a = -(np.conj(f_gen) * gz - np.conj(g_gen) * fz) / denom
-    big_b = (f_gen * gz - g_gen * fz) / denom
-    return a, b, big_a, big_b
-
-
-def riccati_residual(sp: Superpotential, which: int) -> np.ndarray:
-    """Residual of the complex Riccati equation tied to U0 (which=0) or U2 (which=2).
-
-    Returns d_zbar(R) + |R|^2 - U/4 with R = -dz(chi) for the first
-    potential and R = +dz(chi) for the second; analytically zero, so the
-    field measures pure stencil error.
-    """
-    if which == 0:
-        r = -sp.dz_chi()
-        u = sp.u0()
-    elif which == 2:
-        r = sp.dz_chi()
-        u = sp.u2()
-    else:
-        raise ValueError("which must be 0 or 2")
-    return d_zbar(sp.grid, r) + np.abs(r) ** 2 - 0.25 * u

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonConvergenceError
-from .grid import Grid1D, _cumulative_trapezoid, _first_derivative, cumulative_integral
+from .grid import Grid1D, _cumulative_trapezoid, cumulative_integral
 from .superpotential import AxisProfile, Superpotential
 
 __all__ = [
@@ -191,16 +191,14 @@ def build_transmute(profile: AxisProfile) -> TransmuteOp:
     return _dressed(profile, solve_goursat(profile))
 
 
-def ttilde_antiderivative_form(t_op: TransmuteOp, profile: AxisProfile, f, df=None):
+def ttilde_antiderivative_form(t_op: TransmuteOp, profile: AxisProfile, f, df):
     """Companion operator through its antiderivative representation.
 
-    exp(-chi) * (int_0^x exp(chi(s)) T[f'](s) ds + f(0)); the derivative is
-    taken by finite differences unless supplied.
+    exp(-chi) * (int_0^x exp(chi(s)) T[f'](s) ds + f(0)), with ``df`` the
+    samples of f'.
     """
     grid = profile.grid
     f = grid.check(np.asarray(f, dtype=float))
-    if df is None:
-        df = _first_derivative(f, grid.h, axis=0)
     weighted = np.exp(profile.chi) * t_op.along_x(df)
     acc = cumulative_integral(grid, weighted, grid.center)
     return np.exp(-profile.chi) * (acc + f[grid.center])

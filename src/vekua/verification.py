@@ -84,7 +84,6 @@ class RunConfig:
     n2: int = 201
     sp_name: str = "zero"
     sp_params: tuple[float, ...] = ()
-    corrupt_u0: bool = False
     tolerances: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
@@ -196,8 +195,6 @@ def _res_zero_mode(level: _Level, which: int) -> float:
     sp = level.sp
     mode = sp.exp_chi(-1.0) if which == 0 else sp.exp_chi(1.0)
     u = sp.u0() if which == 0 else sp.u2()
-    if which == 0 and level.cfg.corrupt_u0:
-        u = u + 1.0  # deliberate corruption hook for harness sanity checks
     resid = -laplacian(sp.grid, mode) + u * mode
     return interior_max(resid, margin=2) / max(1.0, float(np.max(np.abs(mode))))
 

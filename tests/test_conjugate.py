@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from vekua.conjugate import (
-    abar_op,
     conjugate_from_w1,
     conjugate_from_w2,
     fit_gauge,
 )
-from vekua.errors import CompatibilityError, KernelMembershipError
+from vekua.errors import KernelMembershipError
 from vekua.formal_powers import assemble_formal_powers
-from vekua.grid import Grid2D, d_zbar, interior_max
+from vekua.grid import Grid2D, interior_max
 from vekua.superpotential import make_superpotential
 
 
@@ -29,36 +28,6 @@ def quad(grid):
 
 
 H2 = 1e-4
-
-
-# ----------------------------------------------------------- antigradients
-
-def test_abar_reconstructs_polynomial(grid):
-    x, y = grid.meshes()
-    phi = x**2 * y
-    rebuilt = abar_op(grid, d_zbar(grid, phi))
-    assert np.max(np.abs(rebuilt - phi)) <= 10 * H2
-    assert rebuilt[grid.center] == 0.0
-
-
-def test_abar_zero(grid):
-    out = abar_op(grid, np.zeros(grid.shape, dtype=complex))
-    np.testing.assert_array_equal(out, np.zeros(grid.shape))
-
-
-def test_abar_analytic_oracle(grid):
-    x, y = grid.meshes()
-    phi = np.exp(x) * np.cos(y)
-    rebuilt = abar_op(grid, d_zbar(grid, phi))
-    assert np.max(np.abs(rebuilt - (phi - 1.0))) <= 10 * H2
-
-
-def test_abar_rejects_incompatible_field(grid):
-    x, y = grid.meshes()
-    # d2(Re) - d1(Im) = -2 for phi = y - i x: clearly incompatible
-    phi = y - 1j * x
-    with pytest.raises(CompatibilityError, match="node"):
-        abar_op(grid, phi)
 
 
 # ----------------------------------------------------- conjugate construction

@@ -14,7 +14,7 @@ from vekua.expansion import (
 )
 from vekua.formal_powers import assemble_formal_powers
 from vekua.grid import Grid1D, Grid2D, d_x, d_y, interior_max
-from vekua.operators import bers_derivative_seq
+from vekua.operators import vekua_v1bar, vekua_vbar
 from vekua.superpotential import make_superpotential
 
 
@@ -114,7 +114,7 @@ def _full_grid_taylor(sp, w, degree):
         dy3 = d_y(grid, d_y(grid, d_y(grid, cur)))
         trunc = (h**2 / 6.0) * (interior_max(dx3, margin=margin) + interior_max(dy3, margin=margin))
         level_noise = NOISE_SAFETY * trunc + carry * level_noise
-        cur = bers_derivative_seq(sp, m, cur)
+        cur = (vekua_vbar if m % 2 == 0 else vekua_v1bar)(sp, cur)
         values[m + 1] = cur[i0, j0] / factorial(m + 1)
         noise[m + 1] = level_noise / factorial(m + 1)
     biggest = float(np.max(np.abs(values)))

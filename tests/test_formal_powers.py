@@ -3,10 +3,10 @@ import pytest
 
 import vekua.operators as ops
 from vekua.formal_powers import (
+    FormalPowerTable,
     assemble_formal_powers,
     build_aux_system,
     fg_integral,
-    recursive_formal_powers,
 )
 from vekua.grid import Grid2D, interior_max
 from vekua.superpotential import generating_pair, make_superpotential
@@ -183,6 +183,25 @@ def test_fg_integral_recursion_step(quad, table_quad):
 
 
 # ------------------------------------------------------------- recursion
+
+def recursive_formal_powers(sp, n_max):
+    """Oracle: the same table by recursive pair integration.
+
+    Degree zero starts from the generating pairs themselves; each next degree
+    integrates the opposite family with the alternating pair integral, so it
+    exercises fg_integral instead of the 1-D systems of the explicit assembly.
+    """
+    shape = (n_max + 1,) + sp.grid.shape
+    z_one, z_i, z1_one, z1_i = (np.empty(shape, dtype=complex) for _ in range(4))
+    z_one[0], z_i[0] = generating_pair(sp, 0)
+    z1_one[0], z1_i[0] = generating_pair(sp, 1)
+    for n in range(n_max):
+        z_one[n + 1] = (n + 1) * fg_integral(sp, 0, z1_one[n])
+        z_i[n + 1] = (n + 1) * fg_integral(sp, 0, z1_i[n])
+        z1_one[n + 1] = (n + 1) * fg_integral(sp, 1, z_one[n])
+        z1_i[n + 1] = (n + 1) * fg_integral(sp, 1, z_i[n])
+    return FormalPowerTable(sp, n_max, z_one, z_i, z1_one, z1_i)
+
 
 def test_recursive_matches_explicit(quad, table_quad):
     rec = recursive_formal_powers(quad, 4)

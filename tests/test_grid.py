@@ -38,6 +38,9 @@ def test_grid_requires_odd_node_count():
         Grid1D(1.0, 1)
     with pytest.raises(ValueError):
         Grid1D(-1.0, 201)
+    for half_width in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Grid1D(half_width, 5)
 
 
 def test_grid_nodes_symmetric_about_zero():

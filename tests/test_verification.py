@@ -2,7 +2,9 @@ import dataclasses
 
 import pytest
 
+import vekua.verification as verification
 from vekua.cli import main
+from vekua.superpotential import Superpotential
 from vekua.verification import RunConfig, checks_for, run_battery
 
 N = 61
@@ -30,9 +32,20 @@ def test_rows_follow_the_registry(batteries, family):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_corrupt_potential_fails_only_zero_mode_h0(family):
-    cfg = RunConfig(n1=N, n2=N, sp_name=family, sp_params=FAMILIES[family], corrupt_u0=True)
+def test_corrupt_potential_fails_only_zero_mode_h0(family, monkeypatch, tmp_path):
+    # mutant: U0 shifted by +1.  Only the two zero-mode rows run: with the
+    # full registry the shifted potential also rejects the self-fit target
+    # as outside ker h0, which aborts the battery
+    u0 = Superpotential.u0
+    monkeypatch.setattr(Superpotential, "u0", lambda sp: u0(sp) + 1.0)
+    monkeypatch.setattr(verification, "CHECKS", tuple(
+        c for c in verification.CHECKS if c.name in ("zero_mode_h0", "zero_mode_h2")))
+    cfg = RunConfig(n1=N, n2=N, sp_name=family, sp_params=FAMILIES[family])
     assert {r.name for r in run_battery(cfg) if not r.passed} == {"zero_mode_h0"}
+    params = ",".join(map(str, FAMILIES[family]))
+    argv = ["verify", "--sp", family, f"--params={params}", "--nodes", str(N),
+            "--out", str(tmp_path)]
+    assert main(argv) == 1
 
 
 def test_tolerance_override_moves_only_its_cap(batteries):
