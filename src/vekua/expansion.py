@@ -2,7 +2,9 @@
 
 Two approximation routes.  The collocation fit is the workhorse: linear
 least squares over the real span of the imaginary (or real) parts of the
-sampled formal powers, which are complete for the respective kernels.  The
+sampled formal powers, which are complete for the respective kernels.  Its
+design matrix depends only on the table, the basis and the degree, so the
+table builds it once per ``(basis, degree)`` and every fit reuses it.  The
 Taylor route evaluates successive pair derivatives at the origin, on the
 centred window that the origin values and the noise model read; repeated
 numerical differentiation is ill-conditioned, so it is capped at degree 6
@@ -18,7 +20,7 @@ from math import factorial
 import numpy as np
 
 from .grid import _first_derivative, interior, interior_max
-from .formal_powers import FormalPowerTable
+from .formal_powers import FormalPowerTable, _basis_part
 from .operators import h0, h2, require_kernel
 from .superpotential import Superpotential
 
@@ -156,16 +158,13 @@ class FitResult:
     rank: int
 
     def coefficient(self, n: int, which: str) -> float:
+        """Coefficient of slot (n, 1) (``which="one"``) or (n, i) (``"i"``)."""
+        if which not in ("one", "i"):
+            raise ValueError(f"which must be 'one' or 'i', got {which!r}")
+        if not 0 <= n <= self.degree:
+            raise ValueError(f"exponent {n} outside the fitted range 0..{self.degree}")
         idx = 2 * n + (0 if which == "one" else 1)
         return float(self.coefficients[idx])
-
-
-def _basis_part(basis_kind: str, field_c) -> np.ndarray:
-    if basis_kind == "ker_h0":
-        return np.imag(field_c)
-    if basis_kind == "ker_h2":
-        return np.real(field_c)
-    raise ValueError("basis_kind must be 'ker_h0' or 'ker_h2'")
 
 
 def fit_formal_polynomial(
@@ -181,22 +180,24 @@ def fit_formal_polynomial(
     the formal powers with coefficients 1 and i, n = 0..degree.  Membership
     of the target in the corresponding kernel is checked first; rank
     deficiency is tolerated (one column is structurally zero) and reported
-    through the singular values.
+    through the singular values.  ``degree`` must be an integer in
+    0..``table.n_max``.  The design matrix is the table's memoized
+    :meth:`~vekua.formal_powers.FormalPowerTable.design`.
     """
     grid = sp.grid
     target = grid.check(np.asarray(target, dtype=float))
-    if degree > table.n_max:
-        raise ValueError("degree exceeds the table range")
+    if (
+        isinstance(degree, bool)
+        or not isinstance(degree, (int, np.integer))
+        or not 0 <= degree <= table.n_max
+    ):
+        raise ValueError(f"degree must be an integer in 0..{table.n_max}, got {degree!r}")
     op = h0 if basis_kind == "ker_h0" else h2 if basis_kind == "ker_h2" else None
     if op is None:
         raise ValueError("basis_kind must be 'ker_h0' or 'ker_h2'")
     require_kernel(sp, op, target, "fit_formal_polynomial")
 
-    columns = []
-    for n in range(degree + 1):
-        columns.append(interior(_basis_part(basis_kind, table.z_one[n]), margin=2).ravel())
-        columns.append(interior(_basis_part(basis_kind, table.z_i[n]), margin=2).ravel())
-    design = np.column_stack(columns)
+    design = table.design(basis_kind, degree)
     rhs = interior(target, margin=2).ravel()
     coef, _, rank, sv = np.linalg.lstsq(design, rhs, rcond=None)
     resid = design @ coef - rhs

@@ -15,12 +15,12 @@ chi1(0) = chi2(0) = 0 makes the degree-zero coefficients trivially solvable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
 
-from .grid import Grid2D, cumulative_integral, lpath_complex
+from .grid import Grid2D, cumulative_integral, interior, lpath_complex
 from .superpotential import Superpotential, generating_pair
 
 __all__ = [
@@ -100,6 +100,15 @@ def build_aux_system(sp: Superpotential, n_max: int) -> AuxSystem:
     return AuxSystem(sp, n_max, x_pow, x_pow_t, y_pow, y_pow_t, phi, phi_t, psi, psi_t)
 
 
+def _basis_part(basis_kind: str, field_c) -> np.ndarray:
+    """Imaginary (``ker_h0``) or real (``ker_h2``) part of a complex field."""
+    if basis_kind == "ker_h0":
+        return np.imag(field_c)
+    if basis_kind == "ker_h2":
+        return np.real(field_c)
+    raise ValueError("basis_kind must be 'ker_h0' or 'ker_h2'")
+
+
 @dataclass(eq=False)
 class FormalPowerTable:
     """Sampled formal powers of both sequence members for n = 0..n_max.
@@ -107,6 +116,10 @@ class FormalPowerTable:
     ``z_one[n]``/``z_i[n]`` solve the main Vekua equation, ``z1_one[n]`` /
     ``z1_i[n]`` the successor one.  General coefficients come from the
     real-linear rule a = a1 + i*a2 -> a1 * Z(1) + a2 * Z(i).
+
+    The four power stacks are read-only once the table exists, so the fit
+    designs that :meth:`design` memoizes per ``(basis_kind, degree)`` can
+    never go stale.
     """
 
     sp: Superpotential
@@ -116,6 +129,11 @@ class FormalPowerTable:
     z1_one: np.ndarray
     z1_i: np.ndarray
     aux: AuxSystem | None = None
+    _designs: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        for stack in (self.z_one, self.z_i, self.z1_one, self.z1_i):
+            stack.flags.writeable = False
 
     def power(self, n: int, a: complex) -> np.ndarray:
         """Formal power of the main sequence with coefficient ``a``."""
@@ -128,6 +146,26 @@ class FormalPowerTable:
         self._check(n)
         a = complex(a)
         return a.real * self.z1_one[n] + a.imag * self.z1_i[n]
+
+    def design(self, basis_kind: str, degree: int) -> np.ndarray:
+        """Read-only collocation matrix of the fit in ``basis_kind``.
+
+        One column per slot (n, 1), (n, i), n = 0..degree, in that order: the
+        imaginary (``ker_h0``) or real (``ker_h2``) part of Z^n(1) and Z^n(i)
+        on the margin-2 interior, raveled.  Built on the first request for a
+        ``(basis_kind, degree)`` pair and returned as is afterwards.
+        """
+        key = (basis_kind, degree)
+        if key not in self._designs:
+            self._check(degree)
+            columns = []
+            for n in range(degree + 1):
+                columns.append(interior(_basis_part(basis_kind, self.z_one[n]), margin=2).ravel())
+                columns.append(interior(_basis_part(basis_kind, self.z_i[n]), margin=2).ravel())
+            design = np.column_stack(columns)
+            design.flags.writeable = False
+            self._designs[key] = design
+        return self._designs[key]
 
     def _check(self, n: int):
         if not 0 <= n <= self.n_max:

@@ -134,25 +134,29 @@ def require_kernel(sp: Superpotential, op, f, label: str) -> None:
 
 
 # -- complex first-order operators ---------------------------------------
+# The memoized coefficient stays the left operand of an explicit
+# np.multiply: in ``coef * np.conj(w)`` numpy would reuse the temporary
+# conj(w) as the output and swap the operands of the complex product, which
+# moves the last bit of some products.
 
 def vekua_v(sp: Superpotential, w) -> np.ndarray:
     """Main Vekua operator: d_zbar w - (d_zbar chi) conj(w)."""
-    return d_zbar(sp.grid, w) - sp.dzbar_chi() * np.conj(w)
+    return d_zbar(sp.grid, w) - np.multiply(sp.dzbar_chi(), np.conj(w))
 
 
 def vekua_vbar(sp: Superpotential, w) -> np.ndarray:
     """d_z w - (d_z chi) conj(w); the derivative operator of the main pair."""
-    return d_z(sp.grid, w) - sp.dz_chi() * np.conj(w)
+    return d_z(sp.grid, w) - np.multiply(sp.dz_chi(), np.conj(w))
 
 
 def vekua_v1(sp: Superpotential, w) -> np.ndarray:
     """Successor Vekua operator: d_zbar w + (d_z chi) conj(w)."""
-    return d_zbar(sp.grid, w) + sp.dz_chi() * np.conj(w)
+    return d_zbar(sp.grid, w) + np.multiply(sp.dz_chi(), np.conj(w))
 
 
 def vekua_v1bar(sp: Superpotential, w) -> np.ndarray:
     """d_z w + (d_zbar chi) conj(w); the derivative operator of the successor pair."""
-    return d_z(sp.grid, w) + sp.dzbar_chi() * np.conj(w)
+    return d_z(sp.grid, w) + np.multiply(sp.dzbar_chi(), np.conj(w))
 
 
 # -- projections ----------------------------------------------------------

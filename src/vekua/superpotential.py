@@ -17,7 +17,8 @@ error and stencil error distinguishable in the verification suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import wraps
 
 import numpy as np
 
@@ -94,15 +95,38 @@ class AxisProfile:
         return AxisProfile(self.grid, -self.chi, -self.dchi, -self.d2chi, poly)
 
 
+def _built_once(method):
+    """Build a derived field on the first call, then return it read-only."""
+    key = method.__name__
+
+    @wraps(method)
+    def derived(self):
+        if key not in self._derived:
+            value = method(self)
+            for array in value if isinstance(value, tuple) else (value,):
+                array.flags.writeable = False
+            self._derived[key] = value
+        return self._derived[key]
+
+    return derived
+
+
 @dataclass(eq=False)
 class Superpotential:
-    """chi = chi1(x) + chi2(y) sampled on a 2-D grid, with derivatives."""
+    """chi = chi1(x) + chi2(y) sampled on a 2-D grid, with derivatives.
+
+    The derived full-grid fields (:meth:`dz_chi`, :meth:`dzbar_chi`,
+    :meth:`u0`, :meth:`u2`, :meth:`matrix_potential`) depend on the profiles
+    alone: each is built on its first call and returned read-only afterwards.
+    :meth:`exp_chi` depends on its exponents and is built on every call.
+    """
 
     name: str
     params: tuple[float, ...]
     grid: Grid2D
     ax: AxisProfile
     ay: AxisProfile
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     # -- broadcast helpers ------------------------------------------------
     def exp_chi(self, s1: float = 1.0, s2: float | None = None) -> np.ndarray:
@@ -111,11 +135,14 @@ class Superpotential:
             s2 = s1
         return np.exp(s1 * self.ax.chi)[:, None] * np.exp(s2 * self.ay.chi)[None, :]
 
+    @_built_once
     def dz_chi(self) -> np.ndarray:
         """Wirtinger derivative of chi: (chi1'(x) - i chi2'(y)) / 2."""
         return 0.5 * (self.ax.dchi[:, None] - 1j * self.ay.dchi[None, :])
 
+    @_built_once
     def dzbar_chi(self) -> np.ndarray:
+        """Conjugate Wirtinger derivative of chi: (chi1'(x) + i chi2'(y)) / 2."""
         return 0.5 * (self.ax.dchi[:, None] + 1j * self.ay.dchi[None, :])
 
     def grad_component(self, i: int) -> np.ndarray:
@@ -127,18 +154,21 @@ class Superpotential:
         raise ValueError(f"axis index must be 1 or 2, got {i}")
 
     # -- potentials --------------------------------------------------------
+    @_built_once
     def u0(self) -> np.ndarray:
         """Scalar potential of the first Hamiltonian: |grad chi|^2 - lap chi."""
         return (self.ax.dchi**2 - self.ax.d2chi)[:, None] + (
             self.ay.dchi**2 - self.ay.d2chi
         )[None, :]
 
+    @_built_once
     def u2(self) -> np.ndarray:
         """Scalar potential of the second Hamiltonian: |grad chi|^2 + lap chi."""
         return (self.ax.dchi**2 + self.ax.d2chi)[:, None] + (
             self.ay.dchi**2 + self.ay.d2chi
         )[None, :]
 
+    @_built_once
     def matrix_potential(self):
         """Diagonal (P11, P22) of the matrix potential delta_ij U0 + 2 d_i d_j chi.
 

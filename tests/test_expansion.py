@@ -13,7 +13,7 @@ from vekua.expansion import (
     taylor_coefficients,
 )
 from vekua.formal_powers import assemble_formal_powers
-from vekua.grid import Grid1D, Grid2D, d_x, d_y, interior_max
+from vekua.grid import Grid1D, Grid2D, d_x, d_y, interior, interior_max
 from vekua.operators import vekua_v1bar, vekua_vbar
 from vekua.superpotential import make_superpotential
 
@@ -276,3 +276,67 @@ def test_fit_reports_structural_rank_deficiency(zero_sp, table_zero, grid):
     assert fit.rank < 2 * (2 + 1)
     assert fit.singular_values[-1] <= 1e-10 * fit.singular_values[0]
     assert fit.coefficient(2, "one") == pytest.approx(1.0, abs=1e-8)
+
+
+def _inline_design_fit(target, table, basis_kind, degree):
+    """The fit with its design built inline on every call: the oracle of the
+    memoized design (same columns, same order, same lstsq call)."""
+    part = np.imag if basis_kind == "ker_h0" else np.real
+    columns = []
+    for n in range(degree + 1):
+        columns.append(interior(part(table.z_one[n]), margin=2).ravel())
+        columns.append(interior(part(table.z_i[n]), margin=2).ravel())
+    design = np.column_stack(columns)
+    rhs = interior(target, margin=2).ravel()
+    coef, _, rank, sv = np.linalg.lstsq(design, rhs, rcond=None)
+    resid = design @ coef - rhs
+    return coef, sv, int(rank), float(np.max(np.abs(resid))), float(np.sqrt(np.mean(resid**2)))
+
+
+@pytest.mark.parametrize(
+    "name, params, n",
+    [("quadratic", (1.0, -0.5), 201), ("linear", (0.5, -1.0), 61), ("zero", (), 61)],
+)
+def test_memoized_design_fits_bit_for_bit(name, params, n):
+    sp = make_superpotential(name, params, Grid2D.square(1.0, n))
+    table = assemble_formal_powers(sp, 4)
+    member = table.power(2, 1.0) + 0.3 * table.power(3, 1j) - 0.2 * table.power(1, 1.0 + 1j)
+    targets = {"ker_h0": np.imag(member), "ker_h2": np.real(member)}
+    # several fits in a row on one table: each degree twice, the bases interleaved
+    degrees = list(range(table.n_max + 1))
+    for degree in degrees + degrees[::-1]:
+        for basis_kind in ("ker_h0", "ker_h2"):
+            target = targets[basis_kind]
+            fit = fit_formal_polynomial(sp, target, table, basis_kind, degree)
+            coef, sv, rank, rmax, rrms = _inline_design_fit(target, table, basis_kind, degree)
+            np.testing.assert_array_equal(fit.coefficients.view(np.uint64), coef.view(np.uint64))
+            np.testing.assert_array_equal(fit.singular_values.view(np.uint64), sv.view(np.uint64))
+            assert fit.rank == rank
+            assert fit.residual_max.hex() == rmax.hex()
+            assert fit.residual_rms.hex() == rrms.hex()
+
+
+def test_design_is_built_once_and_read_only(table_quad):
+    for basis_kind in ("ker_h0", "ker_h2"):
+        design = table_quad.design(basis_kind, 3)
+        assert table_quad.design(basis_kind, 3) is design
+        assert design.shape == (197 * 197, 8)
+        with pytest.raises(ValueError):
+            design[0, 0] = 1.0
+    assert table_quad.design("ker_h0", 3) is not table_quad.design("ker_h2", 3)
+    assert table_quad.design("ker_h0", 3) is not table_quad.design("ker_h0", 2)
+
+
+def test_fit_coefficient_rejects_unknown_slots(quad, table_quad):
+    fit = fit_formal_polynomial(quad, np.imag(table_quad.z_i[1]), table_quad, "ker_h0", degree=2)
+    assert fit.coefficient(2, "i") == float(fit.coefficients[5])
+    for n, which in ((3, "i"), (-1, "one"), (0, "x"), (1, "I")):
+        with pytest.raises(ValueError):
+            fit.coefficient(n, which)
+
+
+@pytest.mark.parametrize("degree", [-1, 7, 2.0, True])
+def test_fit_rejects_degree_outside_the_table(quad, table_quad, degree):
+    target = np.imag(table_quad.z_i[1])
+    with pytest.raises(ValueError, match=r"degree must be an integer in 0\.\.6"):
+        fit_formal_polynomial(quad, target, table_quad, "ker_h0", degree)

@@ -246,3 +246,10 @@ def test_period_one_degeneracy_when_chi1_vanishes(grid):
     for n in range(5):
         np.testing.assert_allclose(table.z1_one[n], table.z_one[n], atol=1e-12)
         np.testing.assert_allclose(table.z1_i[n], table.z_i[n], atol=1e-12)
+
+
+def test_power_stacks_are_read_only(table_quad):
+    # the fit designs memoized on the table are built from these stacks
+    for stack in (table_quad.z_one, table_quad.z_i, table_quad.z1_one, table_quad.z1_i):
+        with pytest.raises(ValueError):
+            stack[1, 0, 0] = 0.0

@@ -9,7 +9,7 @@ from vekua.corpus import corpus_scale, smooth_corpus
 from vekua.errors import KernelMembershipError
 from vekua.expansion import fit_formal_polynomial
 from vekua.formal_powers import assemble_formal_powers
-from vekua.grid import Grid2D, interior_max
+from vekua.grid import Grid2D, d_z, d_zbar, interior_max, laplacian
 from vekua.superpotential import make_superpotential
 
 
@@ -297,3 +297,67 @@ def test_coarse_grid_kernel_members_raise_no_warning():
             conjugate_from_w2(sp, np.imag(z))
             fit_formal_polynomial(sp, np.real(z), table, "ker_h2", 6)
             conjugate_from_w1(sp, np.real(z))
+
+
+def _fresh_coefficient_oracles():
+    """The operators with every coefficient field built afresh on each call,
+    written with the same expressions (and the same temporaries)."""
+
+    def dz_chi(sp):
+        return 0.5 * (sp.ax.dchi[:, None] - 1j * sp.ay.dchi[None, :])
+
+    def dzbar_chi(sp):
+        return 0.5 * (sp.ax.dchi[:, None] + 1j * sp.ay.dchi[None, :])
+
+    def u0(sp):
+        return (sp.ax.dchi**2 - sp.ax.d2chi)[:, None] + (sp.ay.dchi**2 - sp.ay.d2chi)[None, :]
+
+    def u2(sp):
+        return (sp.ax.dchi**2 + sp.ax.d2chi)[:, None] + (sp.ay.dchi**2 + sp.ay.d2chi)[None, :]
+
+    def h1(sp, v):
+        u = u0(sp)
+        p11 = u + 2.0 * sp.ax.d2chi[:, None]
+        p22 = u + 2.0 * sp.ay.d2chi[None, :]
+        c1, c2 = v
+        return (
+            -laplacian(sp.grid, c1) + p11 * c1,
+            -laplacian(sp.grid, c2) + p22 * c2,
+        )
+
+    return {
+        "vekua_v": lambda sp, w: d_zbar(sp.grid, w) - dzbar_chi(sp) * np.conj(w),
+        "vekua_vbar": lambda sp, w: d_z(sp.grid, w) - dz_chi(sp) * np.conj(w),
+        "vekua_v1": lambda sp, w: d_zbar(sp.grid, w) + dz_chi(sp) * np.conj(w),
+        "vekua_v1bar": lambda sp, w: d_z(sp.grid, w) + dzbar_chi(sp) * np.conj(w),
+        "h0": lambda sp, f: -laplacian(sp.grid, f) + u0(sp) * np.asarray(f),
+        "h2": lambda sp, f: -laplacian(sp.grid, f) + u2(sp) * np.asarray(f),
+        "h1": h1,
+    }
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return (a.view(float) if np.iscomplexobj(a) else a).view(np.uint64)
+
+
+@pytest.mark.parametrize(
+    "name, params", [("zero", ()), ("linear", (0.5, -1.0)), ("quadratic", (1.0, -0.5))]
+)
+def test_operators_on_built_once_fields_are_bit_for_bit(grid, corpus, name, params):
+    sp = make_superpotential(name, params, grid)
+    table = assemble_formal_powers(sp, 3)
+    fields = [w for _, w in corpus] + [table.power(3, 1.0 - 0.5j), table.power_succ(2, 1j)]
+    oracles = _fresh_coefficient_oracles()
+    for _ in range(2):  # the second round reads every coefficient from the memo
+        for w in fields:
+            for op in ("vekua_v", "vekua_vbar", "vekua_v1", "vekua_v1bar"):
+                got = getattr(ops, op)(sp, w)
+                np.testing.assert_array_equal(_bits(got), _bits(oracles[op](sp, w)), err_msg=op)
+            for op in ("h0", "h2"):
+                for f in (w.real, w.imag):
+                    got = getattr(ops, op)(sp, f)
+                    np.testing.assert_array_equal(_bits(got), _bits(oracles[op](sp, f)), err_msg=op)
+            pair = (w.real, w.imag)
+            for got, want in zip(ops.h1(sp, pair), oracles["h1"](sp, pair)):
+                np.testing.assert_array_equal(_bits(got), _bits(want), err_msg="h1")

@@ -107,3 +107,21 @@ def test_period_two_exact(grid, quad):
     f2, g2 = generating_pair(quad, 2)
     np.testing.assert_array_equal(f0, f2)
     np.testing.assert_array_equal(g0, g2)
+
+
+@pytest.mark.parametrize("name, params", [("zero", ()), ("linear", (0.5, -1.0))])
+def test_derived_fields_are_built_once_and_read_only(grid, name, params):
+    sp = make_superpotential(name, params, grid)
+    for method in (sp.dz_chi, sp.dzbar_chi, sp.u0, sp.u2):
+        field = method()
+        assert method() is field
+        with pytest.raises(ValueError):
+            field[0, 0] = 1.0
+    p11, p22 = sp.matrix_potential()
+    assert sp.matrix_potential()[0] is p11
+    for field in (p11, p22):
+        with pytest.raises(ValueError):
+            field[0, 0] = 1.0
+    # exp_chi depends on its exponents and is a fresh writable array each call
+    assert sp.exp_chi(1.0) is not sp.exp_chi(1.0)
+    sp.exp_chi(1.0)[0, 0] = 0.0
