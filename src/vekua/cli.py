@@ -7,41 +7,40 @@ in the formal-power basis) and ``verify`` (full identity battery at two
 resolutions).
 
 Every subcommand reads one :class:`~vekua.verification.RunConfig`: the
-dataclass defaults, then the ``--config`` JSON file, then the flags.  Every
-key of the file is optional::
+dataclass defaults, then the ``--config`` JSON file, then the flags.  The
+file may hold these keys, each optional, and no others::
 
     {"grid": {"a1": 1.0, "a2": 1.0, "n1": 201, "n2": 201},
-     "superpotential": {"name": "linear", "params": [0.5, -1.0]},
-     "tolerances": {"factorization": 150.0}}
+     "superpotential": {"name": "linear", "params": [0.5, -1.0]}}
 
-``tolerances`` maps the name of a battery check whose cap is a multiple of
-h^2 (a check with an ``h2_cap`` in :data:`vekua.verification.CHECKS`) to a
-positive multiple of h^2 that replaces that cap.
+Only ``formal-powers`` and ``verify`` build their grid from ``grid`` and take
+``--half-width`` and ``--nodes``; ``transmute``, ``conjugate`` and ``expand``
+run on the grid of ``--input``.  ``verify`` runs catalog families only, so
+it takes no ``--chi1-file``/``--chi2-file``.  Caps are not settable; they
+come from :data:`vekua.verification.CHECKS`.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error, 3
-numerical non-convergence.  Exit 2 covers unknown flags; an unreadable
-config or input file; a non-numeric ``--params`` or config value; an even
-or too small node count; a half-width that is not positive and finite; a
-tolerance name without an h^2 cap, or a tolerance that is not positive and
-finite; an unknown family, a wrong parameter count for it (``tabulated``
-takes none) or a non-finite parameter; a negative ``--n-max`` or
-``--degree``; an input CSV with a short row, a non-numeric cell or a
-non-finite value; field CSV rows out of x-major order; and a domain error
-of the input: a field outside the kernel the subcommand needs
-(``KernelMembershipError``: it has a non-finite value, or its h0 or h2
-residual is not within 50 h^2 times the largest of 1, |f_xx|, |f_yy| and
-|U f|, see :func:`vekua.operators.require_kernel`) or a grid too small for
-the stencils (``GridShapeError``).  Each prints one line to stderr.  Identical
-configuration yields byte-identical outputs; the output directory defaults
-to ``--out`` and can be overridden with the ``VEKUA_OUTDIR`` environment
-variable.
+numerical non-convergence.  Exit 2 covers unknown flags (a grid flag where
+the grid comes from ``--input``, a chi file flag on ``verify``); an
+unreadable config or input file; a config key not shown above; a
+non-numeric ``--params`` or config value; a node count that is not an odd
+integer >= 3; a half-width that is not positive and finite; an unknown
+family, a wrong parameter count for it (``tabulated`` takes none) or a
+non-finite parameter; a negative ``--n-max`` or ``--degree``; an input CSV
+with a short row, a non-numeric cell or a non-finite value; field CSV rows
+out of x-major order; and a domain error of the input: a field outside the
+kernel the subcommand needs (``KernelMembershipError``: it has a non-finite
+value, or its h0 or h2 residual is not within 50 h^2 times the largest of
+1, |f_xx|, |f_yy| and |U f|, see :func:`vekua.operators.require_kernel`) or
+a grid too small for the stencils (``GridShapeError``).  Each prints one
+line to stderr.  Identical configuration yields byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
+import operator
 import sys
 from pathlib import Path
 
@@ -63,7 +62,7 @@ from .fields_io import (
 )
 from .formal_powers import assemble_formal_powers
 from .grid import Grid2D
-from .superpotential import catalog_names, make_superpotential
+from .superpotential import Superpotential, catalog_names, make_superpotential
 from .transmutation import build_transmute, build_transmute_2d, build_transmute_tilde
 from .verification import RunConfig, run_battery, render_report, write_report
 
@@ -76,53 +75,66 @@ EXIT_NONCONVERGENCE = 3
 _DOMAIN_ERRORS = (KernelMembershipError, GridShapeError)
 
 
-def _add_common(parser: argparse.ArgumentParser):
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors print one stderr line and exit 2."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"usage error: {self.prog}: {message}\n")
+
+
+def _add_common(parser: argparse.ArgumentParser, grid_flags: bool, table_flags: bool):
     parser.add_argument("--config", type=Path, help="JSON config file; flags override it")
-    parser.add_argument("--half-width", type=float, nargs="+", metavar="A",
-                        help="rectangle half-widths (one value or a1 a2)")
-    parser.add_argument("--nodes", type=int, nargs="+", metavar="N",
-                        help="odd node counts (one value or n1 n2)")
-    parser.add_argument("--sp", dest="sp_name",
-                        choices=catalog_names(),
+    if grid_flags:
+        parser.add_argument("--half-width", type=float, nargs="+", metavar="A",
+                            help="rectangle half-widths (one value or a1 a2)")
+        parser.add_argument("--nodes", type=int, nargs="+", metavar="N",
+                            help="odd node counts (one value or n1 n2)")
+    parser.add_argument("--sp", dest="sp_name", choices=catalog_names(),
                         help="superpotential family")
     parser.add_argument("--params", help="comma-separated family parameters")
-    parser.add_argument("--chi1-file", type=Path, help="CSV x,chi1 for the tabulated family")
-    parser.add_argument("--chi2-file", type=Path, help="CSV y,chi2 for the tabulated family")
+    if table_flags:
+        parser.add_argument("--chi1-file", type=Path, help="CSV x,chi1 for the tabulated family")
+        parser.add_argument("--chi2-file", type=Path, help="CSV y,chi2 for the tabulated family")
     parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
 
 
-# config-file "grid" keys: RunConfig field and conversion
-_GRID_KEYS = {"a1": ("half_width1", float), "a2": ("half_width2", float),
-              "n1": ("n1", int), "n2": ("n2", int)}
+# config-file section -> key -> (RunConfig field, conversion)
+_CONFIG_KEYS = {
+    "grid": {"a1": ("half_width1", float), "a2": ("half_width2", float),
+             "n1": ("n1", operator.index), "n2": ("n2", operator.index)},
+    "superpotential": {"name": ("sp_name", str),
+                       "params": ("sp_params", lambda ps: tuple(float(p) for p in ps))},
+}
 
 
-def _load_config(args) -> RunConfig:
+def _load_config(args, own_grid: bool) -> RunConfig:
+    """Defaults, then the config file, then the flags.  Every key of the file
+    is checked; its ``grid`` is read only when the subcommand builds its own
+    grid (``own_grid``)."""
     fields = {}
     if args.config is not None:
         try:
-            raw = json.loads(Path(args.config).read_text())
+            raw = json.loads(args.config.read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         try:
-            grid = raw.get("grid", {})
-            for key, (name, convert) in _GRID_KEYS.items():
-                if key in grid:
-                    fields[name] = convert(grid[key])
-            sp = raw.get("superpotential", {})
-            if "name" in sp:
-                fields["sp_name"] = sp["name"]
-            fields["sp_params"] = tuple(float(p) for p in sp.get("params", ()))
-            fields["tolerances"] = {k: float(v) for k, v in raw.get("tolerances", {}).items()}
+            for section, body in raw.items():
+                if section not in _CONFIG_KEYS:
+                    raise ValueError(f"unknown key {section!r}; know {', '.join(_CONFIG_KEYS)}")
+                for key, value in body.items():
+                    if key not in _CONFIG_KEYS[section]:
+                        raise ValueError(f"unknown key {section}.{key}")
+                    name, convert = _CONFIG_KEYS[section][key]
+                    if own_grid or section != "grid":
+                        fields[name] = convert(value)
         except (AttributeError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed config {args.config}: {exc}") from exc
-    if args.half_width:
-        vals = args.half_width
-        fields["half_width1"] = vals[0]
-        fields["half_width2"] = vals[1] if len(vals) > 1 else vals[0]
-    if args.nodes:
-        vals = args.nodes
-        fields["n1"] = vals[0]
-        fields["n2"] = vals[1] if len(vals) > 1 else vals[0]
+    if own_grid:  # one value sets both axes
+        for flag, vals, keys in (("--half-width", args.half_width, ("half_width1", "half_width2")),
+                                 ("--nodes", args.nodes, ("n1", "n2"))):
+            if vals and len(vals) > 2:
+                raise ConfigError(f"{flag} takes one value or two, got {len(vals)}")
+            fields.update(zip(keys, (vals or []) * 2))
     if args.sp_name:
         fields["sp_name"] = args.sp_name
     if args.params is not None:
@@ -139,31 +151,32 @@ def _non_negative(flag: str, value: int) -> None:
         raise ConfigError(f"{flag} must be non-negative, got {value}")
 
 
-def _build_sp(cfg: RunConfig, args, grid: Grid2D):
-    tables = {}
-    if cfg.sp_name == "tabulated":
-        if args.chi1_file is None or args.chi2_file is None:
-            raise ConfigError("tabulated family needs --chi1-file and --chi2-file")
-        tables["chi1_table"] = read_axis_table(args.chi1_file, grid.gx, "chi1")
-        tables["chi2_table"] = read_axis_table(args.chi2_file, grid.gy, "chi2")
+def _build(cfg: RunConfig, args, grid: Grid2D | None = None) -> tuple[Grid2D, Superpotential]:
+    """The run's grid (``grid``, else the config's) and superpotential; a
+    value the grid or the family refuses is a config error."""
     try:
-        return make_superpotential(cfg.sp_name, cfg.sp_params, grid, **tables)
+        if grid is None:
+            grid = cfg.grid()
+        tables = {}
+        if cfg.sp_name == "tabulated":
+            if args.chi1_file is None or args.chi2_file is None:
+                raise ConfigError("tabulated family needs --chi1-file and --chi2-file")
+            tables["chi1_table"] = read_axis_table(args.chi1_file, grid.gx, "chi1")
+            tables["chi2_table"] = read_axis_table(args.chi2_file, grid.gy, "chi2")
+        return grid, make_superpotential(cfg.sp_name, cfg.sp_params, grid, **tables)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _out_dir(args) -> Path:
-    override = os.environ.get("VEKUA_OUTDIR")
-    out = Path(override) if override else args.out
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    args.out.mkdir(parents=True, exist_ok=True)
+    return args.out
 
 
 def _cmd_formal_powers(args) -> int:
     _non_negative("--n-max", args.n_max)
-    cfg = _load_config(args)
-    grid = cfg.grid()
-    sp = _build_sp(cfg, args, grid)
+    cfg = _load_config(args, own_grid=True)
+    grid, sp = _build(cfg, args)
     out = _out_dir(args)
     table = assemble_formal_powers(sp, args.n_max)
     write_grid_meta(out / "grid.json", grid)
@@ -210,24 +223,20 @@ def _write_kernel_csv(path: Path, gk) -> None:
 
 
 def _cmd_transmute(args) -> int:
-    cfg = _load_config(args)
-    in_grid, values = read_field_csv(args.input)
-    grid = in_grid
-    sp = _build_sp(cfg, args, grid)
+    cfg = _load_config(args, own_grid=False)
+    grid, values = read_field_csv(args.input)
+    _, sp = _build(cfg, args, grid)
     out = _out_dir(args)
     if args.op in ("T0", "T1"):
         t2d = build_transmute_2d(sp)
         result = t2d.t0(values) if args.op == "T0" else t2d.t1(values)
         kernels = {"x": t2d.tx, "y": t2d.ty}
     else:
-        profile = sp.ax if args.op in ("T1d", "T1d-tilde") else sp.ay
-        axis = 0 if args.op in ("T1d", "T1d-tilde") else 1
-        if args.op.endswith("tilde"):
-            op = build_transmute_tilde(profile)
-        else:
-            op = build_transmute(profile)
-        result = op.along_x(values) if axis == 0 else op.along_y(values)
-        kernels = {("x" if axis == 0 else "y"): op}
+        along_x = args.op in ("T1d", "T1d-tilde")
+        build = build_transmute_tilde if args.op.endswith("tilde") else build_transmute
+        op = build(sp.ax if along_x else sp.ay)
+        result = op.along_x(values) if along_x else op.along_y(values)
+        kernels = {"x" if along_x else "y": op}
     write_field_csv(out / "transmuted.csv", grid, result)
     write_grid_meta(out / "grid.json", grid)
     if args.dump_kernel:
@@ -238,9 +247,9 @@ def _cmd_transmute(args) -> int:
 
 
 def _cmd_conjugate(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, own_grid=False)
     grid, values = read_field_csv(args.input)
-    sp = _build_sp(cfg, args, grid)
+    _, sp = _build(cfg, args, grid)
     out = _out_dir(args)
     target = np.real(values)
     if args.direction == "2to0":
@@ -260,9 +269,9 @@ def _cmd_conjugate(args) -> int:
 
 def _cmd_expand(args) -> int:
     _non_negative("--degree", args.degree)
-    cfg = _load_config(args)
+    cfg = _load_config(args, own_grid=False)
     grid, values = read_field_csv(args.input)
-    sp = _build_sp(cfg, args, grid)
+    _, sp = _build(cfg, args, grid)
     out = _out_dir(args)
     table = assemble_formal_powers(sp, args.degree)
     fit = fit_formal_polynomial(sp, np.real(values), table, args.basis, args.degree)
@@ -285,10 +294,10 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, own_grid=True)
     if cfg.sp_name == "tabulated":
         raise ConfigError("verify runs on catalog families (the battery refines the grid)")
-    _build_sp(cfg, args, cfg.grid())  # unknown family or parameter count: exit 2, not 1
+    _build(cfg, args)  # a grid or family the battery cannot build: exit 2, not 1
     rows = run_battery(cfg)
     out = _out_dir(args)
     write_report(rows, cfg, out)
@@ -301,7 +310,7 @@ def _cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vekua",
         description="Formal powers, SUSY operator algebra and transmutation operators "
         "for the main Vekua equation with separable superpotentials.",
@@ -309,14 +318,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("formal-powers", help="emit sampled formal-power tables as CSV")
-    _add_common(p)
+    _add_common(p, grid_flags=True, table_flags=True)
     p.add_argument("--n-max", type=int, default=4)
     p.add_argument("--a1", type=float, default=1.0, help="real part of the coefficient")
     p.add_argument("--a2", type=float, default=0.0, help="imaginary part of the coefficient")
     p.set_defaults(func=_cmd_formal_powers)
 
     p = sub.add_parser("transmute", help="apply a transmutation operator to a field CSV")
-    _add_common(p)
+    _add_common(p, grid_flags=False, table_flags=True)
     p.add_argument("--input", type=Path, required=True)
     p.add_argument(
         "--op",
@@ -328,20 +337,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_transmute)
 
     p = sub.add_parser("conjugate", help="metaharmonic partner of a kernel element")
-    _add_common(p)
+    _add_common(p, grid_flags=False, table_flags=True)
     p.add_argument("--input", type=Path, required=True)
     p.add_argument("--direction", choices=("2to0", "0to2"), required=True)
     p.set_defaults(func=_cmd_conjugate)
 
     p = sub.add_parser("expand", help="collocation fit in the formal-power basis")
-    _add_common(p)
+    _add_common(p, grid_flags=False, table_flags=True)
     p.add_argument("--input", type=Path, required=True)
     p.add_argument("--basis", choices=("ker_h0", "ker_h2"), required=True)
     p.add_argument("--degree", type=int, default=4)
     p.set_defaults(func=_cmd_expand)
 
     p = sub.add_parser("verify", help="run the full identity battery at two resolutions")
-    _add_common(p)
+    _add_common(p, grid_flags=True, table_flags=False)
     p.set_defaults(func=_cmd_verify)
     return parser
 

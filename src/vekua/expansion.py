@@ -45,7 +45,6 @@ class TaylorCoefficients:
 
     values: np.ndarray  # complex, length degree+1
     uncertainty: np.ndarray  # real, same length
-    origin: tuple[int, int]
 
     @property
     def degree(self) -> int:
@@ -132,7 +131,7 @@ def taylor_coefficients(sp: Superpotential, w, degree: int) -> TaylorCoefficient
             f"stencil noise {noise[degree]:.3e} exceeds every coefficient "
             f"({biggest:.3e}); use a finer grid for degree {degree}"
         )
-    return TaylorCoefficients(values=values, uncertainty=noise, origin=(i0, j0))
+    return TaylorCoefficients(values=values, uncertainty=noise)
 
 
 def evaluate_series(coeffs: TaylorCoefficients, table: FormalPowerTable) -> np.ndarray:

@@ -48,8 +48,9 @@ __all__ = [
 class Grid1D:
     """Uniform grid with an odd number of nodes on ``[-half_width, half_width]``.
 
-    The node count must be odd (and at least 3) so that 0 is a node: the
-    normalization chi(0) = 0 and every origin-based integral depend on it.
+    The node count must be an odd integer (and at least 3) so that 0 is a
+    node: the normalization chi(0) = 0 and every origin-based integral depend
+    on it.
     """
 
     half_width: float
@@ -59,6 +60,8 @@ class Grid1D:
     def __post_init__(self):
         if not (np.isfinite(self.half_width) and self.half_width > 0):
             raise ValueError(f"half_width must be positive and finite, got {self.half_width}")
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
+            raise ValueError(f"node count must be an integer, got {self.n!r}")
         if self.n < 3 or self.n % 2 == 0:
             raise ValueError(f"node count must be odd and >= 3, got {self.n}")
         # index arithmetic keeps the nodes exactly antisymmetric about 0

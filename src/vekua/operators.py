@@ -79,11 +79,8 @@ def h1(sp: Superpotential, v):
     component-wise and equals its variant with the off-diagonal signs
     flipped, which the pseudo-Darboux factorization produces.
     """
-    p11, p22 = sp.matrix_potential()
     c1, c2 = v
-    g1 = -laplacian(sp.grid, c1) + p11 * c1
-    g2 = -laplacian(sp.grid, c2) + p22 * c2
-    return g1, g2
+    return h1_element(sp, 1, c1), h1_element(sp, 2, c2)
 
 
 def h1_element(sp: Superpotential, i: int, f) -> np.ndarray:

@@ -55,6 +55,8 @@ class AxisProfile:
         self.chi = self.grid.check(np.asarray(self.chi, dtype=float))
         self.dchi = self.grid.check(np.asarray(self.dchi, dtype=float))
         self.d2chi = self.grid.check(np.asarray(self.d2chi, dtype=float))
+        if not all(np.isfinite(a).all() for a in (self.chi, self.dchi, self.d2chi)):
+            raise ValueError("superpotential samples must be finite")
         c0 = abs(self.chi[self.grid.center])
         if c0 > _ORIGIN_TOL:
             raise ValueError(f"superpotential must vanish at the origin, found {c0:.3e}")
@@ -199,10 +201,6 @@ def _axis_poly(grid: Grid1D, c1: float, c2: float) -> AxisProfile:
 
 def _axis_tabulated(grid: Grid1D, samples) -> AxisProfile:
     chi = grid.check(np.asarray(samples, dtype=float))
-    if abs(chi[grid.center]) > _ORIGIN_TOL:
-        raise ValueError(
-            f"tabulated superpotential must vanish at 0, found {chi[grid.center]:.3e}"
-        )
     dchi = _first_derivative(chi, grid.h, axis=0)
     d2chi = _first_derivative(dchi, grid.h, axis=0)
     return AxisProfile(grid, chi, dchi, d2chi)
@@ -224,6 +222,8 @@ def make_superpotential(
     The polynomial families and their parameters are those of
     :data:`_CATALOG`; ``tabulated`` takes no parameters, only samples on the
     exact grid nodes, and differentiates them by finite differences.
+    Raises ``ValueError`` for an unknown family, a wrong parameter count, or
+    a parameter or sample that is not finite.
     """
     params = tuple(float(p) for p in params)
     if name not in catalog_names():
@@ -231,6 +231,8 @@ def make_superpotential(
     arity, coefficients = _CATALOG.get(name, (0, None))
     if len(params) != arity:
         raise ValueError(f"family {name!r} takes {arity} parameters, got {len(params)}")
+    if not np.isfinite(params).all():
+        raise ValueError(f"superpotential parameters must be finite, got {params}")
     if name == "tabulated":
         if chi1_table is None or chi2_table is None:
             raise ValueError("family 'tabulated' needs chi1_table and chi2_table samples")

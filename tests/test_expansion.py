@@ -203,7 +203,7 @@ def test_series_roundtrip_single_power(quad, table_quad):
 def test_series_zero_coefficients(table_quad):
     from vekua.expansion import TaylorCoefficients
 
-    coeffs = TaylorCoefficients(np.zeros(3, dtype=complex), np.zeros(3), (0, 0))
+    coeffs = TaylorCoefficients(np.zeros(3, dtype=complex), np.zeros(3))
     np.testing.assert_array_equal(evaluate_series(coeffs, table_quad), 0.0)
 
 

@@ -43,6 +43,17 @@ def test_grid_requires_odd_node_count():
             Grid1D(half_width, 5)
 
 
+@pytest.mark.parametrize("n", [21.9, 21.0, True, "21", None])
+def test_grid_refuses_a_node_count_that_is_not_an_integer(n):
+    # 21.9 would give a grid whose n reads 21.9 while it has 22 nodes
+    with pytest.raises(ValueError, match="node count must be an integer"):
+        Grid1D(1.0, n)
+
+
+def test_grid_takes_numpy_integer_node_counts():
+    assert np.array_equal(Grid1D(1.0, np.int64(21)).nodes, Grid1D(1.0, 21).nodes)
+
+
 def test_grid_nodes_symmetric_about_zero():
     g = Grid1D(1.5, 31)
     assert g.nodes[g.center] == 0.0

@@ -260,9 +260,17 @@ def test_cli_config_error_exit_code(tmp_path):
         (None, ["--sp", "linear", "--params", "nan,1"]),
         (None, ["--half-width", "nan"]),
         (None, ["--half-width", "1", "0"]),
+        ({"tolerances": {"factorization": 150.0}}, []),  # caps are not settable
+        ({"grid": {"n1": 21}, "output": "x"}, []),
+        ({"grid": {"nodes": 21}}, []),
+        # refused although --nodes overrides it; int() would truncate it to 21
+        ({"grid": {"n1": 21.9}}, []),
+        (None, ["--nodes", "21", "31", "41"]),  # the third value was dropped without a word
     ],
     ids=["params-not-numeric", "config-not-numeric", "tolerance-unknown", "params-missing",
-         "params-not-finite", "half-width-not-finite", "half-width-zero"],
+         "params-not-finite", "half-width-not-finite", "half-width-zero", "config-tolerances",
+         "config-unknown-key",
+         "config-unknown-grid-key", "config-fractional-nodes", "nodes-three-values"],
 )
 def test_cli_malformed_input_exit_code(tmp_path, capsys, config, flags):
     argv = ["verify", "--nodes", "21", "--out", str(tmp_path / "out"), *flags]
@@ -271,7 +279,8 @@ def test_cli_malformed_input_exit_code(tmp_path, capsys, config, flags):
         path.write_text(json.dumps(config))
         argv += ["--config", str(path)]
     assert main(argv) == 2
-    assert "config error" in capsys.readouterr().err
+    _one_line_error(capsys, "config error: ")
+    assert not (tmp_path / "out").exists()
 
 
 # data row 5 (file line 6) of a valid 21 x 21 field CSV, spoilt three ways,
@@ -387,10 +396,26 @@ def exit_2_inputs(tmp_path_factory):
         (["transmute", "--sp", "tabulated", "--params", "1,2", "--input", "{sq21}",
           "--chi1-file", "{chi0_21}", "--chi2-file", "{chi0_21}"],
          "config error: family 'tabulated' takes 0 parameters, got 2"),
+        # these subcommands run on the grid of --input and take no grid flags
+        (["transmute", "--sp", "zero", "--input", "{sq21}", "--nodes", "301"],
+         "usage error: vekua: unrecognized arguments: --nodes 301"),
+        (["transmute", "--sp", "zero", "--input", "{sq21}", "--nodes", "4"],
+         "usage error: vekua: unrecognized arguments: --nodes 4"),
+        (["conjugate", "--sp", "zero", "--input", "{sq21}", "--direction", "2to0",
+          "--half-width", "7"], "usage error: vekua: unrecognized arguments: --half-width 7"),
+        (["expand", "--sp", "zero", "--input", "{sq21}", "--basis", "ker_h0", "--nodes", "21"],
+         "usage error: vekua: unrecognized arguments: --nodes 21"),
+        # verify refuses tabulated, so it takes no chi files
+        (["verify", "--nodes", "21", "--chi1-file", "{chi0_21}"],
+         "usage error: vekua: unrecognized arguments: --chi1-file"),
+        (["formal-powers", "--sp", "zero", "--half-width", "1", "2", "3"],
+         "config error: --half-width takes one value or two, got 3"),
     ],
     ids=["formal-powers-negative-n-max", "expand-negative-degree", "expand-not-in-kernel",
          "expand-grid-too-small", "conjugate-not-in-kernel", "expand-exp-xy-coarse",
-         "conjugate-exp-xy-coarse", "transmute-tabulated-with-params"],
+         "conjugate-exp-xy-coarse", "transmute-tabulated-with-params", "transmute-nodes",
+         "transmute-even-nodes", "conjugate-half-width", "expand-nodes", "verify-chi1-file",
+         "formal-powers-three-half-widths"],
 )
 def test_cli_domain_and_usage_errors_exit_2(tmp_path, capsys, exit_2_inputs, argv, prefix):
     argv = [a.format(**exit_2_inputs) for a in argv] + ["--out", str(tmp_path / "o")]
@@ -417,17 +442,6 @@ def test_cli_sp_choices_are_the_catalog():
     for name, sub in subcommands.items():
         (sp_action,) = [a for a in sub._actions if a.dest == "sp_name"]
         assert tuple(sp_action.choices) == catalog_names(), name
-
-
-def test_cli_env_output_override(tmp_path, monkeypatch):
-    grid, inp = _write_sample_field(tmp_path)
-    target = tmp_path / "env_out"
-    monkeypatch.setenv("VEKUA_OUTDIR", str(target))
-    code = main(
-        ["transmute", "--sp", "zero", "--input", str(inp), "--out", str(tmp_path / "ignored")]
-    )
-    assert code == 0
-    assert (target / "transmuted.csv").exists()
 
 
 def test_cli_config_file(tmp_path):
@@ -465,3 +479,30 @@ def test_cli_import_leaves_scipy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_input_grid_subcommands_ignore_the_config_grid(tmp_path, exit_2_inputs):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": {"a1": 7.0, "n1": 301, "n2": 4},
+                               "superpotential": {"name": "zero"}}))
+    out = tmp_path / "o"
+    assert main(["transmute", "--input", exit_2_inputs["sq21"], "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "grid.json").read_text()) == {"a1": 1.0, "a2": 1.0,
+                                                           "n1": 21, "n2": 21}
+
+
+def test_cli_formal_powers_custom_coefficient(tmp_path):
+    out = tmp_path / "fp"
+    argv = ["formal-powers", "--sp", "linear", "--params", "0.5,-1", "--nodes", "21",
+            "--n-max", "2", "--a1", "0.5", "--a2", "-1", "--out", str(out)]
+    assert main(argv) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["custom_coefficient"] == [0.5, -1.0]
+    for n in range(3):
+        assert f"power_custom_n{n}.csv" in manifest["files"]
+        _, custom = read_field_csv(out / f"power_custom_n{n}.csv")
+        _, z_one = read_field_csv(out / f"power_seq0_a1_n{n}.csv")
+        _, z_i = read_field_csv(out / f"power_seq0_ai_n{n}.csv")
+        # Z^n(a) = a1 Z^n(1) + a2 Z^n(i) for a = a1 + i a2
+        np.testing.assert_array_equal(custom, 0.5 * z_one + -1.0 * z_i)

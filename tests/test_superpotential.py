@@ -84,6 +84,16 @@ def test_tabulated_roundtrip(grid):
     np.testing.assert_allclose(sp.ax.q_at(mid), 0.5 * (sp.ax.q[:-1] + sp.ax.q[1:]), atol=1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_parameters_and_samples_are_refused(grid, bad):
+    with pytest.raises(ValueError, match="parameters must be finite"):
+        make_superpotential("linear", (0.5, bad), grid)
+    chi = np.zeros(grid.gx.n)
+    chi[3] = bad
+    with pytest.raises(ValueError, match="samples must be finite"):
+        make_superpotential("tabulated", (), grid, chi1_table=np.zeros(grid.gx.n), chi2_table=chi)
+
+
 def test_tabulated_rejects_nonzero_origin(grid):
     chi1 = np.full(grid.gx.n, 0.5)
     with pytest.raises(ValueError, match="vanish"):

@@ -1,9 +1,11 @@
-import dataclasses
+import json
+import math
 
 import pytest
 
 import vekua.verification as verification
 from vekua.cli import main
+from vekua.errors import NonConvergenceError
 from vekua.superpotential import Superpotential
 from vekua.verification import RunConfig, checks_for, run_battery
 
@@ -48,17 +50,39 @@ def test_corrupt_potential_fails_only_zero_mode_h0(family, monkeypatch, tmp_path
     assert main(argv) == 1
 
 
-def test_tolerance_override_moves_only_its_cap(batteries):
-    base = batteries["linear"]
-    cfg = RunConfig(n1=N, n2=N, sp_name="linear", sp_params=FAMILIES["linear"],
-                    tolerances={"factorization": 7.0})
-    rows = run_battery(cfg)
-    h2 = cfg.grid().hmax ** 2
-    for row, ref in zip(rows, base, strict=True):
-        if row.name == "factorization":
-            assert row.cap == 7.0 * h2 != ref.cap
-        else:
-            assert dataclasses.astuple(row) == dataclasses.astuple(ref)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_corrupt_potential_fails_rows_of_the_full_registry(family, monkeypatch, tmp_path):
+    # the same mutant with every check: the self-fit target leaves ker h0, and
+    # the rows that fit it fail with the error in their note instead of
+    # aborting the battery
+    u0 = Superpotential.u0
+    monkeypatch.setattr(Superpotential, "u0", lambda sp: u0(sp) + 1.0)
+    params = ",".join(map(str, FAMILIES[family]))
+    argv = ["verify", "--sp", family, f"--params={params}", "--nodes", str(N),
+            "--out", str(tmp_path)]
+    assert main(argv) == 1
+    rows = json.loads((tmp_path / "verification_report.json").read_text())
+    assert [r["identity"] for r in rows] == [c.name for c in checks_for(family)]
+    verdicts = {r["identity"]: r["verdict"] for r in rows}
+    assert {"zero_mode_h0", "fit_self_residual", "fit_self_coefficients"} <= {
+        name for name, verdict in verdicts.items() if verdict == "fail"}
+    report = (tmp_path / "verification_report.txt").read_text().splitlines()
+    for name in ("fit_self_residual", "fit_self_coefficients"):
+        (row,) = [r for r in rows if r["identity"] == name]
+        assert row["note"].startswith("not measured: ") and "not in ker h0" in row["note"]
+        assert math.isnan(row["ratio"])
+        (line,) = [line for line in report if line.startswith(name + " ")]
+        assert "exact" not in line and line.endswith("FAIL")
+
+
+def test_non_convergence_still_exits_3(monkeypatch, tmp_path):
+    def fail(sp):
+        raise NonConvergenceError("synthetic non-convergence")
+
+    monkeypatch.setattr(verification, "build_transmute_2d", fail)
+    argv = ["verify", "--sp", "zero", "--nodes", "21", "--out", str(tmp_path)]
+    assert main(argv) == 3
+    assert not (tmp_path / "verification_report.json").exists()
 
 
 def test_cli_verify_zero_exits_zero(tmp_path):
