@@ -126,7 +126,10 @@ def _load_config(args, own_grid: bool) -> RunConfig:
                         raise ValueError(f"unknown key {section}.{key}")
                     name, convert = _CONFIG_KEYS[section][key]
                     if own_grid or section != "grid":
-                        fields[name] = convert(value)
+                        try:
+                            fields[name] = convert(value)
+                        except (TypeError, ValueError) as exc:
+                            raise ValueError(f"{section}.{key}: {exc}") from exc
         except (AttributeError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed config {args.config}: {exc}") from exc
     if own_grid:  # one value sets both axes
@@ -206,7 +209,8 @@ def _cmd_formal_powers(args) -> int:
 
 
 def _write_kernel_csv(path: Path, gk) -> None:
-    """Kernel CSV: the header ``x,t,K``, then one LF-ended line per node pair
+    """The undressed Goursat kernel K (no slope parameter h) of ``gk`` as CSV:
+    the header ``x,t,K``, then one LF-ended line per node pair
     (x_k, t_l) with l from min(k, n-1-k) to max(k, n-1-k), x outer, every
     number written as ``format(v, ".17g")``; one ``write`` per x-row."""
     nodes = gk.axis_grid.nodes
@@ -333,7 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="T0",
         help="T0/T1 are the 2-D operators; T1d/T2d the 1-D ones along x/y",
     )
-    p.add_argument("--dump-kernel", action="store_true", help="write triangular kernel CSVs")
+    p.add_argument("--dump-kernel", action="store_true",
+                   help="write the undressed Goursat kernel K as CSV: T0/T1 that of the plain "
+                   "x and y ops, a 1-D op that of the op applied (-tilde: flipped potential)")
     p.set_defaults(func=_cmd_transmute)
 
     p = sub.add_parser("conjugate", help="metaharmonic partner of a kernel element")

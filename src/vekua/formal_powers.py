@@ -43,8 +43,6 @@ class AuxSystem:
     exponential-dressed systems mixed by parity.
     """
 
-    sp: Superpotential
-    n_max: int
     x_pow: np.ndarray
     x_pow_t: np.ndarray
     y_pow: np.ndarray
@@ -59,8 +57,7 @@ def _axis_system(grid, chi, n_max):
     """Iterated weighted integrals from the origin node, both alternations."""
     plain = np.empty((n_max + 1, grid.n))
     tilde = np.empty((n_max + 1, grid.n))
-    plain[0] = 1.0
-    tilde[0] = 1.0
+    plain[0] = tilde[0] = 1.0
     w_minus = np.exp(-2.0 * chi)
     w_plus = np.exp(2.0 * chi)
     for n in range(1, n_max + 1):
@@ -76,10 +73,9 @@ def _dressed(chi, plain, tilde):
     """phi_k = e^chi * (X if k odd else Xt); phi_t has e^-chi and swapped parity."""
     up = np.exp(chi)
     down = np.exp(-chi)
-    n_max = plain.shape[0] - 1
     phi = np.empty_like(plain)
     phi_t = np.empty_like(plain)
-    for k in range(n_max + 1):
+    for k in range(len(plain)):
         if k % 2 == 1:
             phi[k] = up * plain[k]
             phi_t[k] = down * tilde[k]
@@ -97,7 +93,7 @@ def build_aux_system(sp: Superpotential, n_max: int) -> AuxSystem:
     y_pow, y_pow_t = _axis_system(sp.grid.gy, sp.ay.chi, n_max)
     phi, phi_t = _dressed(sp.ax.chi, x_pow, x_pow_t)
     psi, psi_t = _dressed(sp.ay.chi, y_pow, y_pow_t)
-    return AuxSystem(sp, n_max, x_pow, x_pow_t, y_pow, y_pow_t, phi, phi_t, psi, psi_t)
+    return AuxSystem(x_pow, x_pow_t, y_pow, y_pow_t, phi, phi_t, psi, psi_t)
 
 
 def _basis_part(basis_kind: str, field_c) -> np.ndarray:
@@ -123,7 +119,6 @@ class FormalPowerTable:
     """
 
     sp: Superpotential
-    n_max: int
     z_one: np.ndarray
     z_i: np.ndarray
     z1_one: np.ndarray
@@ -134,6 +129,11 @@ class FormalPowerTable:
     def __post_init__(self):
         for stack in (self.z_one, self.z_i, self.z1_one, self.z1_i):
             stack.flags.writeable = False
+
+    @property
+    def n_max(self) -> int:
+        """Highest degree in the table."""
+        return len(self.z_one) - 1
 
     def power(self, n: int, a: complex) -> np.ndarray:
         """Formal power of the main sequence with coefficient ``a``."""
@@ -202,7 +202,7 @@ def assemble_formal_powers(sp: Superpotential, n_max: int):
         # successor family: swap phi <-> phi_t, psi systems invariant
         z1_one[n] = _binomial_sum(n, (phi_t, psi), (phi, psi_t))
         z1_i[n] = _binomial_sum(n, (phi, psi_t), (phi_t, psi), extra_i=True)
-    return FormalPowerTable(sp, n_max, z_one, z_i, z1_one, z1_i, aux)
+    return FormalPowerTable(sp, z_one, z_i, z1_one, z1_i, aux)
 
 
 def _adjoint_pair(sp: Superpotential, m: int = 0):

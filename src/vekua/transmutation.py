@@ -29,7 +29,7 @@ samples share one solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,8 +66,12 @@ class GoursatKernel:
     axis_grid: Grid1D
     char_values: np.ndarray
     axis_values: np.ndarray
-    iterations: int
-    defects: list[float] = field(default_factory=list)
+    defects: list[float]
+
+    @property
+    def iterations(self) -> int:
+        """Picard sweeps the solve took; ``defects`` holds each one's max change."""
+        return len(self.defects)
 
 
 def _char_potential(profile: AxisProfile) -> np.ndarray:
@@ -99,7 +103,7 @@ def solve_goursat(profile: AxisProfile) -> GoursatKernel:
     inner = np.empty_like(k_cur)
     work = np.empty_like(k_cur)
     defects: list[float] = []
-    for iteration in range(1, MAX_ITER + 1):
+    for _ in range(MAX_ITER):
         np.multiply(q_uv, k_cur, out=work)
         _cumulative_trapezoid(work, cgrid.h, c, 1, inner)
         _cumulative_trapezoid(inner, cgrid.h, c, 0, k_next)
@@ -120,13 +124,7 @@ def solve_goursat(profile: AxisProfile) -> GoursatKernel:
     n = grid.n
     kk, ll = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     axis_values = k_cur[kk + ll, kk - ll + n - 1]
-    return GoursatKernel(
-        axis_grid=grid,
-        char_values=k_cur,
-        axis_values=axis_values,
-        iterations=iteration,
-        defects=defects,
-    )
+    return GoursatKernel(grid, k_cur, axis_values, defects)
 
 
 def build_kernel_with_h(gk: GoursatKernel, h_param: float) -> np.ndarray:

@@ -2,18 +2,19 @@
 
 The battery is the registry :data:`CHECKS`: one :class:`Check` per report
 row, in report order, each naming the relation it tests, the function that
-measures its residual on one resolution, its cap model, whether it is also
-measured on the refinement (spacing halved), whether the ratio window
-applies, and which superpotential families it covers.  :func:`run_battery`
-is one loop over the registry; nothing else lists the checks, and the
-registry is the only source of caps: a run's configuration names the grid
-and the superpotential, nothing else.
+measures its residual on one resolution, its cap model (which decides
+whether it is also measured on the refinement, spacing halved), whether the
+ratio window applies, and which superpotential families it covers.
+:func:`run_battery` is one loop over the registry; nothing else lists the
+checks, and the registry is the only source of caps: a run's configuration
+names the grid and the superpotential, nothing else.
 
 Cap models:
 
 * ``h2_cap``: the cap is that multiple of h^2 (times a per-field scale where
   the identity is measured on the smooth corpus), the truncation error of
-  the second-order stencils and quadratures.
+  the second-order stencils and quadratures.  Only these rows have an order
+  to measure, so only they are also measured on the refinement.
 * ``abs_cap``: a fixed absolute cap, for checks whose error does not scale
   with h (a coefficient recovered by an exact self-fit, a commutation that
   holds to rounding).
@@ -32,8 +33,9 @@ not applied.
 
 A measurement that raises :class:`~vekua.errors.KernelMembershipError` (its
 own input left the kernel it needs) is a failing row whose note carries the
-error, whose residual, cap and ratio read ``nan`` and whose refined level is
-not measured; non-convergence still propagates.
+error, whose residual, cap and ratio read ``nan`` (``null`` in the JSON report,
+as every non-finite number) and whose refined level is not measured;
+non-convergence still propagates.
 """
 
 from __future__ import annotations
@@ -454,8 +456,9 @@ class Check:
 
     Exactly one cap model applies: ``h2_cap`` (multiple of h^2), ``abs_cap``
     (fixed), or neither, in which case ``measure`` returns ``(residual,
-    cap)``; no run configuration overrides it.  ``families`` limits the check
-    to those superpotential families; ``None`` covers all.
+    cap)``; no run configuration overrides it.  Only an ``h2_cap`` row is also
+    measured on the refinement.  ``families`` limits the check to those
+    superpotential families; ``None`` covers all.
     """
 
     name: str
@@ -463,7 +466,6 @@ class Check:
     measure: Callable
     h2_cap: float | None = None
     abs_cap: float | None = None
-    refined: bool = True
     ratio_window: bool = False
     families: tuple[str, ...] | None = None
     note: str = ""
@@ -506,10 +508,10 @@ CHECKS: tuple[Check, ...] = (
     Check("fit_self_residual", "self-fit of a basis member", _res_fit_self_residual,
           h2_cap=10.0),
     Check("fit_self_coefficients", "unit on-slot, zero off-slot", _res_fit_self_coefficients,
-          abs_cap=1e-6, refined=False),
+          abs_cap=1e-6),
     Check("taylor_roundtrip", "series(coefficients(Z^3)) on half-radius box",
-          _res_taylor_roundtrip, refined=False, note="cap is the reported stencil-noise bound"),
-    Check("transmute_commute", "T1 T2 = T2 T1", _res_t_commute, abs_cap=1e-12, refined=False),
+          _res_taylor_roundtrip, note="cap is the reported stencil-noise bound"),
+    Check("transmute_commute", "T1 T2 = T2 T1", _res_t_commute, abs_cap=1e-12),
     # Z^n(1) - z^n is the O(h^2) trapezoid error of the 1-D systems: 33-39 h^2 at n = 41..201
     Check("analytic_limit", "Z^n(1) = z^n for vanishing superpotential, n<=6",
           _res_analytic_limit, h2_cap=50.0, ratio_window=True, families=("zero",)),
@@ -528,16 +530,16 @@ def run_battery(cfg: RunConfig) -> list[Row]:
     grid_label = f"{cfg.n1}x{cfg.n2}"
     rows: list[Row] = []
     for check in checks_for(cfg.sp_name):
+        ratio = None
         try:
             if check.h2_cap is not None:
                 residual, cap = check.measure(coarse), check.h2_cap * coarse.h2_unit
+                if not residual <= RATIO_FLOOR:  # a NaN residual is not exact
+                    ratio = residual / max(check.measure(fine), np.finfo(float).tiny)
             elif check.abs_cap is not None:
                 residual, cap = check.measure(coarse), check.abs_cap
             else:
                 residual, cap = check.measure(coarse)
-            ratio = None
-            if check.refined and not residual <= RATIO_FLOOR:  # a NaN residual is not exact
-                ratio = residual / max(check.measure(fine), np.finfo(float).tiny)
         except KernelMembershipError as exc:
             rows.append(Row(check.name, check.tag, grid_label, np.nan, np.nan, np.nan,
                             check.ratio_window, False, f"not measured: {exc}"))
@@ -577,22 +579,27 @@ def render_report(rows: list[Row], cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_number(value: float | None) -> float | None:
+    """``value``, or ``None`` (``null``) if absent or not finite, as strict JSON requires."""
+    return value if value is not None and np.isfinite(value) else None
+
+
 def rows_to_json(rows: list[Row]) -> str:
     payload = [
         {
             "identity": r.name,
             "tag": r.tag,
             "grid": r.grid,
-            "residual": r.residual,
-            "cap": r.cap,
-            "ratio": r.ratio,
+            "residual": _json_number(r.residual),
+            "cap": _json_number(r.cap),
+            "ratio": _json_number(r.ratio),
             "ratio_checked": r.ratio_checked,
             "verdict": "pass" if r.passed else "fail",
             "note": r.note,
         }
         for r in rows
     ]
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def write_report(rows: list[Row], cfg: RunConfig, out_dir) -> tuple[Path, Path]:

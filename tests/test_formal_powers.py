@@ -200,7 +200,7 @@ def recursive_formal_powers(sp, n_max):
         z_i[n + 1] = (n + 1) * fg_integral(sp, 0, z1_i[n])
         z1_one[n + 1] = (n + 1) * fg_integral(sp, 1, z_one[n])
         z1_i[n + 1] = (n + 1) * fg_integral(sp, 1, z_i[n])
-    return FormalPowerTable(sp, n_max, z_one, z_i, z1_one, z1_i)
+    return FormalPowerTable(sp, z_one, z_i, z1_one, z1_i)
 
 
 def test_recursive_matches_explicit(quad, table_quad):

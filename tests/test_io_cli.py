@@ -171,6 +171,38 @@ def test_cli_kernel_dump_bytes(tmp_path, op):
         assert (out / f"kernel_{label}.csv").read_bytes() == _kernel_csv_oracle(t.kernel)
 
 
+def _write_axis_table(path, grid, samples, label):
+    rows = "".join(f"{x:.17g},{v:.17g}\n" for x, v in zip(grid.nodes, samples))
+    path.write_text(f"x,{label}\n" + rows)
+
+
+@pytest.mark.parametrize("op", ["T1d", "T2d-tilde"])
+def test_cli_transmute_tabulated_converges_to_the_catalog_family(tmp_path, op):
+    # quadratic (1, -0.5) as tables: its chi' and chi'' stencils are exact for a
+    # quadratic, so the gap to the catalog run is the O(h^2) interpolation of q
+    # between the nodes, which the characteristic grid reads at half steps
+    from vekua.verification import RATIO_WINDOW
+
+    gaps = []
+    for n in (21, 41):
+        work = tmp_path / f"n{n}"
+        work.mkdir()
+        grid, inp = _write_sample_field(work, n)
+        _write_axis_table(work / "chi1.csv", grid.gx, 0.5 * grid.gx.nodes**2, "chi1")
+        _write_axis_table(work / "chi2.csv", grid.gy, -0.25 * grid.gy.nodes**2, "chi2")
+        common = ["transmute", "--input", str(inp), "--op", op]
+        tabulated = ["--sp", "tabulated", "--chi1-file", str(work / "chi1.csv"),
+                     "--chi2-file", str(work / "chi2.csv"), "--out", str(work / "tab")]
+        assert main(common + tabulated) == 0
+        assert main(common + ["--sp", "quadratic", "--params=1,-0.5",
+                              "--out", str(work / "poly")]) == 0
+        _, got = read_field_csv(work / "tab" / "transmuted.csv")
+        _, want = read_field_csv(work / "poly" / "transmuted.csv")
+        gaps.append(float(np.max(np.abs(got - want))))
+    assert gaps[1] > 0.0
+    assert RATIO_WINDOW[0] <= gaps[0] / gaps[1] <= RATIO_WINDOW[1], gaps
+
+
 def test_cli_formal_powers_zero_chi(tmp_path):
     out = tmp_path / "fp"
     code = main(
@@ -251,35 +283,36 @@ def test_cli_config_error_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "config, flags",
+    "config, flags, names",
     [
-        (None, ["--sp", "linear", "--params", "a,b"]),
-        ({"grid": {"n1": "abc"}}, []),
-        ({"tolerances": {"zero_mode_hO": 20.0}}, []),  # typo of zero_mode_h0
-        (None, ["--sp", "linear"]),  # family without its parameters
-        (None, ["--sp", "linear", "--params", "nan,1"]),
-        (None, ["--half-width", "nan"]),
-        (None, ["--half-width", "1", "0"]),
-        ({"tolerances": {"factorization": 150.0}}, []),  # caps are not settable
-        ({"grid": {"n1": 21}, "output": "x"}, []),
-        ({"grid": {"nodes": 21}}, []),
+        (None, ["--sp", "linear", "--params", "a,b"], ""),
+        ({"grid": {"n1": "abc"}}, [], "grid.n1"),
+        ({"tolerances": {"zero_mode_hO": 20.0}}, [], "'tolerances'"),  # typo of zero_mode_h0
+        (None, ["--sp", "linear"], ""),  # family without its parameters
+        (None, ["--sp", "linear", "--params", "nan,1"], ""),
+        (None, ["--half-width", "nan"], ""),
+        (None, ["--half-width", "1", "0"], ""),
+        ({"tolerances": {"factorization": 150.0}}, [], "'tolerances'"),  # caps are not settable
+        ({"grid": {"n1": 21}, "output": "x"}, [], "'output'"),
+        ({"grid": {"nodes": 21}}, [], "grid.nodes"),
         # refused although --nodes overrides it; int() would truncate it to 21
-        ({"grid": {"n1": 21.9}}, []),
-        (None, ["--nodes", "21", "31", "41"]),  # the third value was dropped without a word
+        ({"grid": {"n1": 21.9}}, [], "grid.n1"),
+        (None, ["--nodes", "21", "31", "41"], ""),  # the third value was dropped without a word
     ],
     ids=["params-not-numeric", "config-not-numeric", "tolerance-unknown", "params-missing",
          "params-not-finite", "half-width-not-finite", "half-width-zero", "config-tolerances",
          "config-unknown-key",
          "config-unknown-grid-key", "config-fractional-nodes", "nodes-three-values"],
 )
-def test_cli_malformed_input_exit_code(tmp_path, capsys, config, flags):
+def test_cli_malformed_input_exit_code(tmp_path, capsys, config, flags, names):
+    # ``names``: the config key the message must name
     argv = ["verify", "--nodes", "21", "--out", str(tmp_path / "out"), *flags]
     if config is not None:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
         argv += ["--config", str(path)]
     assert main(argv) == 2
-    _one_line_error(capsys, "config error: ")
+    assert names in _one_line_error(capsys, "config error: ")
     assert not (tmp_path / "out").exists()
 
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from vekua.grid import Grid1D, Grid2D
-from vekua.superpotential import generating_pair, make_superpotential
+from vekua.grid import Grid1D, Grid2D, _first_derivative
+from vekua.superpotential import AxisProfile, generating_pair, make_superpotential
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +82,36 @@ def test_tabulated_roundtrip(grid):
     # off the nodes the potential is the linear interpolant of its samples
     mid = grid.gx.nodes[:-1] + grid.gx.h / 2
     np.testing.assert_allclose(sp.ax.q_at(mid), 0.5 * (sp.ax.q[:-1] + sp.ax.q[1:]), atol=1e-12)
+
+
+def test_tabulated_derivatives_are_the_stencils_of_the_samples(grid):
+    chi1 = 0.5 * grid.gx.nodes**2
+    chi2 = -0.25 * grid.gy.nodes**2
+    sp = make_superpotential("tabulated", (), grid, chi1_table=chi1, chi2_table=chi2)
+    for profile, samples in ((sp.ax, chi1), (sp.ay, chi2)):
+        dchi = _first_derivative(samples, profile.grid.h, axis=0)
+        d2chi = _first_derivative(dchi, profile.grid.h, axis=0)
+        # bit for bit, the sign of zero included
+        assert np.array_equal(profile.dchi.view(np.uint64), dchi.view(np.uint64))
+        assert np.array_equal(profile.d2chi.view(np.uint64), d2chi.view(np.uint64))
+
+
+def test_axis_profile_takes_exactly_one_definition(grid):
+    samples = 0.5 * grid.gx.nodes**2
+    with pytest.raises(ValueError, match="exactly one of chi and poly"):
+        AxisProfile(grid.gx, chi=samples, poly=(0.0, 1.0))
+    with pytest.raises(ValueError, match="exactly one of chi and poly"):
+        AxisProfile(grid.gx)
+    # the two definitions of chi = s^2/2 agree on the nodes
+    poly, table = AxisProfile(grid.gx, poly=(0.0, 1.0)), AxisProfile(grid.gx, chi=samples)
+    assert np.array_equal(poly.chi, table.chi)
+    np.testing.assert_allclose(table.dchi, poly.dchi, atol=1e-13)
+    np.testing.assert_allclose(table.d2chi, poly.d2chi, atol=1e-11)
+
+
+def test_superpotential_grid_is_that_of_its_axes(grid):
+    sp = make_superpotential("linear", (0.5, -1.0), grid)
+    assert sp.grid.gx is sp.ax.grid is grid.gx and sp.grid.gy is sp.ay.grid is grid.gy
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
