@@ -7,40 +7,35 @@ in the formal-power basis) and ``verify`` (full identity battery at two
 resolutions).
 
 Every subcommand reads one :class:`~vekua.verification.RunConfig`: the
-dataclass defaults, then the ``--config`` JSON file, then the flags.  The
-file may hold these keys, each optional, and no others::
-
-    {"grid": {"a1": 1.0, "a2": 1.0, "n1": 201, "n2": 201},
-     "superpotential": {"name": "linear", "params": [0.5, -1.0]}}
-
-Only ``formal-powers`` and ``verify`` build their grid from ``grid`` and take
-``--half-width`` and ``--nodes``; ``transmute``, ``conjugate`` and ``expand``
-run on the grid of ``--input``.  ``verify`` runs catalog families only, so
-it takes no ``--chi1-file``/``--chi2-file``.  Caps are not settable; they
-come from :data:`vekua.verification.CHECKS`.
+dataclass defaults, overridden by the flags.  Only ``formal-powers`` and
+``verify`` build their grid, from ``--half-width`` and ``--nodes``;
+``transmute``, ``conjugate`` and ``expand`` run on the grid of ``--input``.
+``verify`` runs catalog families only, so it takes no
+``--chi1-file``/``--chi2-file``.  Caps are not settable; they come from
+:data:`vekua.verification.CHECKS`.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error, 3
 numerical non-convergence.  Exit 2 covers unknown flags (a grid flag where
 the grid comes from ``--input``, a chi file flag on ``verify``); an
-unreadable config or input file; a config key not shown above; a
-non-numeric ``--params`` or config value; a node count that is not an odd
-integer >= 3; a half-width that is not positive and finite; an unknown
-family, a wrong parameter count for it (``tabulated`` takes none) or a
-non-finite parameter; a negative ``--n-max`` or ``--degree``; an input CSV
+unreadable input file; a non-numeric ``--params``; a node count that is not
+an odd integer >= 3; a half-width that is not positive and finite, or whose
+node spacing is not; an unknown family, a wrong parameter count for it
+(``tabulated`` takes none) or a non-finite parameter; a negative
+``--n-max`` or ``--degree``; a non-finite ``--a1`` or ``--a2``; an input CSV
 with a short row, a non-numeric cell or a non-finite value; field CSV rows
-out of x-major order; and a domain error of the input: a field outside the
-kernel the subcommand needs (``KernelMembershipError``: it has a non-finite
-value, or its h0 or h2 residual is not within 50 h^2 times the largest of
-1, |f_xx|, |f_yy| and |U f|, see :func:`vekua.operators.require_kernel`) or
-a grid too small for the stencils (``GridShapeError``).  Each prints one
-line to stderr.  Identical configuration yields byte-identical outputs.
+out of x-major order, or x or y nodes whose spacing overflows; and a domain
+error of the input: a field outside the kernel the subcommand needs
+(``KernelMembershipError``: it has a non-finite value, or its h0 or h2
+residual is not within 50 h^2 times the largest of 1, |f_xx|, |f_yy| and
+|U f|, see :func:`vekua.operators.require_kernel`) or a grid too small for
+the stencils (``GridShapeError``).  Each prints one line to stderr.
+Identical flags yield byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import operator
 import sys
 from pathlib import Path
 
@@ -83,7 +78,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(parser: argparse.ArgumentParser, grid_flags: bool, table_flags: bool):
-    parser.add_argument("--config", type=Path, help="JSON config file; flags override it")
     if grid_flags:
         parser.add_argument("--half-width", type=float, nargs="+", metavar="A",
                             help="rectangle half-widths (one value or a1 a2)")
@@ -98,40 +92,10 @@ def _add_common(parser: argparse.ArgumentParser, grid_flags: bool, table_flags: 
     parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
 
 
-# config-file section -> key -> (RunConfig field, conversion)
-_CONFIG_KEYS = {
-    "grid": {"a1": ("half_width1", float), "a2": ("half_width2", float),
-             "n1": ("n1", operator.index), "n2": ("n2", operator.index)},
-    "superpotential": {"name": ("sp_name", str),
-                       "params": ("sp_params", lambda ps: tuple(float(p) for p in ps))},
-}
-
-
 def _load_config(args, own_grid: bool) -> RunConfig:
-    """Defaults, then the config file, then the flags.  Every key of the file
-    is checked; its ``grid`` is read only when the subcommand builds its own
-    grid (``own_grid``)."""
+    """The dataclass defaults, overridden by the flags; the grid flags exist
+    only where the subcommand builds its own grid (``own_grid``)."""
     fields = {}
-    if args.config is not None:
-        try:
-            raw = json.loads(args.config.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-        try:
-            for section, body in raw.items():
-                if section not in _CONFIG_KEYS:
-                    raise ValueError(f"unknown key {section!r}; know {', '.join(_CONFIG_KEYS)}")
-                for key, value in body.items():
-                    if key not in _CONFIG_KEYS[section]:
-                        raise ValueError(f"unknown key {section}.{key}")
-                    name, convert = _CONFIG_KEYS[section][key]
-                    if own_grid or section != "grid":
-                        try:
-                            fields[name] = convert(value)
-                        except (TypeError, ValueError) as exc:
-                            raise ValueError(f"{section}.{key}: {exc}") from exc
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed config {args.config}: {exc}") from exc
     if own_grid:  # one value sets both axes
         for flag, vals, keys in (("--half-width", args.half_width, ("half_width1", "half_width2")),
                                  ("--nodes", args.nodes, ("n1", "n2"))):
@@ -152,6 +116,11 @@ def _load_config(args, own_grid: bool) -> RunConfig:
 def _non_negative(flag: str, value: int) -> None:
     if value < 0:
         raise ConfigError(f"{flag} must be non-negative, got {value}")
+
+
+def _finite(flag: str, value: float) -> None:
+    if not np.isfinite(value):
+        raise ConfigError(f"{flag} must be finite, got {value}")
 
 
 def _build(cfg: RunConfig, args, grid: Grid2D | None = None) -> tuple[Grid2D, Superpotential]:
@@ -178,6 +147,8 @@ def _out_dir(args) -> Path:
 
 def _cmd_formal_powers(args) -> int:
     _non_negative("--n-max", args.n_max)
+    _finite("--a1", args.a1)
+    _finite("--a2", args.a2)
     cfg = _load_config(args, own_grid=True)
     grid, sp = _build(cfg, args)
     out = _out_dir(args)

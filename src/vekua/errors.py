@@ -18,4 +18,4 @@ class NonConvergenceError(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """Malformed CLI arguments or configuration file."""
+    """Malformed CLI arguments or input file."""

@@ -113,7 +113,10 @@ def _axis_from_values(values: np.ndarray, label: str) -> Grid1D:
     a = -values[0]
     if not np.isclose(values[-1], a, rtol=0, atol=1e-9 * max(1.0, abs(a))):
         raise ConfigError(f"{label}: nodes are not symmetric about 0")
-    grid = Grid1D(float(a), n)
+    try:
+        grid = Grid1D(float(a), n)
+    except ValueError as exc:
+        raise ConfigError(f"{label}: {exc}") from exc
     if not np.allclose(grid.nodes, values, rtol=0, atol=1e-9 * max(1.0, grid.h)):
         raise ConfigError(f"{label}: nodes are not uniformly spaced")
     return grid

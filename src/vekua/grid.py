@@ -50,7 +50,7 @@ class Grid1D:
 
     The node count must be an odd integer (and at least 3) so that 0 is a
     node: the normalization chi(0) = 0 and every origin-based integral depend
-    on it.
+    on it.  The spacing ``h`` must be positive and finite in floating point.
     """
 
     half_width: float
@@ -64,6 +64,9 @@ class Grid1D:
             raise ValueError(f"node count must be an integer, got {self.n!r}")
         if self.n < 3 or self.n % 2 == 0:
             raise ValueError(f"node count must be odd and >= 3, got {self.n}")
+        if not (np.isfinite(self.h) and self.h > 0):  # 2 * half_width overflows, or h underflows
+            raise ValueError(f"half_width {self.half_width} with {self.n} nodes gives spacing "
+                             f"h = {self.h}; it must be positive and finite")
         # index arithmetic keeps the nodes exactly antisymmetric about 0
         self.nodes = (np.arange(self.n) - (self.n - 1) // 2) * self.h
 

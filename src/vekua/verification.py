@@ -82,7 +82,8 @@ N_MAX = 6  # highest formal-power degree the battery builds
 class RunConfig:
     """Grid and superpotential of one verification run: a plain record, which
     :class:`~vekua.grid.Grid1D` and :func:`~vekua.superpotential.make_superpotential`
-    validate when the battery builds them.  Caps live in :data:`CHECKS` only."""
+    validate when the battery builds them.  The CLI builds it from these
+    defaults and its flags alone.  Caps live in :data:`CHECKS` only."""
 
     half_width1: float = 1.0
     half_width2: float = 1.0

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +43,16 @@ def test_grid_requires_odd_node_count():
     for half_width in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="positive and finite"):
             Grid1D(half_width, 5)
+
+
+@pytest.mark.parametrize("half_width, n", [(1e308, 5), (5e-324, 5)], ids=["overflow", "underflow"])
+def test_grid_refuses_a_spacing_that_is_not_positive_and_finite(half_width, n):
+    # 2 * 1e308 overflows: h = inf and the nodes would read -inf, nan, inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = re.escape(f"half_width {half_width} with {n} nodes gives spacing")
+        with pytest.raises(ValueError, match=message):
+            Grid1D(half_width, n)
 
 
 @pytest.mark.parametrize("n", [21.9, 21.0, True, "21", None])

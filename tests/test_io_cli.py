@@ -238,19 +238,22 @@ def test_cli_determinism(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_cli_conjugate(tmp_path):
+@pytest.mark.parametrize("direction", ["2to0", "0to2"])
+def test_cli_conjugate(tmp_path, direction):
+    # for chi = 0 the partners are harmonic conjugates: x -> y and y -> x
     grid = Grid2D.square(1.0, 21)
     x, y = grid.meshes()
-    inp = tmp_path / "w1.csv"
-    write_field_csv(inp, grid, x.astype(complex))
+    given, partner_want = (x, y) if direction == "2to0" else (y, x)
+    inp = tmp_path / "w.csv"
+    write_field_csv(inp, grid, given.astype(complex))
     out = tmp_path / "conj"
     code = main(
-        ["conjugate", "--sp", "zero", "--input", str(inp), "--direction", "2to0",
+        ["conjugate", "--sp", "zero", "--input", str(inp), "--direction", direction,
          "--out", str(out)]
     )
     assert code == 0
     _, partner = read_field_csv(out / "partner.csv")
-    np.testing.assert_allclose(np.real(partner), y, atol=1e-6)
+    np.testing.assert_allclose(np.real(partner), partner_want, atol=1e-6)
     assert (out / "conjugate_report.txt").exists()
 
 
@@ -283,36 +286,22 @@ def test_cli_config_error_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "config, flags, names",
+    "flags",
     [
-        (None, ["--sp", "linear", "--params", "a,b"], ""),
-        ({"grid": {"n1": "abc"}}, [], "grid.n1"),
-        ({"tolerances": {"zero_mode_hO": 20.0}}, [], "'tolerances'"),  # typo of zero_mode_h0
-        (None, ["--sp", "linear"], ""),  # family without its parameters
-        (None, ["--sp", "linear", "--params", "nan,1"], ""),
-        (None, ["--half-width", "nan"], ""),
-        (None, ["--half-width", "1", "0"], ""),
-        ({"tolerances": {"factorization": 150.0}}, [], "'tolerances'"),  # caps are not settable
-        ({"grid": {"n1": 21}, "output": "x"}, [], "'output'"),
-        ({"grid": {"nodes": 21}}, [], "grid.nodes"),
-        # refused although --nodes overrides it; int() would truncate it to 21
-        ({"grid": {"n1": 21.9}}, [], "grid.n1"),
-        (None, ["--nodes", "21", "31", "41"], ""),  # the third value was dropped without a word
+        ["--sp", "linear", "--params", "a,b"],
+        ["--sp", "linear"],  # family without its parameters
+        ["--sp", "linear", "--params", "nan,1"],
+        ["--half-width", "nan"],
+        ["--half-width", "1", "0"],
+        ["--nodes", "21", "31", "41"],  # the third value was dropped without a word
     ],
-    ids=["params-not-numeric", "config-not-numeric", "tolerance-unknown", "params-missing",
-         "params-not-finite", "half-width-not-finite", "half-width-zero", "config-tolerances",
-         "config-unknown-key",
-         "config-unknown-grid-key", "config-fractional-nodes", "nodes-three-values"],
+    ids=["params-not-numeric", "params-missing", "params-not-finite", "half-width-not-finite",
+         "half-width-zero", "nodes-three-values"],
 )
-def test_cli_malformed_input_exit_code(tmp_path, capsys, config, flags, names):
-    # ``names``: the config key the message must name
+def test_cli_malformed_input_exit_code(tmp_path, capsys, flags):
     argv = ["verify", "--nodes", "21", "--out", str(tmp_path / "out"), *flags]
-    if config is not None:
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(config))
-        argv += ["--config", str(path)]
     assert main(argv) == 2
-    assert names in _one_line_error(capsys, "config error: ")
+    _one_line_error(capsys, "config error: ")
     assert not (tmp_path / "out").exists()
 
 
@@ -405,6 +394,11 @@ def exit_2_inputs(tmp_path_factory):
     path = tmp_path_factory.mktemp("tables") / "chi0_21.csv"
     path.write_text("s,chi\n" + "".join(f"{s:.17g},0\n" for s in Grid1D(1.0, 21).nodes))
     paths["chi0_21"] = str(path)
+    # x nodes -1.5e308, 0, 1.5e308: symmetric and uniform, but 2 * a1 overflows
+    path = tmp_path_factory.mktemp("fields") / "huge3.csv"
+    path.write_text("x,y,re,im\n" + "".join(f"{x},{y},0,0\n" for x in (-1.5e308, 0, 1.5e308)
+                                             for y in (-1, 0, 1)))
+    paths["huge3"] = str(path)
     return paths
 
 
@@ -443,17 +437,38 @@ def exit_2_inputs(tmp_path_factory):
          "usage error: vekua: unrecognized arguments: --chi1-file"),
         (["formal-powers", "--sp", "zero", "--half-width", "1", "2", "3"],
          "config error: --half-width takes one value or two, got 3"),
+        # a non-finite coefficient would write power_custom_n* tables of nan/inf
+        (["formal-powers", "--sp", "zero", "--nodes", "5", "--n-max", "1", "--a1", "nan"],
+         "config error: --a1 must be finite, got nan"),
+        (["formal-powers", "--sp", "zero", "--nodes", "5", "--n-max", "1", "--a1", "inf"],
+         "config error: --a1 must be finite, got inf"),
+        (["formal-powers", "--sp", "zero", "--nodes", "5", "--n-max", "1", "--a2=-inf"],
+         "config error: --a2 must be finite, got -inf"),
+        # 2 * a1 overflows, so the node spacing would be inf
+        (["verify", "--half-width", "1e308", "--nodes", "5"],
+         "config error: half_width 1e+308 with 5 nodes gives spacing h = inf"),
+        (["transmute", "--sp", "zero", "--input", "{huge3}"],
+         "config error: {huge3}:x: half_width 1.5e+308 with 3 nodes gives spacing h = inf"),
+        # a run's values come from the flags alone
+        (["verify", "--nodes", "21", "--config", "cfg.json"],
+         "usage error: vekua: unrecognized arguments: --config cfg.json"),
+        (["transmute", "--sp", "zero", "--input", "{sq21}", "--config", "cfg.json"],
+         "usage error: vekua: unrecognized arguments: --config cfg.json"),
     ],
     ids=["formal-powers-negative-n-max", "expand-negative-degree", "expand-not-in-kernel",
          "expand-grid-too-small", "conjugate-not-in-kernel", "expand-exp-xy-coarse",
          "conjugate-exp-xy-coarse", "transmute-tabulated-with-params", "transmute-nodes",
          "transmute-even-nodes", "conjugate-half-width", "expand-nodes", "verify-chi1-file",
-         "formal-powers-three-half-widths"],
+         "formal-powers-three-half-widths", "formal-powers-a1-nan", "formal-powers-a1-inf",
+         "formal-powers-a2-minus-inf", "verify-spacing-overflows",
+         "transmute-input-spacing-overflows", "verify-config", "transmute-config"],
 )
 def test_cli_domain_and_usage_errors_exit_2(tmp_path, capsys, exit_2_inputs, argv, prefix):
     argv = [a.format(**exit_2_inputs) for a in argv] + ["--out", str(tmp_path / "o")]
     assert main(argv) == 2
-    _one_line_error(capsys, prefix)
+    _one_line_error(capsys, prefix.format(**exit_2_inputs))
+    # only a domain error is found after the output directory is made
+    assert prefix.startswith("domain error") or not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("error", [KernelMembershipError, GridShapeError])
@@ -475,17 +490,6 @@ def test_cli_sp_choices_are_the_catalog():
     for name, sub in subcommands.items():
         (sp_action,) = [a for a in sub._actions if a.dest == "sp_name"]
         assert tuple(sp_action.choices) == catalog_names(), name
-
-
-def test_cli_config_file(tmp_path):
-    grid, inp = _write_sample_field(tmp_path)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"superpotential": {"name": "zero", "params": []}}))
-    out = tmp_path / "cfgout"
-    code = main(
-        ["transmute", "--config", str(cfg), "--input", str(inp), "--out", str(out)]
-    )
-    assert code == 0
 
 
 def _child_env():
@@ -512,17 +516,6 @@ def test_cli_import_leaves_scipy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
-
-
-def test_input_grid_subcommands_ignore_the_config_grid(tmp_path, exit_2_inputs):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"grid": {"a1": 7.0, "n1": 301, "n2": 4},
-                               "superpotential": {"name": "zero"}}))
-    out = tmp_path / "o"
-    assert main(["transmute", "--input", exit_2_inputs["sq21"], "--config", str(cfg),
-                 "--out", str(out)]) == 0
-    assert json.loads((out / "grid.json").read_text()) == {"a1": 1.0, "a2": 1.0,
-                                                           "n1": 21, "n2": 21}
 
 
 def test_cli_formal_powers_custom_coefficient(tmp_path):
