@@ -29,7 +29,9 @@ error of the input: a field outside the kernel the subcommand needs
 residual is not within 50 h^2 times the largest of 1, |f_xx|, |f_yy| and
 |U f|, see :func:`vekua.operators.require_kernel`) or a grid too small for
 the stencils (``GridShapeError``).  Each prints one line to stderr.
-Identical flags yield byte-identical outputs.
+Identical flags yield byte-identical outputs.  Each output file is created
+new (see :func:`vekua.fields_io.open_output`), so a run into a directory that
+holds an earlier run's outputs replaces them rather than writing through them.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .errors import (
 )
 from .expansion import evaluate_fit, fit_formal_polynomial
 from .fields_io import (
+    open_output,
     read_axis_table,
     read_field_csv,
     write_field_csv,
@@ -151,8 +154,16 @@ def _cmd_formal_powers(args) -> int:
     _finite("--a2", args.a2)
     cfg = _load_config(args, own_grid=True)
     grid, sp = _build(cfg, args)
-    out = _out_dir(args)
     table = assemble_formal_powers(sp, args.n_max)
+    custom = []
+    if args.a1 != 1.0 or args.a2 != 0.0:
+        a = complex(args.a1, args.a2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            custom = [table.power(n, a) for n in range(args.n_max + 1)]
+        if not all(np.isfinite(c).all() for c in custom):
+            raise ConfigError(f"--a1 {args.a1} and --a2 {args.a2} overflow the power_custom "
+                              "tables to a non-finite value")
+    out = _out_dir(args)
     write_grid_meta(out / "grid.json", grid)
     manifest = {"superpotential": {"name": cfg.sp_name, "params": list(cfg.sp_params)},
                 "n_max": args.n_max, "files": []}
@@ -167,14 +178,14 @@ def _cmd_formal_powers(args) -> int:
             name = f"power_{label}_n{n}.csv"
             write_field_csv(out / name, grid, block[n])
             manifest["files"].append(name)
-    if args.a1 != 1.0 or args.a2 != 0.0:
-        a = complex(args.a1, args.a2)
-        for n in range(args.n_max + 1):
+    if custom:
+        for n, power in enumerate(custom):
             name = f"power_custom_n{n}.csv"
-            write_field_csv(out / name, grid, table.power(n, a))
+            write_field_csv(out / name, grid, power)
             manifest["files"].append(name)
         manifest["custom_coefficient"] = [args.a1, args.a2]
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    with open_output(out / "manifest.json") as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(manifest['files'])} power tables to {out}")
     return EXIT_OK
 
@@ -188,7 +199,7 @@ def _write_kernel_csv(path: Path, gk) -> None:
     n = len(nodes)
     # each node is formatted once; line (k, l) is x_k + tails[l], K filled in by %
     tails = [f",{format(t, '.17g')},%.17g\n" for t in nodes]
-    with path.open("w", newline="") as fh:
+    with open_output(path, newline="") as fh:
         fh.write("x,t,K\n")
         for k, x in enumerate(nodes):
             lo, hi = min(k, n - 1 - k), max(k, n - 1 - k)
@@ -237,7 +248,8 @@ def _cmd_conjugate(args) -> int:
         f"gauge_constant {result.gauge_constant:.17g}\n"
         f"vekua_residual {result.vekua_residual:.17g}\n"
     )
-    (out / "conjugate_report.txt").write_text(report)
+    with open_output(out / "conjugate_report.txt") as fh:
+        fh.write(report)
     print(report, end="")
     return EXIT_OK
 
@@ -263,7 +275,8 @@ def _cmd_expand(args) -> int:
     for n in range(fit.degree + 1):
         lines.append(f"  {n} 1 {fit.coefficient(n, 'one'):.17g}")
         lines.append(f"  {n} i {fit.coefficient(n, 'i'):.17g}")
-    (out / "expansion.txt").write_text("\n".join(lines) + "\n")
+    with open_output(out / "expansion.txt") as fh:
+        fh.write("\n".join(lines) + "\n")
     print("\n".join(lines[:5]))
     return EXIT_OK
 

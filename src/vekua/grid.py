@@ -8,10 +8,15 @@ second order: central differences on interior nodes and one-sided
 three/four-point formulas on the boundary.
 Quadrature is the composite trapezoid rule throughout, so antiderivatives
 exist at every node and share the O(h^2) order of the stencils.  It is
-plain numpy: a cumulative sum with the floating-point operations of
+plain numpy with the floating-point operations of
 ``scipy.integrate.cumulative_trapezoid``, so its values equal scipy's bit for
-bit.  The stencils and the quadrature write into their output array instead
-of building full-size temporaries; the stencils take the interior nodes of
+bit.  Its running sum over a multi-dimensional array is one vector add per
+row along the integration axis (row k plus row k-1 into row k): the additions
+``np.cumsum`` makes, in the same order, but each call adds a whole row of
+independent sums.  On the 801^2 Picard table this takes a third to a half
+less time than ``np.cumsum``; 1-D samples go through ``np.cumsum``.  The
+stencils and the quadrature write into their output array instead of
+building full-size temporaries; the stencils take the interior nodes of
 either axis as one contiguous slice of the flattened field.
 
 Fields are plain ``numpy`` arrays of shape ``(gx.n, gy.n)`` indexed as
@@ -170,7 +175,11 @@ def _cumulative_trapezoid(y: np.ndarray, h: float, origin_index: int, axis: int,
     np.add(ym[1:], ym[:-1], out=body)
     body *= h
     body /= 2.0
-    np.cumsum(body, axis=0, out=body)
+    if body.ndim == 1:
+        np.cumsum(body, out=body)
+    else:
+        for k in range(1, len(body)):
+            np.add(body[k - 1], body[k], out=body[k])
     om -= om[origin_index].copy()
     return out
 

@@ -53,6 +53,7 @@ from . import operators as ops
 from .corpus import corpus_scale, smooth_corpus
 from .errors import KernelMembershipError
 from .expansion import evaluate_series, fit_formal_polynomial, taylor_coefficients
+from .fields_io import open_output
 from .formal_powers import (
     FormalPowerTable,
     assemble_formal_powers,
@@ -608,6 +609,8 @@ def write_report(rows: list[Row], cfg: RunConfig, out_dir) -> tuple[Path, Path]:
     out.mkdir(parents=True, exist_ok=True)
     txt = out / "verification_report.txt"
     js = out / "verification_report.json"
-    txt.write_text(render_report(rows, cfg))
-    js.write_text(rows_to_json(rows))
+    with open_output(txt) as fh:
+        fh.write(render_report(rows, cfg))
+    with open_output(js) as fh:
+        fh.write(rows_to_json(rows))
     return txt, js

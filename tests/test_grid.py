@@ -140,7 +140,7 @@ def _samples(n, kind, seed):
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
-@pytest.mark.parametrize("n", [3, 5, 201])
+@pytest.mark.parametrize("n", [3, 5, 201, 801])
 def test_cumulative_integral_is_scipys_trapezoid_bit_for_bit(n, kind):
     from scipy.integrate import cumulative_trapezoid
 

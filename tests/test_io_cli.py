@@ -228,14 +228,30 @@ def test_cli_formal_powers_zero_chi(tmp_path):
 
 def test_cli_determinism(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    for out in (out1, out2):
-        code = main(
-            ["formal-powers", "--sp", "quadratic", "--params", "1,1", "--nodes", "21",
-             "--n-max", "2", "--out", str(out)]
-        )
-        assert code == 0
-    for name in ("power_seq0_a1_n2.csv", "manifest.json"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    argv = ["formal-powers", "--sp", "quadratic", "--params", "1,1", "--nodes", "21",
+            "--n-max", "2", "--out"]
+    assert main(argv + [str(out1)]) == 0
+    path = out1 / "power_seq0_a1_n2.csv"
+    with path.open("rb") as handle:
+        for out in (out1, out2):
+            assert main(argv + [str(out)]) == 0
+        # the rerun into a made a new file; the handle still holds the first run's
+        assert not os.path.samestat(os.fstat(handle.fileno()), os.stat(path))
+        assert handle.read() == path.read_bytes()
+    names = sorted(p.name for p in out1.iterdir())
+    assert names == sorted(p.name for p in out2.iterdir())
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_cli_output_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "o"
+    (out / "grid.json").mkdir(parents=True)
+    code = main(["formal-powers", "--sp", "zero", "--nodes", "5", "--n-max", "0",
+                 "--out", str(out)])
+    assert code == 2
+    _one_line_error(capsys, f"i/o error: [Errno 21] Is a directory: '{out / 'grid.json'}'")
+    assert (out / "grid.json").is_dir()
 
 
 @pytest.mark.parametrize("direction", ["2to0", "0to2"])
@@ -444,6 +460,10 @@ def exit_2_inputs(tmp_path_factory):
          "config error: --a1 must be finite, got inf"),
         (["formal-powers", "--sp", "zero", "--nodes", "5", "--n-max", "1", "--a2=-inf"],
          "config error: --a2 must be finite, got -inf"),
+        # finite, but a1 * Z^1(1) + a2 * Z^1(i) overflows
+        (["formal-powers", "--sp", "zero", "--nodes", "5", "--n-max", "1", "--a1", "1e308",
+          "--a2", "1e308"],
+         "config error: --a1 1e+308 and --a2 1e+308 overflow the power_custom tables"),
         # 2 * a1 overflows, so the node spacing would be inf
         (["verify", "--half-width", "1e308", "--nodes", "5"],
          "config error: half_width 1e+308 with 5 nodes gives spacing h = inf"),
@@ -460,9 +480,11 @@ def exit_2_inputs(tmp_path_factory):
          "conjugate-exp-xy-coarse", "transmute-tabulated-with-params", "transmute-nodes",
          "transmute-even-nodes", "conjugate-half-width", "expand-nodes", "verify-chi1-file",
          "formal-powers-three-half-widths", "formal-powers-a1-nan", "formal-powers-a1-inf",
-         "formal-powers-a2-minus-inf", "verify-spacing-overflows",
+         "formal-powers-a2-minus-inf", "formal-powers-custom-overflows",
+         "verify-spacing-overflows",
          "transmute-input-spacing-overflows", "verify-config", "transmute-config"],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a refused input prints no numpy warning
 def test_cli_domain_and_usage_errors_exit_2(tmp_path, capsys, exit_2_inputs, argv, prefix):
     argv = [a.format(**exit_2_inputs) for a in argv] + ["--out", str(tmp_path / "o")]
     assert main(argv) == 2
