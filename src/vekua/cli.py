@@ -21,7 +21,9 @@ unreadable input file; a non-numeric ``--params``; a node count that is not
 an odd integer >= 3; a half-width that is not positive and finite, or whose
 node spacing is not; an unknown family, a wrong parameter count for it
 (``tabulated`` takes none) or a non-finite parameter; a negative
-``--n-max`` or ``--degree``; a non-finite ``--a1`` or ``--a2``; an input CSV
+``--n-max`` or ``--degree``; a non-finite ``--a1`` or ``--a2``; a family,
+grid or coefficient whose formal powers (``formal-powers``, ``expand``) or
+``power_custom`` tables overflow to a non-finite value; an input CSV
 with a short row, a non-numeric cell or a non-finite value; field CSV rows
 out of x-major order, or x or y nodes whose spacing overflows; and a domain
 error of the input: a field outside the kernel the subcommand needs
@@ -148,21 +150,35 @@ def _out_dir(args) -> Path:
     return args.out
 
 
+def _assemble(cfg: RunConfig, sp: Superpotential, n_max: int, a1: float = 1.0,
+              a2: float = 0.0):
+    """The formal-power table of ``sp`` up to ``n_max`` and, for a coefficient
+    a1 + i a2 other than 1, the powers a1 Z^n(1) + a2 Z^n(i) (else an empty
+    list).  A family or a coefficient that overflows them to a non-finite
+    value is a config error, raised before any output exists and without a
+    numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = assemble_formal_powers(sp, n_max)
+        custom = []
+        if a1 != 1.0 or a2 != 0.0:
+            custom = [table.power(n, complex(a1, a2)) for n in range(n_max + 1)]
+    if not all(np.isfinite(b).all() for b in (table.z_one, table.z_i, table.z1_one, table.z1_i)):
+        params = ",".join(map(str, cfg.sp_params)) or "none"
+        raise ConfigError(f"--sp {cfg.sp_name} with --params {params} overflows the formal "
+                          f"powers up to degree {n_max} to a non-finite value on this grid")
+    if not all(np.isfinite(c).all() for c in custom):
+        raise ConfigError(f"--a1 {a1} and --a2 {a2} overflow the power_custom "
+                          "tables to a non-finite value")
+    return table, custom
+
+
 def _cmd_formal_powers(args) -> int:
     _non_negative("--n-max", args.n_max)
     _finite("--a1", args.a1)
     _finite("--a2", args.a2)
     cfg = _load_config(args, own_grid=True)
     grid, sp = _build(cfg, args)
-    table = assemble_formal_powers(sp, args.n_max)
-    custom = []
-    if args.a1 != 1.0 or args.a2 != 0.0:
-        a = complex(args.a1, args.a2)
-        with np.errstate(over="ignore", invalid="ignore"):
-            custom = [table.power(n, a) for n in range(args.n_max + 1)]
-        if not all(np.isfinite(c).all() for c in custom):
-            raise ConfigError(f"--a1 {args.a1} and --a2 {args.a2} overflow the power_custom "
-                              "tables to a non-finite value")
+    table, custom = _assemble(cfg, sp, args.n_max, args.a1, args.a2)
     out = _out_dir(args)
     write_grid_meta(out / "grid.json", grid)
     manifest = {"superpotential": {"name": cfg.sp_name, "params": list(cfg.sp_params)},
@@ -259,8 +275,8 @@ def _cmd_expand(args) -> int:
     cfg = _load_config(args, own_grid=False)
     grid, values = read_field_csv(args.input)
     _, sp = _build(cfg, args, grid)
+    table, _ = _assemble(cfg, sp, args.degree)
     out = _out_dir(args)
-    table = assemble_formal_powers(sp, args.degree)
     fit = fit_formal_polynomial(sp, np.real(values), table, args.basis, args.degree)
     recon = evaluate_fit(fit, table)
     write_field_csv(out / "fit_residual.csv", grid, (np.real(values) - recon).astype(complex))

@@ -19,6 +19,15 @@ stencils and the quadrature write into their output array instead of
 building full-size temporaries; the stencils take the interior nodes of
 either axis as one contiguous slice of the flattened field.
 
+Every division by the step (the 2h and h^2 of the stencils, the halving of
+the trapezoid) goes through :func:`_divide`.  A real array is divided, as
+IEEE division rounds once and the battery's rounding-level rows pin those
+bits.  A complex array is multiplied by the reciprocal: numpy divides a
+complex array by a real scalar ``d`` as by ``d + 0j`` with Smith's quotient,
+one scalar loop whose every element computes ``(re + im*0) * (1/d)``, and
+the vectorized product with ``1/d`` gives the same values (only the sign of
+an exact zero can differ, for ``-0`` input) six to eight times faster.
+
 Fields are plain ``numpy`` arrays of shape ``(gx.n, gy.n)`` indexed as
 ``f[ix, iy]``.  Residual norms are meant to be taken on interior nodes only
 (boundary values of second-derivative quantities are best-effort one-sided
@@ -174,7 +183,7 @@ def _cumulative_trapezoid(y: np.ndarray, h: float, origin_index: int, axis: int,
     body = om[1:]
     np.add(ym[1:], ym[:-1], out=body)
     body *= h
-    body /= 2.0
+    _divide(body, 2.0)
     if body.ndim == 1:
         np.cumsum(body, out=body)
     else:
@@ -182,6 +191,23 @@ def _cumulative_trapezoid(y: np.ndarray, h: float, origin_index: int, axis: int,
             np.add(body[k - 1], body[k], out=body[k])
     om -= om[origin_index].copy()
     return out
+
+
+def _divide(a, d: float):
+    """Divide ``a`` in place by a positive real scalar ``d``; returns ``a``
+    (a numpy scalar ``a`` is returned divided).
+
+    Real ``a`` keeps IEEE division.  Complex ``a`` is multiplied by
+    ``1.0 / d``: for the divisor ``d + 0j`` numpy's Smith quotient takes the
+    ratio 0 and the scale ``1/d`` and returns ``(re + im*0) * (1/d)``, which
+    is this product except for the sign of an exact zero, and it runs as a
+    scalar loop six to eight times slower than the product.
+    """
+    if np.iscomplexobj(a):
+        a *= 1.0 / d
+    else:
+        a /= d
+    return a
 
 
 def _first_derivative(f: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -196,11 +222,11 @@ def _first_derivative(f: np.ndarray, h: float, axis: int) -> np.ndarray:
     ff, mid = f.reshape(-1), out.reshape(-1)[step:f.size - step]
     # (f[k+1] - f[k-1]) / 2h, evaluated in place
     np.subtract(ff[2 * step:], ff[:f.size - 2 * step], out=mid)
-    mid /= 2.0 * h
+    _divide(mid, 2.0 * h)
     fm = f.swapaxes(0, axis)
     om = out.swapaxes(0, axis)
-    om[0] = (-3.0 * fm[0] + 4.0 * fm[1] - fm[2]) / (2.0 * h)
-    om[-1] = (3.0 * fm[-1] - 4.0 * fm[-2] + fm[-3]) / (2.0 * h)
+    om[0] = _divide(-3.0 * fm[0] + 4.0 * fm[1] - fm[2], 2.0 * h)
+    om[-1] = _divide(3.0 * fm[-1] - 4.0 * fm[-2] + fm[-3], 2.0 * h)
     return out
 
 
@@ -217,12 +243,12 @@ def _second_derivative(f: np.ndarray, h: float, axis: int) -> np.ndarray:
     np.multiply(ff[step:f.size - step], 2.0, out=mid)
     np.subtract(ff[2 * step:], mid, out=mid)
     mid += ff[:f.size - 2 * step]
-    mid /= h2
+    _divide(mid, h2)
     fm = f.swapaxes(0, axis)
     om = out.swapaxes(0, axis)
     if f.shape[axis] >= 4:
-        om[0] = (2.0 * fm[0] - 5.0 * fm[1] + 4.0 * fm[2] - fm[3]) / h2
-        om[-1] = (2.0 * fm[-1] - 5.0 * fm[-2] + 4.0 * fm[-3] - fm[-4]) / h2
+        om[0] = _divide(2.0 * fm[0] - 5.0 * fm[1] + 4.0 * fm[2] - fm[3], h2)
+        om[-1] = _divide(2.0 * fm[-1] - 5.0 * fm[-2] + 4.0 * fm[-3] - fm[-4], h2)
     else:
         # 3-node grid: only the central value exists; replicate it.
         om[0] = om[1]

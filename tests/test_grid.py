@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vekua.grid
 from vekua.errors import GridShapeError
 from vekua.grid import (
     Grid1D,
@@ -24,6 +26,7 @@ from vekua.grid import (
     lpath_complex,
     lpath_field,
 )
+from vekua.verification import RunConfig, run_battery
 
 
 @pytest.fixture(scope="module")
@@ -265,6 +268,130 @@ def test_stencils_are_the_textbook_expressions_bit_for_bit(n, kind):
             assert got1.dtype == got2.dtype == f.dtype
             assert np.array_equal(got1, np.moveaxis(d1, 0, axis)), (layout, axis)
             assert np.array_equal(got2, np.moveaxis(d2, 0, axis)), (layout, axis)
+
+
+# ------------------------------------------------------ division oracle
+# The kernels with every division by the step left to numpy's division, which
+# divides a complex array by a real scalar with Smith's quotient.  The shipped
+# kernels multiply a complex array by the reciprocal instead; the values must
+# be the same, and a real array must keep its bits.
+
+def _oracle_first_derivative(f, h, axis):
+    f = np.asarray(f)
+    out = np.empty(f.shape, dtype=np.result_type(f.dtype, np.float64))
+    step = int(np.prod(f.shape[axis + 1:]))
+    ff, mid = f.reshape(-1), out.reshape(-1)[step:f.size - step]
+    np.subtract(ff[2 * step:], ff[:f.size - 2 * step], out=mid)
+    mid /= 2.0 * h
+    fm = f.swapaxes(0, axis)
+    om = out.swapaxes(0, axis)
+    om[0] = (-3.0 * fm[0] + 4.0 * fm[1] - fm[2]) / (2.0 * h)
+    om[-1] = (3.0 * fm[-1] - 4.0 * fm[-2] + fm[-3]) / (2.0 * h)
+    return out
+
+
+def _oracle_second_derivative(f, h, axis):
+    f = np.asarray(f)
+    out = np.empty(f.shape, dtype=np.result_type(f.dtype, np.float64))
+    step = int(np.prod(f.shape[axis + 1:]))
+    ff, mid = f.reshape(-1), out.reshape(-1)[step:f.size - step]
+    h2 = h * h
+    np.multiply(ff[step:f.size - step], 2.0, out=mid)
+    np.subtract(ff[2 * step:], mid, out=mid)
+    mid += ff[:f.size - 2 * step]
+    mid /= h2
+    fm = f.swapaxes(0, axis)
+    om = out.swapaxes(0, axis)
+    if f.shape[axis] >= 4:
+        om[0] = (2.0 * fm[0] - 5.0 * fm[1] + 4.0 * fm[2] - fm[3]) / h2
+        om[-1] = (2.0 * fm[-1] - 5.0 * fm[-2] + 4.0 * fm[-3] - fm[-4]) / h2
+    else:
+        om[0] = om[1]
+        om[-1] = om[1]
+    return out
+
+
+def _oracle_cumulative_trapezoid(y, h, origin_index, axis, out):
+    ym = y.swapaxes(0, axis)
+    om = out.swapaxes(0, axis)
+    om[0] = 0.0
+    body = om[1:]
+    np.add(ym[1:], ym[:-1], out=body)
+    body *= h
+    body /= 2.0
+    if body.ndim == 1:
+        np.cumsum(body, out=body)
+    else:
+        for k in range(1, len(body)):
+            np.add(body[k - 1], body[k], out=body[k])
+    om -= om[origin_index].copy()
+    return out
+
+
+_ORACLES = {
+    "_first_derivative": _oracle_first_derivative,
+    "_second_derivative": _oracle_second_derivative,
+    "_cumulative_trapezoid": _oracle_cumulative_trapezoid,
+}
+
+
+def _oracle_layouts(n, kind):
+    """C-order, F-order, strided and 1-D samples of magnitudes 1e-8..1e8,
+    with 5 % exact zeros in each real part."""
+    rng = np.random.default_rng(n)
+
+    def part():
+        x = rng.standard_normal((2 * n, 3 * n)) * 10.0 ** rng.uniform(-8, 8, (2 * n, 3 * n))
+        x[rng.random(x.shape) < 0.05] = 0.0
+        return x
+
+    base = part() + 1j * part() if kind == "complex" else part()
+    c = np.ascontiguousarray(base[:n, :n + 2])
+    return {"c": c, "f": np.asfortranarray(c), "strided": base[::2, ::3], "column": c[:, 1]}
+
+
+def _same_values(got, want):
+    """Equal values; for a real array also equal bits (the sign of zero)."""
+    if got.dtype != want.dtype:
+        return False
+    if np.iscomplexobj(want):
+        return np.array_equal(got, want)
+    return np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                          np.ascontiguousarray(want).view(np.uint64))
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("n", [3, 4, 5, 21, 201])
+def test_kernels_equal_the_division_oracle(n, kind):
+    # 1/0.0123 and 1/(2 * 0.0123) are not exact in binary
+    for h in (0.0123, 2.0 / (n - 1)):
+        for layout, f in _oracle_layouts(n, kind).items():
+            for axis in range(f.ndim):
+                where = (layout, axis, h)
+                assert _same_values(_first_derivative(f, h, axis),
+                                    _oracle_first_derivative(f, h, axis)), where
+                assert _same_values(_second_derivative(f, h, axis),
+                                    _oracle_second_derivative(f, h, axis)), where
+                m = f.shape[axis]
+                if m % 2:  # a Grid1D has an odd node count
+                    g = Grid1D(h * (m - 1) / 2, m)
+                    want = np.empty(f.shape, dtype=np.result_type(f.dtype, np.float64))
+                    _oracle_cumulative_trapezoid(f, g.h, g.center, axis, want)
+                    assert _same_values(cumulative_integral(g, f, axis=axis), want), where
+
+
+@pytest.mark.parametrize("family, params", [("zero", ()), ("linear", (0.5, -1.0)),
+                                            ("quadratic", (1.0, -0.5))])
+def test_battery_rows_equal_those_of_the_division_oracle(family, params, monkeypatch):
+    cfg = RunConfig(n1=61, n2=61, sp_name=family, sp_params=params)
+    shipped = run_battery(cfg)
+    # every module that imported a kernel runs the oracle in its place
+    for name, oracle in _ORACLES.items():
+        kernel = getattr(vekua.grid, name)
+        for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "vekua"]:
+            if getattr(module, name, None) is kernel:
+                monkeypatch.setattr(module, name, oracle)
+    assert run_battery(cfg) == shipped
 
 
 # ---------------------------------------------------------- path integrals

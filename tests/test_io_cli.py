@@ -464,6 +464,14 @@ def exit_2_inputs(tmp_path_factory):
         (["formal-powers", "--sp", "zero", "--nodes", "5", "--n-max", "1", "--a1", "1e308",
           "--a2", "1e308"],
          "config error: --a1 1e+308 and --a2 1e+308 overflow the power_custom tables"),
+        # exp(2 chi) overflows, so the formal powers would be tables of inf/nan
+        (["formal-powers", "--sp", "linear", "--params", "400,1", "--nodes", "21", "--n-max",
+          "3"], "config error: --sp linear with --params 400.0,1.0 overflows the formal powers"),
+        (["formal-powers", "--sp", "quadratic", "--params", "1e3,1", "--nodes", "21",
+          "--n-max", "3"],
+         "config error: --sp quadratic with --params 1000.0,1.0 overflows the formal powers"),
+        (["expand", "--sp", "linear", "--params", "400,1", "--input", "{sq21}", "--basis",
+          "ker_h0"], "config error: --sp linear with --params 400.0,1.0 overflows the formal powers"),
         # 2 * a1 overflows, so the node spacing would be inf
         (["verify", "--half-width", "1e308", "--nodes", "5"],
          "config error: half_width 1e+308 with 5 nodes gives spacing h = inf"),
@@ -481,6 +489,8 @@ def exit_2_inputs(tmp_path_factory):
          "transmute-even-nodes", "conjugate-half-width", "expand-nodes", "verify-chi1-file",
          "formal-powers-three-half-widths", "formal-powers-a1-nan", "formal-powers-a1-inf",
          "formal-powers-a2-minus-inf", "formal-powers-custom-overflows",
+         "formal-powers-linear-overflows", "formal-powers-quadratic-overflows",
+         "expand-linear-overflows",
          "verify-spacing-overflows",
          "transmute-input-spacing-overflows", "verify-config", "transmute-config"],
 )
