@@ -22,18 +22,21 @@ an odd integer >= 3; a half-width that is not positive and finite, or whose
 node spacing is not; an unknown family, a wrong parameter count for it
 (``tabulated`` takes none) or a non-finite parameter; a negative
 ``--n-max`` or ``--degree``; a non-finite ``--a1`` or ``--a2``; a family,
-grid or coefficient whose formal powers (``formal-powers``, ``expand``) or
-``power_custom`` tables overflow to a non-finite value; an input CSV
-with a short row, a non-numeric cell or a non-finite value; field CSV rows
-out of x-major order, or x or y nodes whose spacing overflows; and a domain
+grid or coefficient whose formal powers (``formal-powers``, ``expand``, and
+``verify`` up to the battery's degree) or ``power_custom`` tables overflow
+to a non-finite value; an input CSV with a short row, a non-numeric cell or
+a non-finite value; field CSV rows out of x-major order, or x or y nodes
+whose spacing overflows; and a domain
 error of the input: a field outside the kernel the subcommand needs
 (``KernelMembershipError``: it has a non-finite value, or its h0 or h2
 residual is not within 50 h^2 times the largest of 1, |f_xx|, |f_yy| and
 |U f|, see :func:`vekua.operators.require_kernel`) or a grid too small for
-the stencils (``GridShapeError``).  Each prints one line to stderr.
-Identical flags yield byte-identical outputs.  Each output file is created
-new (see :func:`vekua.fields_io.open_output`), so a run into a directory that
-holds an earlier run's outputs replaces them rather than writing through them.
+the stencils (``GridShapeError``).  Each prints one line to stderr.  A run
+that exits 2 or 3 leaves no ``--out`` directory behind: each subcommand
+makes it only once its results exist.  Identical flags yield byte-identical
+outputs.  Each output file is created new (see
+:func:`vekua.fields_io.open_output`), so a run into a directory that holds
+an earlier run's outputs replaces them rather than writing through them.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ from .formal_powers import assemble_formal_powers
 from .grid import Grid2D
 from .superpotential import Superpotential, catalog_names, make_superpotential
 from .transmutation import build_transmute, build_transmute_2d, build_transmute_tilde
-from .verification import RunConfig, run_battery, render_report, write_report
+from .verification import N_MAX, RunConfig, run_battery, render_report, write_report
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -228,7 +231,6 @@ def _cmd_transmute(args) -> int:
     cfg = _load_config(args, own_grid=False)
     grid, values = read_field_csv(args.input)
     _, sp = _build(cfg, args, grid)
-    out = _out_dir(args)
     if args.op in ("T0", "T1"):
         t2d = build_transmute_2d(sp)
         result = t2d.t0(values) if args.op == "T0" else t2d.t1(values)
@@ -239,6 +241,7 @@ def _cmd_transmute(args) -> int:
         op = build(sp.ax if along_x else sp.ay)
         result = op.along_x(values) if along_x else op.along_y(values)
         kernels = {"x" if along_x else "y": op}
+    out = _out_dir(args)
     write_field_csv(out / "transmuted.csv", grid, result)
     write_grid_meta(out / "grid.json", grid)
     if args.dump_kernel:
@@ -252,12 +255,12 @@ def _cmd_conjugate(args) -> int:
     cfg = _load_config(args, own_grid=False)
     grid, values = read_field_csv(args.input)
     _, sp = _build(cfg, args, grid)
-    out = _out_dir(args)
     target = np.real(values)
     if args.direction == "2to0":
         result = conj.conjugate_from_w1(sp, target)
     else:
         result = conj.conjugate_from_w2(sp, target)
+    out = _out_dir(args)
     write_field_csv(out / "partner.csv", grid, result.partner.astype(complex))
     report = (
         f"direction {args.direction}\n"
@@ -276,9 +279,9 @@ def _cmd_expand(args) -> int:
     grid, values = read_field_csv(args.input)
     _, sp = _build(cfg, args, grid)
     table, _ = _assemble(cfg, sp, args.degree)
-    out = _out_dir(args)
     fit = fit_formal_polynomial(sp, np.real(values), table, args.basis, args.degree)
     recon = evaluate_fit(fit, table)
+    out = _out_dir(args)
     write_field_csv(out / "fit_residual.csv", grid, (np.real(values) - recon).astype(complex))
     lines = [
         f"basis {fit.basis_kind}",
@@ -301,7 +304,9 @@ def _cmd_verify(args) -> int:
     cfg = _load_config(args, own_grid=True)
     if cfg.sp_name == "tabulated":
         raise ConfigError("verify runs on catalog families (the battery refines the grid)")
-    _build(cfg, args)  # a grid or family the battery cannot build: exit 2, not 1
+    # a grid, family or formal powers the battery cannot build: exit 2, not 1
+    _, sp = _build(cfg, args)
+    _assemble(cfg, sp, N_MAX)
     rows = run_battery(cfg)
     out = _out_dir(args)
     write_report(rows, cfg, out)

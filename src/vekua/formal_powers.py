@@ -1,9 +1,11 @@
 """Explicit construction of formal powers.
 
 For a separable superpotential the pseudoanalytic analogues of a*(z-z0)^n
-admit a closed construction: two families of one-dimensional cumulative
-integrals per axis (with alternating exponential weights), two derived
-function systems per axis, and a binomial recombination.  That explicit
+admit a closed construction: one dressed 1-D power system per axis profile,
+built from cumulative integrals with alternating exponential weights, and a
+binomial recombination.  Each axis needs the system of its profile and that
+of the flipped profile (-chi_j); the tilde system is that same construction
+on :meth:`AxisProfile.flipped`, with no rule of its own.  That explicit
 assembly is the only construction here.  The pair integral
 :func:`fg_integral`, the step of the generic recursive construction by
 pair-alternating integration, serves the battery's ``diagram_integral`` row,
@@ -21,7 +23,7 @@ from math import comb
 import numpy as np
 
 from .grid import Grid2D, cumulative_integral, interior, lpath_complex
-from .superpotential import Superpotential, generating_pair
+from .superpotential import AxisProfile, Superpotential, generating_pair
 
 __all__ = [
     "AuxSystem",
@@ -34,66 +36,43 @@ __all__ = [
 
 @dataclass(eq=False)
 class AuxSystem:
-    """Per-axis integral systems backing the explicit formal powers.
+    """Per-axis power systems backing the explicit formal powers.
 
-    ``x_pow[n]``/``x_pow_t[n]`` are the n-th cumulative integrals on the x
-    axis with weights exp(-2*chi1) alternating with exp(+2*chi1) (and the
-    swapped alternation for the tilde family); ``y_pow``/``y_pow_t`` are the
-    same on the y axis.  ``phi``/``phi_t`` and ``psi``/``psi_t`` are the
-    exponential-dressed systems mixed by parity.
+    ``phi`` is the dressed 1-D power system of the x profile and ``phi_t``
+    that of its flip (-chi1, :meth:`AxisProfile.flipped`); ``psi`` and
+    ``psi_t`` are the same on the y axis.  Row k is degree k, on the axis
+    nodes.
     """
 
-    x_pow: np.ndarray
-    x_pow_t: np.ndarray
-    y_pow: np.ndarray
-    y_pow_t: np.ndarray
     phi: np.ndarray
     phi_t: np.ndarray
     psi: np.ndarray
     psi_t: np.ndarray
 
 
-def _axis_system(grid, chi, n_max):
-    """Iterated weighted integrals from the origin node, both alternations."""
-    plain = np.empty((n_max + 1, grid.n))
-    tilde = np.empty((n_max + 1, grid.n))
-    plain[0] = tilde[0] = 1.0
-    w_minus = np.exp(-2.0 * chi)
-    w_plus = np.exp(2.0 * chi)
+def _weighted_integrals(grid, chi, n_max):
+    """X_0 = 1 and X_n = n int_0^x X_{n-1} exp((-1)^n 2 chi), from the origin node."""
+    out = np.empty((n_max + 1, grid.n))
+    out[0] = 1.0
+    weights = (np.exp(2.0 * chi), np.exp(-2.0 * chi))  # by the parity of n
     for n in range(1, n_max + 1):
-        # weight exp[(-1)^n * 2 chi] for the plain family, opposite for tilde
-        wp = w_plus if n % 2 == 0 else w_minus
-        wt = w_minus if n % 2 == 0 else w_plus
-        plain[n] = n * cumulative_integral(grid, plain[n - 1] * wp, grid.center)
-        tilde[n] = n * cumulative_integral(grid, tilde[n - 1] * wt, grid.center)
-    return plain, tilde
+        out[n] = n * cumulative_integral(grid, out[n - 1] * weights[n % 2], grid.center)
+    return out
 
 
-def _dressed(chi, plain, tilde):
-    """phi_k = e^chi * (X if k odd else Xt); phi_t has e^-chi and swapped parity."""
-    up = np.exp(chi)
-    down = np.exp(-chi)
-    phi = np.empty_like(plain)
-    phi_t = np.empty_like(plain)
-    for k in range(len(plain)):
-        if k % 2 == 1:
-            phi[k] = up * plain[k]
-            phi_t[k] = down * tilde[k]
-        else:
-            phi[k] = up * tilde[k]
-            phi_t[k] = down * plain[k]
-    return phi, phi_t
+def _power_system(profile: AxisProfile, n_max: int) -> np.ndarray:
+    """phi_k = e^chi X_k(chi) for odd k and e^chi X_k(-chi) for even k."""
+    powers = _weighted_integrals(profile.grid, profile.chi, n_max)
+    powers[::2] = _weighted_integrals(profile.grid, -profile.chi, n_max)[::2]
+    return np.exp(profile.chi) * powers
 
 
 def build_aux_system(sp: Superpotential, n_max: int) -> AuxSystem:
     """Build the 1-D systems up to degree ``n_max`` (inclusive)."""
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    x_pow, x_pow_t = _axis_system(sp.grid.gx, sp.ax.chi, n_max)
-    y_pow, y_pow_t = _axis_system(sp.grid.gy, sp.ay.chi, n_max)
-    phi, phi_t = _dressed(sp.ax.chi, x_pow, x_pow_t)
-    psi, psi_t = _dressed(sp.ay.chi, y_pow, y_pow_t)
-    return AuxSystem(x_pow, x_pow_t, y_pow, y_pow_t, phi, phi_t, psi, psi_t)
+    profiles = (sp.ax, sp.ax.flipped(), sp.ay, sp.ay.flipped())
+    return AuxSystem(*(_power_system(p, n_max) for p in profiles))
 
 
 def _basis_part(basis_kind: str, field_c) -> np.ndarray:

@@ -49,7 +49,11 @@ __all__ = [
     "build_transmute_2d",
 ]
 
-TOL = 1e-12  # Picard stops once the max change of an iterate is below this
+TOL = 1e-12  # Picard stops once the max change of an iterate is below this,
+# or once that change stops falling within _ROUNDING_FLOOR * eps * max|K|:
+# linear c1 = 5, 6, 8 at n = 101, 201, 401 stall at 0.6-17 eps max|K|, so the
+# floor keeps a margin of about 4 over that envelope
+_ROUNDING_FLOOR = 64.0
 MAX_ITER = 60
 TILDE_CHECK_CAP = 50.0  # units of h^2 * scale
 
@@ -58,13 +62,12 @@ TILDE_CHECK_CAP = 50.0  # units of h^2 * scale
 class GoursatKernel:
     """Solved kernel for one axis; it depends on the potential q alone.
 
-    ``char_values`` is the table on the characteristic square (spacing h/2),
-    ``axis_values`` the same kernel re-indexed to axis-node pairs (x_k, t_l);
-    entries with |t| > |x| are outside the triangle and must not be used.
+    ``axis_values`` holds K on the axis-node pairs (x_k, t_l); entries with
+    |t| > |x| are outside the triangle and must not be used.  The table on
+    the characteristic square that the solve iterates is not kept.
     """
 
     axis_grid: Grid1D
-    char_values: np.ndarray
     axis_values: np.ndarray
     defects: list[float]
 
@@ -87,9 +90,15 @@ def solve_goursat(profile: AxisProfile) -> GoursatKernel:
     """Picard iteration for the kernel of one axis.
 
     Iterates K <- G(u) + int_0^u int_0^v q(a+b) K(a,b) db da on the
-    characteristic square until the successive max-difference drops below
-    :data:`TOL`; raises with the defect history if :data:`MAX_ITER` sweeps do
-    not get there.  Each sweep works in four preallocated tables.
+    characteristic square in three preallocated tables.  Each sweep's defect
+    is the max change of the iterate.  The solve stops once the defect is
+    below :data:`TOL`, or once it stops falling, past the rise of the first
+    sweeps, within the rounding floor 64 eps max|K|.  Error model: each sweep
+    sums O(n) products into every entry, which rounds K to a few eps max|K|,
+    so a defect that no longer falls there is rounding; TOL alone is out of
+    reach once max|K| exceeds TOL / eps, about 4.5e3.  The solve raises with
+    the defect history if :data:`MAX_ITER` sweeps do neither.  Only the
+    axis-node table is kept.
     """
     grid = profile.grid
     cgrid = grid.refined()  # spacing h/2 on the same interval
@@ -97,22 +106,26 @@ def solve_goursat(profile: AxisProfile) -> GoursatKernel:
     q_u = profile.q_at(np.clip(cgrid.nodes, -grid.half_width, grid.half_width))
     g_u = 0.5 * cumulative_integral(cgrid, q_u, c)
     q_uv = _char_potential(profile)
+    floor = _ROUNDING_FLOOR * np.finfo(float).eps
 
     k_cur = np.broadcast_to(g_u[:, None], (cgrid.n, cgrid.n)).copy()
-    k_next = np.empty_like(k_cur)
     inner = np.empty_like(k_cur)
     work = np.empty_like(k_cur)
     defects: list[float] = []
     for _ in range(MAX_ITER):
         np.multiply(q_uv, k_cur, out=work)
         _cumulative_trapezoid(work, cgrid.h, c, 1, inner)
-        _cumulative_trapezoid(inner, cgrid.h, c, 0, k_next)
-        k_next += g_u[:, None]
-        np.subtract(k_next, k_cur, out=work)
-        defect = float(np.max(np.abs(work, out=work)))
+        _cumulative_trapezoid(inner, cgrid.h, c, 0, work)
+        work += g_u[:, None]
+        np.subtract(work, k_cur, out=inner)
+        defect = float(np.max(np.abs(inner, out=inner)))
         defects.append(defect)
-        k_cur, k_next = k_next, k_cur
+        k_cur, work = work, k_cur
         if defect <= TOL:
+            break
+        # stopped falling, and below the first sweep's defect, so past the rise
+        if (len(defects) > 1 and defects[-2] <= defect and defects[-2] < defects[0]
+                and defect <= floor * float(np.max(np.abs(k_cur, out=inner)))):
             break
     else:
         raise NonConvergenceError(
@@ -123,8 +136,7 @@ def solve_goursat(profile: AxisProfile) -> GoursatKernel:
 
     n = grid.n
     kk, ll = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    axis_values = k_cur[kk + ll, kk - ll + n - 1]
-    return GoursatKernel(grid, k_cur, axis_values, defects)
+    return GoursatKernel(grid, k_cur[kk + ll, kk - ll + n - 1], defects)
 
 
 def build_kernel_with_h(gk: GoursatKernel, h_param: float) -> np.ndarray:

@@ -9,7 +9,7 @@ from vekua.formal_powers import (
     fg_integral,
 )
 from vekua.grid import Grid2D, interior_max
-from vekua.superpotential import generating_pair, make_superpotential
+from vekua.superpotential import Superpotential, generating_pair, make_superpotential
 
 
 @pytest.fixture(scope="module")
@@ -59,25 +59,53 @@ def test_aux_linear_chi_sinh_oracle(grid):
     sp = make_superpotential("linear", (1.0, 0.0), grid)
     aux = build_aux_system(sp, 2)
     x = grid.gx.nodes
-    # first weighted integral has the closed form (1 - exp(-2x)) / 2
-    np.testing.assert_allclose(aux.x_pow[1], (1.0 - np.exp(-2.0 * x)) / 2.0, atol=2e-4)
+    # chi1 = x: phi_1 = e^x int_0^x e^-2s = sinh x, and its flip gives the same
     np.testing.assert_allclose(aux.phi[1], np.sinh(x), atol=2e-4)
-    # value at the right endpoint against the frozen closed form
-    assert aux.x_pow[1][-1] == pytest.approx(0.43233235838169365, abs=1e-4)
+    np.testing.assert_allclose(aux.phi_t[1], np.sinh(x), atol=2e-4)
+    # degree 2 takes the opposite alternation: x e^x - sinh x and sinh x - x e^-x
+    np.testing.assert_allclose(aux.phi[2], x * np.exp(x) - np.sinh(x), atol=2e-4)
+    np.testing.assert_allclose(aux.phi_t[2], np.sinh(x) - x * np.exp(-x), atol=2e-4)
+    # value at the right endpoint against the frozen closed form sinh(1)
+    assert aux.phi[1][-1] == pytest.approx(1.1752011936438014, abs=1e-4)
 
 
 def test_aux_vanishes_at_origin(quad):
     aux = build_aux_system(quad, 6)
     c = quad.grid.gx.center
     for n in range(1, 7):
-        assert aux.x_pow[n][c] == 0.0
-        assert aux.x_pow_t[n][c] == 0.0
+        for system in (aux.phi, aux.phi_t, aux.psi, aux.psi_t):
+            assert system[n][c] == 0.0
 
 
 def test_aux_level_zero_is_one(quad):
+    # the iterated integrals start at one, so level zero is e^chi (e^-chi for tilde)
     aux = build_aux_system(quad, 3)
-    assert np.all(aux.x_pow[0] == 1.0)
-    assert np.all(aux.y_pow_t[0] == 1.0)
+    assert np.array_equal(aux.phi[0], np.exp(quad.ax.chi))
+    assert np.array_equal(aux.phi_t[0], np.exp(-quad.ax.chi))
+    assert np.array_equal(aux.psi[0], np.exp(quad.ay.chi))
+    assert np.array_equal(aux.psi_t[0], np.exp(-quad.ay.chi))
+
+
+# the zero family, the corners of the parameter lattice (-1, -0.5, 0.5, 1) for
+# linear and quadratic, and a tabulated profile with a cubic term
+_CORNERS = [(a, b) for a in (-1.0, 1.0) for b in (-1.0, 1.0)]
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [("zero", ())] + [("linear", p) for p in _CORNERS] + [("quadratic", p) for p in _CORNERS]
+    + [("tabulated", ())],
+)
+def test_aux_tilde_systems_are_the_systems_of_the_flipped_profiles(name, params):
+    grid = Grid2D.square(1.0, 61)
+    x = grid.gx.nodes
+    tables = ({"chi1_table": 0.5 * x + 0.3 * x**3, "chi2_table": np.sin(x) - x**2}
+              if name == "tabulated" else {})
+    sp = make_superpotential(name, params, grid, **tables)
+    aux = build_aux_system(sp, 8)
+    flipped = build_aux_system(Superpotential(sp.ax.flipped(), sp.ay.flipped()), 8)
+    assert aux.phi_t.tobytes() == flipped.phi.tobytes()
+    assert aux.psi_t.tobytes() == flipped.psi.tobytes()
 
 
 # ------------------------------------------------------------- assembly

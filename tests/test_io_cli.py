@@ -9,6 +9,7 @@ import pytest
 
 import vekua
 import vekua.cli as cli
+import vekua.transmutation as transmutation
 from vekua.cli import build_parser, main
 from vekua.errors import (
     ConfigError,
@@ -472,6 +473,9 @@ def exit_2_inputs(tmp_path_factory):
          "config error: --sp quadratic with --params 1000.0,1.0 overflows the formal powers"),
         (["expand", "--sp", "linear", "--params", "400,1", "--input", "{sq21}", "--basis",
           "ker_h0"], "config error: --sp linear with --params 400.0,1.0 overflows the formal powers"),
+        # the battery's formal powers would overflow
+        (["verify", "--sp", "linear", "--params", "400,1", "--nodes", "21"],
+         "config error: --sp linear with --params 400.0,1.0 overflows the formal powers"),
         # 2 * a1 overflows, so the node spacing would be inf
         (["verify", "--half-width", "1e308", "--nodes", "5"],
          "config error: half_width 1e+308 with 5 nodes gives spacing h = inf"),
@@ -490,7 +494,7 @@ def exit_2_inputs(tmp_path_factory):
          "formal-powers-three-half-widths", "formal-powers-a1-nan", "formal-powers-a1-inf",
          "formal-powers-a2-minus-inf", "formal-powers-custom-overflows",
          "formal-powers-linear-overflows", "formal-powers-quadratic-overflows",
-         "expand-linear-overflows",
+         "expand-linear-overflows", "verify-linear-overflows",
          "verify-spacing-overflows",
          "transmute-input-spacing-overflows", "verify-config", "transmute-config"],
 )
@@ -499,8 +503,7 @@ def test_cli_domain_and_usage_errors_exit_2(tmp_path, capsys, exit_2_inputs, arg
     argv = [a.format(**exit_2_inputs) for a in argv] + ["--out", str(tmp_path / "o")]
     assert main(argv) == 2
     _one_line_error(capsys, prefix.format(**exit_2_inputs))
-    # only a domain error is found after the output directory is made
-    assert prefix.startswith("domain error") or not (tmp_path / "o").exists()
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("error", [KernelMembershipError, GridShapeError])
@@ -515,6 +518,25 @@ def test_cli_maps_every_domain_error_to_exit_2(tmp_path, capsys, monkeypatch, er
     assert _one_line_error(capsys, f"domain error ({error.__name__}): ").endswith(
         "synthetic failure\n"
     )
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_transmute_non_convergence_exits_3_without_output(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(transmutation, "MAX_ITER", 2)
+    _, inp = _write_sample_field(tmp_path)
+    assert main(["transmute", "--sp", "quadratic", "--params", "1,-0.5", "--input", str(inp),
+                 "--out", str(tmp_path / "o")]) == 3
+    _one_line_error(capsys, "non-convergence: Goursat iteration did not reach 1e-12 in 2 steps")
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_transmute_kernel_at_its_rounding_floor(tmp_path):
+    # linear c1 = 5: max|K| is 6.7e3, so the Picard defect stalls above 1e-12
+    _, inp = _write_sample_field(tmp_path, n=201)
+    out = tmp_path / "t"
+    assert main(["transmute", "--sp", "linear", "--params", "5,0", "--op", "T1d",
+                 "--input", str(inp), "--out", str(out)]) == 0
+    assert (out / "transmuted.csv").stat().st_size > 0
 
 
 def test_cli_sp_choices_are_the_catalog():
