@@ -24,14 +24,16 @@ node spacing is not; an unknown family, a wrong parameter count for it
 ``--n-max`` or ``--degree``; a non-finite ``--a1`` or ``--a2``; a family,
 grid or coefficient whose formal powers (``formal-powers``, ``expand``, and
 ``verify`` up to the battery's degree) or ``power_custom`` tables overflow
-to a non-finite value; an input CSV with a short row, a non-numeric cell or
-a non-finite value; field CSV rows out of x-major order, or x or y nodes
-whose spacing overflows; and a domain
+to a non-finite value; a finite input field whose ``transmute`` image
+overflows to a non-finite value; an input CSV with a short row, a
+non-numeric cell or a non-finite value; field CSV rows out of x-major order,
+or x or y nodes whose spacing overflows; and a domain
 error of the input: a field outside the kernel the subcommand needs
-(``KernelMembershipError``: it has a non-finite value, or its h0 or h2
-residual is not within 50 h^2 times the largest of 1, |f_xx|, |f_yy| and
-|U f|, see :func:`vekua.operators.require_kernel`) or a grid too small for
-the stencils (``GridShapeError``).  Each prints one line to stderr.  A run
+(``KernelMembershipError``: it has a non-finite value, its h0 or h2
+residual or one of f_xx, f_yy and U f overflows, or the residual is not
+within 50 h^2 times the largest of 1, |f_xx|, |f_yy| and |U f|, see
+:func:`vekua.operators.require_kernel`) or a grid too small for the
+stencils (``GridShapeError``).  Each prints one line to stderr.  A run
 that exits 2 or 3 leaves no ``--out`` directory behind: each subcommand
 makes it only once its results exist.  Identical flags yield byte-identical
 outputs.  Each output file is created new (see
@@ -233,14 +235,19 @@ def _cmd_transmute(args) -> int:
     _, sp = _build(cfg, args, grid)
     if args.op in ("T0", "T1"):
         t2d = build_transmute_2d(sp)
-        result = t2d.t0(values) if args.op == "T0" else t2d.t1(values)
+        apply = t2d.t0 if args.op == "T0" else t2d.t1
         kernels = {"x": t2d.tx, "y": t2d.ty}
     else:
         along_x = args.op in ("T1d", "T1d-tilde")
         build = build_transmute_tilde if args.op.endswith("tilde") else build_transmute
         op = build(sp.ax if along_x else sp.ay)
-        result = op.along_x(values) if along_x else op.along_y(values)
+        apply = op.along_x if along_x else op.along_y
         kernels = {"x" if along_x else "y": op}
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = apply(values)
+    if not np.isfinite(result).all():
+        raise ConfigError(f"the --op {args.op} image of {args.input} overflows to a "
+                          "non-finite value")
     out = _out_dir(args)
     write_field_csv(out / "transmuted.csv", grid, result)
     write_grid_meta(out / "grid.json", grid)

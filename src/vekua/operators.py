@@ -111,17 +111,25 @@ def require_kernel(sp: Superpotential, op, f, label: str) -> None:
     """Raise :class:`KernelMembershipError` unless ``op`` (h0 or h2) annihilates
     ``f`` up to :data:`KERNEL_CAP` * h^2 * T; warn above :data:`KERNEL_WARN`
     * h^2 * T.  The residual ``op(sp, f)`` is summed from the terms that give T.
-    A field with a non-finite value, on the margin or inside it, is no member."""
+    A field with a non-finite value, on the margin or inside it, is no member,
+    nor is a finite one whose terms or residual overflow (no numpy warning)."""
     grid = sp.grid
     if not np.isfinite(f).all():
         raise KernelMembershipError(f"{label}: field has non-finite values")
-    fxx = _second_derivative(f, grid.gx.h, axis=0)
-    fyy = _second_derivative(f, grid.gy.h, axis=1)
-    uf = (sp.u0() if op is h0 else sp.u2()) * f
-    scale = max(1.0, *(interior_max(t, margin=2) for t in (fxx, fyy, uf)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        fxx = _second_derivative(f, grid.gx.h, axis=0)
+        fyy = _second_derivative(f, grid.gy.h, axis=1)
+        uf = (sp.u0() if op is h0 else sp.u2()) * f
+        terms = [interior_max(t, margin=2) for t in (fxx, fyy, uf)]
+        residual = interior_max(-(fxx + fyy) + uf, margin=2)
+    if not np.isfinite([*terms, residual]).all():
+        raise KernelMembershipError(
+            f"{label}: the {op.__name__} residual of the field or its terms overflow "
+            "to a non-finite value"
+        )
+    scale = max(1.0, *terms)
     cap = KERNEL_CAP * grid.hmax**2 * scale
-    residual = interior_max(-(fxx + fyy) + uf, margin=2)
-    if not residual <= cap:  # a NaN residual fails too
+    if not residual <= cap:
         raise KernelMembershipError(
             f"{label}: field is not in ker {op.__name__}: residual {residual:.3e} "
             f"exceeds {KERNEL_CAP:g}*h^2*T = {cap:.3e}"

@@ -50,9 +50,13 @@ __all__ = [
 ]
 
 TOL = 1e-12  # Picard stops once the max change of an iterate is below this,
-# or once that change stops falling within _ROUNDING_FLOOR * eps * max|K|:
-# linear c1 = 5, 6, 8 at n = 101, 201, 401 stall at 0.6-17 eps max|K|, so the
-# floor keeps a margin of about 4 over that envelope
+# or once that change stops falling within its rounding floor
+# _ROUNDING_FLOOR * eps * max|K| * max(1, max|q| a^2), a the axis half-width.
+# The stall depends on q and a through q a^2 alone (linear c1 = 5 on a = 2
+# stalls where c1 = 10 on a = 1 does, at the same n).  Measured envelope,
+# linear c1 = 5..12 on a = 1 at n = 21, 61, 101, 201, 401: at most 15.4
+# (c1 = 12, n = 21; 5.3 at n = 61, 1.9 at n = 201); the floor keeps a margin
+# of about 4 over it
 _ROUNDING_FLOOR = 64.0
 MAX_ITER = 60
 TILDE_CHECK_CAP = 50.0  # units of h^2 * scale
@@ -93,12 +97,15 @@ def solve_goursat(profile: AxisProfile) -> GoursatKernel:
     characteristic square in three preallocated tables.  Each sweep's defect
     is the max change of the iterate.  The solve stops once the defect is
     below :data:`TOL`, or once it stops falling, past the rise of the first
-    sweeps, within the rounding floor 64 eps max|K|.  Error model: each sweep
-    sums O(n) products into every entry, which rounds K to a few eps max|K|,
-    so a defect that no longer falls there is rounding; TOL alone is out of
-    reach once max|K| exceeds TOL / eps, about 4.5e3.  The solve raises with
-    the defect history if :data:`MAX_ITER` sweeps do neither.  Only the
-    axis-node table is kept.
+    sweeps, within the rounding floor 64 eps max|K| max(1, max|q| a^2), with
+    a the axis half-width.  Error model: each sweep sums O(n) products into
+    every entry, which rounds K to a few eps max|K|, and the sweep's double
+    integral of q K amplifies what it rounds by up to about max|q| a^2, so a
+    defect that no longer falls there is rounding; TOL alone is out of reach
+    once max|K| exceeds TOL / eps, about 4.5e3.  The stall falls as the grid
+    is refined; the floor's constant is set on the coarsest measured grid,
+    n = 21.  The solve raises with the defect history if :data:`MAX_ITER`
+    sweeps do neither.  Only the axis-node table is kept.
     """
     grid = profile.grid
     cgrid = grid.refined()  # spacing h/2 on the same interval
@@ -106,7 +113,8 @@ def solve_goursat(profile: AxisProfile) -> GoursatKernel:
     q_u = profile.q_at(np.clip(cgrid.nodes, -grid.half_width, grid.half_width))
     g_u = 0.5 * cumulative_integral(cgrid, q_u, c)
     q_uv = _char_potential(profile)
-    floor = _ROUNDING_FLOOR * np.finfo(float).eps
+    floor = (_ROUNDING_FLOOR * np.finfo(float).eps
+             * max(1.0, float(np.max(np.abs(q_u))) * grid.half_width**2))
 
     k_cur = np.broadcast_to(g_u[:, None], (cgrid.n, cgrid.n)).copy()
     inner = np.empty_like(k_cur)

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 import vekua
 import vekua.cli as cli
+import vekua.fields_io as fields_io
 import vekua.transmutation as transmutation
 from vekua.cli import build_parser, main
 from vekua.errors import (
@@ -70,22 +72,181 @@ _CELL_SPELLINGS = ("-1", " -1.0 ", '"-1"', '" -1e0"', "-1.", "-.1e1", "+0", "-0"
                    "5e-324", "1E300", "0.1", "-2.5e-310", "+1e22", " 0.33333333333333331\t")
 
 
-@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
-def test_read_field_csv_parses_cells_as_float_does(tmp_path, newline):
-    grid = Grid2D.square(1.0, 3)
+def _serial_field_csv(grid, values) -> bytes:
+    """The field CSV cell by cell: header, then x,y,re,im per node, x-major, CRLF-ended."""
+    lines = ["x,y,re,im"]
+    for i, x in enumerate(grid.gx.nodes):
+        for j, y in enumerate(grid.gy.nodes):
+            v = values[i, j]
+            lines.append(",".join(format(c, ".17g") for c in (x, y, v.real, v.imag)))
+    return ("\r\n".join(lines) + "\r\n").encode()
+
+
+def _odd_values(grid, seed=0):
+    """Values of every magnitude, with signed zeros, subnormals and extremes."""
+    rng = np.random.default_rng(seed)
+    cells = rng.standard_normal((*grid.shape, 2)) * 10.0 ** rng.integers(-300, 300, (*grid.shape, 2))
+    special = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -2.5e-310, 0.1, 1 / 3]
+    flat = cells.reshape(-1)
+    flat[: len(special)] = special
+    flat[-len(special):] = special[::-1]
+    return cells.view(complex)[..., 0]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("n1, n2", [(3, 3), (3, 5), (21, 21), (401, 3)])
+def test_field_csv_bytes_equal_a_serial_formatter(tmp_path, n1, n2):
+    grid = Grid2D(Grid1D(1.0, n1), Grid1D(0.5, n2))
+    values = _odd_values(grid)
+    path = tmp_path / "field.csv"
+    write_field_csv(path, grid, values)
+    assert path.read_bytes() == _serial_field_csv(grid, values)
+    _, back = read_field_csv(path)
+    assert back.tobytes() == values.tobytes()
+    _no_child_left()
+
+
+def _spy_whole_file_parses(monkeypatch):
+    """A list that gets one entry each time a file is parsed whole, not in halves."""
+    whole, load = [], fields_io._load
+
+    def spy(source, *args):
+        if isinstance(source, Path):
+            whole.append(source)
+        return load(source, *args)
+
+    monkeypatch.setattr(fields_io, "_load", spy)
+    return whole
+
+
+# (nodes per axis, first data row with quoted cells, blank lines in the middle, final newline)
+_SPELT_LAYOUTS = {
+    "n3-every-row-quoted": (3, 0, 0, True),
+    "n9-tail-quoted": (9, 41, 0, True),
+    "n9-blank-lines-at-the-split": (9, 41, 40, True),
+    "n9-no-final-newline": (9, 41, 0, False),
+}
+
+
+def _spelt_field(path, n, quoted_from, blank_run, final_newline, newline):
+    grid = Grid2D.square(1.0, n)
     lines, want = ["x, y ,re,im,note"], []
     for k, (x, y) in enumerate(zip(*(m.ravel() for m in grid.meshes()))):
-        re, im = _CELL_SPELLINGS[k], _CELL_SPELLINGS[-1 - k]
+        re, im = _CELL_SPELLINGS[k % 15], _CELL_SPELLINGS[-1 - k % 15]
+        if k < quoted_from:
+            re, im = re.replace('"', ""), im.replace('"', "")
         want.append(complex(float(re.strip('"')), float(im.strip('"'))))
         extra = ["", ",7", ",text,more"][k % 3]  # ragged trailing columns
-        lines.append(f'{x:.17g},"{y:.17g}",{re},{im}{extra}')
+        ycell = f'"{y:.17g}"' if k >= quoted_from else f" {y:.17g} "
+        lines.append(f"{x:.17g},{ycell},{re},{im}{extra}")
         if k % 4 == 0:
             lines.append("")
+        if k == n * n // 2:
+            lines.extend([""] * blank_run)
+    path.write_bytes((newline.join(lines) + (newline if final_newline else "")).encode())
+    return want
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_read_field_csv_parses_cells_as_float_does(tmp_path, monkeypatch, newline):
+    whole = _spy_whole_file_parses(monkeypatch)
+    for label, (n, quoted_from, blank_run, final_newline) in _SPELT_LAYOUTS.items():
+        path = tmp_path / f"{label}.csv"
+        want = _spelt_field(path, n, quoted_from, blank_run, final_newline, newline)
+        if blank_run:
+            split = fields_io._split_offset(path)
+            data = path.read_bytes()
+            assert split is None or data[split - 2:split + 1].strip() == b"", label
+        whole.clear()
+        _, back = read_field_csv(path)
+        np.testing.assert_array_equal(back.ravel().view(np.uint64),
+                                      np.array(want).view(np.uint64), err_msg=label)
+        # the halves parse on their own unless a quote is in the head or no LF ends a line
+        assert bool(whole) == (newline == "\r" or quoted_from == 0), label
+    _no_child_left()
+
+
+def test_read_field_csv_keeps_a_quoted_cell_that_runs_over_the_split(tmp_path, monkeypatch):
+    # a note cell holding 200 lines that look like data rows, in the middle of the file
+    grid = Grid2D.square(1.0, 5)
     path = tmp_path / "field.csv"
-    path.write_bytes(newline.join(lines).encode() + newline.encode())
+    write_field_csv(path, grid, _odd_values(grid))
+    header, *rows = path.read_text().splitlines()
+    note = "\n".join(["9,9,9,9"] * 200)
+    rows[12] += f',"{note}"'
+    path.write_text("\n".join([header, *rows]) + "\n")
+    split = fields_io._split_offset(path)
+    assert path.read_bytes()[:split].count(b'"') == 1  # the split is inside the note
+    whole = _spy_whole_file_parses(monkeypatch)
     _, back = read_field_csv(path)
-    np.testing.assert_array_equal(back.ravel().view(np.uint64),
-                                  np.array(want).view(np.uint64))
+    assert back.tobytes() == _odd_values(grid).tobytes()
+    assert whole == [path]
+    _no_child_left()
+
+
+def _fork_then(monkeypatch, child_does):
+    """Make every ``os.fork`` child run ``child_does()`` first."""
+    fork = os.fork
+
+    def forked():
+        pid = fork()
+        if pid == 0:
+            child_does()
+        return pid
+
+    monkeypatch.setattr(os, "fork", forked)
+
+
+class _HalfThenFail:
+    """A pipe writer that sends the first half of its bytes, then fails."""
+
+    def __init__(self, fd, mode):
+        self.fd = fd
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        os.close(self.fd)
+
+    def write(self, data):
+        view = memoryview(data)[: len(data) // 2]
+        while view:
+            view = view[os.write(self.fd, view):]
+        raise OSError(errno.EIO, "synthetic failure")
+
+
+def _fork_fails():
+    raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
+def _fail_fork(monkeypatch, how):
+    if how == "fork-raises":
+        monkeypatch.setattr(os, "fork", _fork_fails)
+    elif how == "no-fork":
+        monkeypatch.delattr(os, "fork")
+    elif how == "child-exits-1":
+        _fork_then(monkeypatch, lambda: os._exit(1))
+    else:  # the child sends half of its bytes, then fails
+        _fork_then(monkeypatch, lambda: setattr(fields_io, "open", _HalfThenFail))
+
+
+@pytest.mark.parametrize("how", ["fork-raises", "no-fork", "child-exits-1", "child-fails-midway"])
+def test_field_csv_conversions_without_a_working_child(tmp_path, monkeypatch, how):
+    grid = Grid2D(Grid1D(1.0, 21), Grid1D(0.5, 5))
+    values = _odd_values(grid)
+    want = _serial_field_csv(grid, values)
+    _fail_fork(monkeypatch, how)
+    path = tmp_path / "field.csv"
+    write_field_csv(path, grid, values)
+    assert path.read_bytes() == want
+    _, back = read_field_csv(path)
+    assert back.tobytes() == values.tobytes()
+    _no_child_left()
 
 
 def test_grid_meta_roundtrip(tmp_path, small_grid):
@@ -376,6 +537,25 @@ def test_cli_transmute_rejects_spoilt_csv(tmp_path, capsys, kind):
     assert not (tmp_path / "o" / "transmuted.csv").exists()
 
 
+@pytest.mark.parametrize("how", ["fork", "child-exits-1"])
+@pytest.mark.parametrize("kind", sorted(_SPOILT_ROWS))
+def test_read_field_csv_names_a_bad_row_in_the_second_half(tmp_path, monkeypatch, how, kind):
+    if how != "fork":
+        _fail_fork(monkeypatch, how)
+    # 101 x 101 nodes: the head's rows fill the pipe, so the child blocks
+    # until this process closes its end, when the tail has failed
+    _, path = _write_sample_field(tmp_path, n=101)
+    lines = path.read_text().splitlines()
+    lines[9000] = ",".join(_SPOILT_ROWS[kind][0](lines[9000].split(",")))
+    path.write_text("\n".join(lines) + "\n")
+    assert fields_io._split_offset(path) < len("\n".join(lines[:9000]))
+    message = _SPOILT_ROWS[kind][1].replace(":6:", ":9001:").replace("row 5", "row 9000")
+    with pytest.raises(ConfigError) as err:
+        read_field_csv(path)
+    assert message in str(err.value)
+    _no_child_left()
+
+
 @pytest.mark.parametrize("order, row", [("y-major", 2), ("duplicated-row", 7)])
 def test_rows_out_of_x_major_order_exit_2(tmp_path, capsys, order, row):
     grid = Grid2D.square(1.0, 5)
@@ -399,9 +579,12 @@ def test_rows_out_of_x_major_order_exit_2(tmp_path, capsys, order, row):
 @pytest.fixture(scope="module")
 def exit_2_inputs(tmp_path_factory):
     """x^2 + y^2 on the 3, 21 and 101 node grids and exp(xy) on the 21 node
-    grid (in neither kernel for chi = 0), and a zero chi table on 21 nodes."""
+    grid (in neither kernel for chi = 0), 1.7e308 (1 + i) on the 21 node grid,
+    and a zero chi table on 21 nodes."""
     fields = {f"sq{n}": (n, lambda x, y: x**2 + y**2) for n in (3, 21, 101)}
     fields["expxy21"] = (21, lambda x, y: np.exp(x * y))
+    # finite, but its derivatives and its transmuted image overflow
+    fields["huge21"] = (21, lambda x, y: np.full(x.shape, complex(1.7e308, 1.7e308)))
     paths = {}
     for label, (n, f) in fields.items():
         grid = Grid2D.square(1.0, n)
@@ -481,6 +664,14 @@ def exit_2_inputs(tmp_path_factory):
          "config error: half_width 1e+308 with 5 nodes gives spacing h = inf"),
         (["transmute", "--sp", "zero", "--input", "{huge3}"],
          "config error: {huge3}:x: half_width 1.5e+308 with 3 nodes gives spacing h = inf"),
+        # finite input whose image, or whose h0 or h2 terms, overflow
+        (["transmute", "--sp", "linear", "--params", "1,1", "--op", "T0", "--input",
+          "{huge21}"], "config error: the --op T0 image of {huge21} overflows to a non-finite"),
+        (["conjugate", "--sp", "zero", "--direction", "2to0", "--input", "{huge21}"],
+         "domain error (KernelMembershipError): conjugate_from_w1: the h2 residual"),
+        (["expand", "--sp", "zero", "--basis", "ker_h0", "--degree", "2", "--input",
+          "{huge21}"], "domain error (KernelMembershipError): fit_formal_polynomial: the h0 "
+         "residual"),
         # a run's values come from the flags alone
         (["verify", "--nodes", "21", "--config", "cfg.json"],
          "usage error: vekua: unrecognized arguments: --config cfg.json"),
@@ -496,7 +687,9 @@ def exit_2_inputs(tmp_path_factory):
          "formal-powers-linear-overflows", "formal-powers-quadratic-overflows",
          "expand-linear-overflows", "verify-linear-overflows",
          "verify-spacing-overflows",
-         "transmute-input-spacing-overflows", "verify-config", "transmute-config"],
+         "transmute-input-spacing-overflows", "transmute-image-overflows",
+         "conjugate-terms-overflow", "expand-terms-overflow", "verify-config",
+         "transmute-config"],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # a refused input prints no numpy warning
 def test_cli_domain_and_usage_errors_exit_2(tmp_path, capsys, exit_2_inputs, argv, prefix):

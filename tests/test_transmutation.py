@@ -98,25 +98,40 @@ def test_goursat_constant_potential_bessel_oracle(sp_linear):
     np.testing.assert_allclose(got, expected, atol=5e-4)
 
 
-def test_goursat_stops_at_the_rounding_floor_of_a_large_kernel():
-    # q = 25: max|K| on the characteristic square is 6.7e3, so the defect stalls
-    # near 1.8e-12, above TOL; the solve returns there, and on the triangle
-    # K(x,t) = (q (x+t)/4) I1(2 sqrt(w)) / sqrt(w), w = q (x^2 - t^2) / 4
+def _i1_kernel_gap(gk, q):
+    """max |K - exact| / max |exact| on the triangle, for the constant potential q:
+    K(x,t) = (q (x+t)/4) I1(2 sqrt(w)) / sqrt(w), w = q (x^2 - t^2) / 4."""
     from scipy.special import i1
 
-    grid = Grid2D.square(1.0, 201)
-    sp = make_superpotential("linear", (5.0, 0.0), grid)
-    gk = solve_goursat(sp.ax)
-    assert transmutation.TOL < gk.defects[-1] < gk.defects[0]
-    x, t = np.meshgrid(grid.gx.nodes, grid.gx.nodes, indexing="ij")
-    q = 25.0
+    nodes = gk.axis_grid.nodes
+    x, t = np.meshgrid(nodes, nodes, indexing="ij")
     root = np.sqrt(np.maximum(q * (x + t) * (x - t) / 4.0, 0.0))
     ratio = np.ones_like(root)
     np.divide(i1(2.0 * root), root, out=ratio, where=root > 0)
     exact = q * (x + t) / 4.0 * ratio
     inside = np.abs(t) <= np.abs(x)
-    gap = np.max(np.abs(gk.axis_values - exact)[inside])
-    assert gap <= 2 * grid.gx.h**2 * np.max(np.abs(exact[inside]))
+    return np.max(np.abs(gk.axis_values - exact)[inside]) / np.max(np.abs(exact[inside]))
+
+
+def test_goursat_stops_at_the_rounding_floor_of_a_large_kernel():
+    # q = 25: max|K| on the characteristic square is 6.7e3, so the defect stalls
+    # near 1.8e-12, above TOL; the solve returns there and matches the I1 kernel
+    grid = Grid2D.square(1.0, 201)
+    sp = make_superpotential("linear", (5.0, 0.0), grid)
+    gk = solve_goursat(sp.ax)
+    assert transmutation.TOL < gk.defects[-1] < gk.defects[0]
+    assert _i1_kernel_gap(gk, 25.0) <= 2 * grid.gx.h**2
+
+
+def test_goursat_floor_grows_with_the_potential():
+    # q = 144: max|K| is 1.3e10 and the defect stalls at 7.8e-4, 275 eps max|K|,
+    # above a floor of 64 eps max|K| but within 64 eps max|K| q a^2.  The gap to
+    # the I1 kernel is truncation: 24.5 h^2 max|K| here and at n = 401 alike
+    grid = Grid2D.square(1.0, 201)
+    sp = make_superpotential("linear", (12.0, 0.0), grid)
+    gk = solve_goursat(sp.ax)
+    assert transmutation.TOL < gk.defects[-1] < gk.defects[0]
+    assert _i1_kernel_gap(gk, 144.0) <= 30 * grid.gx.h**2
 
 
 def test_goursat_convergence_history(sp_quad):
