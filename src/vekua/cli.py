@@ -24,19 +24,20 @@ node spacing is not; an unknown family, a wrong parameter count for it
 ``--n-max`` or ``--degree``; a non-finite ``--a1`` or ``--a2``; a family,
 grid or coefficient whose formal powers (``formal-powers``, ``expand``, and
 ``verify`` up to the battery's degree) or ``power_custom`` tables overflow
-to a non-finite value; a finite input field whose ``transmute`` image
-overflows to a non-finite value; an input CSV with a short row, a
-non-numeric cell or a non-finite value; field CSV rows out of x-major order,
-or x or y nodes whose spacing overflows; and a domain
-error of the input: a field outside the kernel the subcommand needs
+to a non-finite value; a finite input field whose ``transmute`` image,
+``conjugate`` partner or Vekua residual, or ``expand`` fit coefficients,
+residual norms or residual field overflow to a non-finite value; an input
+CSV with a short row, a non-numeric cell or a non-finite value; field CSV
+rows out of x-major order, or x or y nodes whose spacing overflows; and a
+domain error of the input: a field outside the kernel the subcommand needs
 (``KernelMembershipError``: it has a non-finite value, its h0 or h2
 residual or one of f_xx, f_yy and U f overflows, or the residual is not
-within 50 h^2 times the largest of 1, |f_xx|, |f_yy| and |U f|, see
-:func:`vekua.operators.require_kernel`) or a grid too small for the
-stencils (``GridShapeError``).  Each prints one line to stderr.  A run
-that exits 2 or 3 leaves no ``--out`` directory behind: each subcommand
-makes it only once its results exist.  Identical flags yield byte-identical
-outputs.  Each output file is created new (see
+within 50 h^2 times the largest of 1, |f_xx|, |f_yy| and |U f| plus its
+rounding 24 eps max|f| / h^2, see :func:`vekua.operators.require_kernel`)
+or a grid too small for the stencils (``GridShapeError``).  Each prints
+one line to stderr.  A run that exits 2 or 3 leaves no ``--out`` directory
+behind: each subcommand makes it only once its results exist.  Identical
+flags yield byte-identical outputs.  Each output file is created new (see
 :func:`vekua.fields_io.open_output`), so a run into a directory that holds
 an earlier run's outputs replaces them rather than writing through them.
 """
@@ -263,10 +264,14 @@ def _cmd_conjugate(args) -> int:
     grid, values = read_field_csv(args.input)
     _, sp = _build(cfg, args, grid)
     target = np.real(values)
-    if args.direction == "2to0":
-        result = conj.conjugate_from_w1(sp, target)
-    else:
-        result = conj.conjugate_from_w2(sp, target)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if args.direction == "2to0":
+            result = conj.conjugate_from_w1(sp, target)
+        else:
+            result = conj.conjugate_from_w2(sp, target)
+    if not (np.isfinite(result.partner).all() and np.isfinite(result.vekua_residual)):
+        raise ConfigError(f"the --direction {args.direction} partner of {args.input} or its "
+                          "Vekua residual overflows to a non-finite value")
     out = _out_dir(args)
     write_field_csv(out / "partner.csv", grid, result.partner.astype(complex))
     report = (
@@ -286,10 +291,15 @@ def _cmd_expand(args) -> int:
     grid, values = read_field_csv(args.input)
     _, sp = _build(cfg, args, grid)
     table, _ = _assemble(cfg, sp, args.degree)
-    fit = fit_formal_polynomial(sp, np.real(values), table, args.basis, args.degree)
-    recon = evaluate_fit(fit, table)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fit = fit_formal_polynomial(sp, np.real(values), table, args.basis, args.degree)
+        residual = np.real(values) - evaluate_fit(fit, table)
+    if not all(np.isfinite(a).all() for a in (fit.coefficients, fit.residual_max,
+                                                fit.residual_rms, residual)):
+        raise ConfigError(f"the --basis {args.basis} fit of {args.input} or its residual "
+                          "overflows to a non-finite value")
     out = _out_dir(args)
-    write_field_csv(out / "fit_residual.csv", grid, (np.real(values) - recon).astype(complex))
+    write_field_csv(out / "fit_residual.csv", grid, residual.astype(complex))
     lines = [
         f"basis {fit.basis_kind}",
         f"degree {fit.degree}",

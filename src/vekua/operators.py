@@ -105,14 +105,35 @@ def h_diag(sp: Superpotential, v):
 # n = 21 and is rejected.
 KERNEL_CAP = 50.0
 KERNEL_WARN = 20.0
+# Rounding of the five-point residual, in units of eps * max|f| / h^2 with h
+# the finer spacing (see require_kernel): at most 23; members of amplitude up
+# to 1e16 read at most 4.9 (A x, A (x + 2y), A (x^2 - y^2), A x y with chi = 0,
+# n = 21 to 401).
+KERNEL_ROUNDING = 24.0
 
 
 def require_kernel(sp: Superpotential, op, f, label: str) -> None:
     """Raise :class:`KernelMembershipError` unless ``op`` (h0 or h2) annihilates
-    ``f`` up to :data:`KERNEL_CAP` * h^2 * T; warn above :data:`KERNEL_WARN`
-    * h^2 * T.  The residual ``op(sp, f)`` is summed from the terms that give T.
-    A field with a non-finite value, on the margin or inside it, is no member,
-    nor is a finite one whose terms or residual overflow (no numpy warning)."""
+    ``f`` up to :data:`KERNEL_CAP` * h^2 * T + R; warn above
+    :data:`KERNEL_WARN` * h^2 * T + R.  The residual ``op(sp, f)`` is summed
+    from the terms that give T.  A field with a non-finite value, on the
+    margin or inside it, is no member, nor is a finite one whose terms or
+    residual overflow (no numpy warning).
+
+    R = :data:`KERNEL_ROUNDING` * eps * M / h^2 is the rounding of the
+    residual, with M = max|f| and h the finer spacing, so a member of any
+    amplitude passes (A x with chi = 0 has no truncation error: its residual
+    is rounding, which 50 h^2 T alone does not cover from A = 1e10 at
+    n = 201).  With u = eps/2, each second
+    difference (f[k+1] - 2 f[k]) + f[k-1] over h*h carries: 4 u M / h^2 from
+    the samples (each within u |f| of the field), 7 u M / h^2 from its two
+    additions (partial sums up to 3M and 4M), and 8 u M / h^2 from the two
+    roundings of the quotient of a numerator up to 4M; 19 u M / h^2 per axis.
+    Adding f_yy to f_xx (at most 8 M / h^2) adds 8 u M / h^2, so the sum
+    carries 46 u = 23 eps M / h^2; the product U f and the last sum round
+    relative to |U f| <= T and to the residual, below the h^2 T term.
+    C = 24; members read at most 4.9.
+    """
     grid = sp.grid
     if not np.isfinite(f).all():
         raise KernelMembershipError(f"{label}: field has non-finite values")
@@ -127,14 +148,18 @@ def require_kernel(sp: Superpotential, op, f, label: str) -> None:
             f"{label}: the {op.__name__} residual of the field or its terms overflow "
             "to a non-finite value"
         )
-    scale = max(1.0, *terms)
-    cap = KERNEL_CAP * grid.hmax**2 * scale
+    h2t = grid.hmax**2 * max(1.0, *terms)
+    rounding = 0.0
+    if residual > KERNEL_WARN * h2t:  # below, R cannot change the outcome
+        hmin = min(grid.gx.h, grid.gy.h)
+        rounding = KERNEL_ROUNDING * np.finfo(float).eps * float(np.max(np.abs(f))) / hmin**2
+    cap = KERNEL_CAP * h2t + rounding
     if not residual <= cap:
         raise KernelMembershipError(
             f"{label}: field is not in ker {op.__name__}: residual {residual:.3e} "
-            f"exceeds {KERNEL_CAP:g}*h^2*T = {cap:.3e}"
+            f"exceeds {KERNEL_CAP:g}*h^2*T + {KERNEL_ROUNDING:g}*eps*max|f|/h^2 = {cap:.3e}"
         )
-    if residual > KERNEL_WARN * grid.hmax**2 * scale:
+    if residual > KERNEL_WARN * h2t + rounding:
         warnings.warn(f"{label}: kernel residual {residual:.3e} is large", stacklevel=3)
 
 

@@ -13,6 +13,7 @@ from vekua.errors import GridShapeError
 from vekua.grid import (
     Grid1D,
     Grid2D,
+    _cumulative_trapezoid,
     _first_derivative,
     _second_derivative,
     cumulative_integral,
@@ -378,6 +379,36 @@ def test_kernels_equal_the_division_oracle(n, kind):
                     want = np.empty(f.shape, dtype=np.result_type(f.dtype, np.float64))
                     _oracle_cumulative_trapezoid(f, g.h, g.center, axis, want)
                     assert _same_values(cumulative_integral(g, f, axis=axis), want), where
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("n", [3, 5, 21, 201, 801])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_trapezoid_into_a_reused_out_equals_the_row_loop(n, kind):
+    # the out array of a Picard sweep is reused: whatever it holds must not
+    # reach the result, be scaled (1.7e308 * 2.9 overflows) or raise a
+    # warning.  C layout along axis 1 takes the flattened path; "seams" holds
+    # 1e308 at both ends of every row seam, a sum that overflows only across
+    # the seam, so it takes the row-wise path and must stay silent.  "tiny"
+    # has subnormal sums and products, and -0 in its first rows and columns
+    layouts = _oracle_layouts(n, kind)
+    del layouts["column"]
+    tiny = layouts["c"] * 1e-306
+    tiny[:2] = tiny[:, :2] = -5e-324
+    layouts["tiny"] = tiny
+    seams = layouts["c"].copy()
+    seams[:, 0] = seams[:, -1] = 1e308
+    layouts["seams"] = seams
+    for layout, f in layouts.items():
+        for axis, h in ((1, 0.0123),) if layout == "seams" else ((0, 0.0123), (1, 2.9)):
+            m = f.shape[axis]
+            for origin in sorted({0, m // 2, m - 1}):
+                want = np.empty(f.shape, dtype=f.dtype)
+                _oracle_cumulative_trapezoid(f, h, origin, axis, want)
+                for fill in (np.nan, np.inf, -np.inf, 1.7e308):
+                    got = np.full(f.shape, fill, dtype=f.dtype)
+                    _cumulative_trapezoid(f, h, origin, axis, got)
+                    assert _same_values(got, want), (layout, axis, origin, fill)
 
 
 @pytest.mark.parametrize("family, params", [("zero", ()), ("linear", (0.5, -1.0)),

@@ -579,12 +579,14 @@ def test_rows_out_of_x_major_order_exit_2(tmp_path, capsys, order, row):
 @pytest.fixture(scope="module")
 def exit_2_inputs(tmp_path_factory):
     """x^2 + y^2 on the 3, 21 and 101 node grids and exp(xy) on the 21 node
-    grid (in neither kernel for chi = 0), 1.7e308 (1 + i) on the 21 node grid,
-    and a zero chi table on 21 nodes."""
+    grid (in neither kernel for chi = 0), 1.7e308 (1 + i) and 8e307 (x^2 - y^2)
+    on the 21 node grid, and a zero chi table on 21 nodes."""
     fields = {f"sq{n}": (n, lambda x, y: x**2 + y**2) for n in (3, 21, 101)}
     fields["expxy21"] = (21, lambda x, y: np.exp(x * y))
     # finite, but its derivatives and its transmuted image overflow
     fields["huge21"] = (21, lambda x, y: np.full(x.shape, complex(1.7e308, 1.7e308)))
+    # harmonic and within range, but its conjugate partner and its fit overflow
+    fields["harmonic21"] = (21, lambda x, y: 8e307 * (x**2 - y**2))
     paths = {}
     for label, (n, f) in fields.items():
         grid = Grid2D.square(1.0, n)
@@ -672,6 +674,12 @@ def exit_2_inputs(tmp_path_factory):
         (["expand", "--sp", "zero", "--basis", "ker_h0", "--degree", "2", "--input",
           "{huge21}"], "domain error (KernelMembershipError): fit_formal_polynomial: the h0 "
          "residual"),
+        (["conjugate", "--sp", "zero", "--direction", "2to0", "--input", "{harmonic21}"],
+         "config error: the --direction 2to0 partner of {harmonic21} or its Vekua residual "
+         "overflows to a non-finite value"),
+        (["expand", "--sp", "zero", "--basis", "ker_h0", "--degree", "2", "--input",
+          "{harmonic21}"], "config error: the --basis ker_h0 fit of {harmonic21} or its "
+         "residual overflows to a non-finite value"),
         # a run's values come from the flags alone
         (["verify", "--nodes", "21", "--config", "cfg.json"],
          "usage error: vekua: unrecognized arguments: --config cfg.json"),
@@ -688,7 +696,8 @@ def exit_2_inputs(tmp_path_factory):
          "expand-linear-overflows", "verify-linear-overflows",
          "verify-spacing-overflows",
          "transmute-input-spacing-overflows", "transmute-image-overflows",
-         "conjugate-terms-overflow", "expand-terms-overflow", "verify-config",
+         "conjugate-terms-overflow", "expand-terms-overflow", "conjugate-partner-overflows",
+         "expand-fit-overflows", "verify-config",
          "transmute-config"],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # a refused input prints no numpy warning

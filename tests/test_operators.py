@@ -263,6 +263,23 @@ def test_one_kernel_check_serves_the_fit_and_both_conjugates():
             call(np.exp(x * y))
 
 
+@pytest.mark.parametrize("n", [21, 201])
+def test_kernel_check_accepts_members_of_any_amplitude(n):
+    # A x has no truncation error: its residual is rounding, about eps A / h^2,
+    # which a cap of 50 h^2 T alone refused from A = 1e10 (n = 201)
+    sp = make_superpotential("zero", (), Grid2D.square(1.0, n))
+    x, y = sp.grid.meshes()
+    for amplitude in 10.0 ** np.arange(8, 17):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f in (amplitude * x, amplitude * (x**2 - y**2)):
+                ops.require_kernel(sp, ops.h0, f, "member")
+                ops.require_kernel(sp, ops.h2, f, "member")
+        for f in (np.exp(x * y), amplitude * np.exp(x * y)):
+            with pytest.raises(KernelMembershipError, match="is not in ker h0"):
+                ops.require_kernel(sp, ops.h0, f, "non-member")
+
+
 @pytest.mark.parametrize("node", [(30, 20), (0, 5)])
 def test_kernel_check_rejects_non_finite_fields(node):
     # one NaN node, inside the margin-2 interior (its residual is NaN, which

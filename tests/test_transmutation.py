@@ -147,6 +147,74 @@ def test_goursat_nonconvergence_raises(sp_quad, monkeypatch):
     assert len(err.value.defects) == 2
 
 
+# Reference sweep: the trapezoid as a plain row loop with a division by 2, and
+# the characteristic potential computed inside the solve.  The shipped solve,
+# direct or through a shared build, must reproduce its kernel and its defect
+# history bit for bit.
+
+def _oracle_trapezoid(y, h, origin_index, axis, out):
+    ym = y.swapaxes(0, axis)
+    om = out.swapaxes(0, axis)
+    om[0] = 0.0
+    body = om[1:]
+    np.add(ym[1:], ym[:-1], out=body)
+    body *= h
+    body /= 2.0
+    for k in range(1, len(body)):
+        np.add(body[k - 1], body[k], out=body[k])
+    om -= om[origin_index].copy()
+    return out
+
+
+def _oracle_solve_goursat(profile):
+    grid = profile.grid
+    cgrid = grid.refined()
+    c = cgrid.center
+    q_u = profile.q_at(np.clip(cgrid.nodes, -grid.half_width, grid.half_width))
+    g_u = 0.5 * cumulative_integral(cgrid, q_u, c)
+    u = cgrid.nodes
+    q_uv = profile.q_at(np.clip(u[:, None] + u[None, :], -grid.half_width, grid.half_width))
+    floor = (transmutation._ROUNDING_FLOOR * np.finfo(float).eps
+             * max(1.0, float(np.max(np.abs(q_u))) * grid.half_width**2))
+    k_cur = np.broadcast_to(g_u[:, None], (cgrid.n, cgrid.n)).copy()
+    inner = np.empty_like(k_cur)
+    work = np.empty_like(k_cur)
+    defects = []
+    for _ in range(transmutation.MAX_ITER):
+        np.multiply(q_uv, k_cur, out=work)
+        _oracle_trapezoid(work, cgrid.h, c, 1, inner)
+        _oracle_trapezoid(inner, cgrid.h, c, 0, work)
+        work += g_u[:, None]
+        np.subtract(work, k_cur, out=inner)
+        defect = float(np.max(np.abs(inner, out=inner)))
+        defects.append(defect)
+        k_cur, work = work, k_cur
+        if defect <= transmutation.TOL:
+            break
+        if (len(defects) > 1 and defects[-2] <= defect and defects[-2] < defects[0]
+                and defect <= floor * float(np.max(np.abs(k_cur, out=inner)))):
+            break
+    n = grid.n
+    kk, ll = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    return k_cur[kk + ll, kk - ll + n - 1], defects
+
+
+@pytest.mark.parametrize("n", [21, 61, 201])
+@pytest.mark.parametrize("name, params", [("zero", ()), ("linear", (0.5, -1.0)),
+                                          ("linear", (5.0, 1.0)), ("quadratic", (1.0, -0.5))])
+def test_goursat_equals_the_row_loop_sweep_bit_for_bit(name, params, n):
+    # linear c1 = 5 stops at its rounding floor, the others at TOL; the flipped
+    # quadratic profile has the partner potential
+    sp = make_superpotential(name, params, Grid2D.square(1.0, n))
+    t2d = build_transmute_2d(sp)  # its solves take the potential of the sharing key
+    shared = (t2d.tx, t2d.ty, t2d.tx_tilde, t2d.ty_tilde)
+    for profile, op in zip((sp.ax, sp.ay, sp.ax.flipped(), sp.ay.flipped()), shared):
+        want, defects = _oracle_solve_goursat(profile)
+        for gk in (solve_goursat(profile), op.kernel):
+            assert np.array_equal(gk.axis_values.view(np.uint64), want.view(np.uint64))
+            assert gk.defects == defects
+
+
 def test_dressed_kernel_reduces_to_plain_when_h_zero(sp_quad):
     # chi1 = x^2/2 has chi1'(0) = 0
     assert sp_quad.ax.h_param == 0.0
@@ -180,6 +248,43 @@ def test_dressed_kernel_quadrature_oracle(sp_linear):
 
 
 # ------------------------------------------------------------- 1-D operators
+
+def _oracle_volterra_matrix(grid, kernel):
+    """The trapezoid Volterra matrix built row by row over each row's bowtie."""
+    n, c, h = grid.n, grid.center, grid.h
+    mat = np.eye(n)
+    for k in range(n):
+        lo, hi = min(k, n - 1 - k), max(k, n - 1 - k)
+        if lo == hi:
+            continue
+        w = np.full(hi - lo + 1, h)
+        w[0] = w[-1] = 0.5 * h
+        sign = 1.0 if k > c else -1.0
+        mat[k, lo : hi + 1] += sign * w * kernel[k, lo : hi + 1]
+    return mat
+
+
+@pytest.mark.parametrize("n", [3, 5, 21, 201])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_volterra_matrix_equals_the_row_loop_bit_for_bit(n):
+    # entries outside the bowtie |t| <= |x| are never read: NaN and inf there
+    # must neither reach the matrix nor raise a warning; -0 products keep the
+    # bits of the identity plus the row's sum
+    grid = Grid1D(0.7, n)
+    kernel = np.random.default_rng(n).standard_normal((n, n)) * 1e3
+    kernel[:, n // 3] = -0.0
+    r = np.abs(np.arange(n) - grid.center)
+    outside = r[None, :] > r[:, None]
+    for fill in (np.nan, np.inf, -np.inf):
+        kernel[outside] = fill
+        got = transmutation._volterra_matrix(grid, kernel)
+        want = _oracle_volterra_matrix(grid, kernel)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    profile = make_superpotential("quadratic", (1.0, -0.5), Grid2D.square(1.0, n)).ax
+    op = build_transmute(profile)
+    want = _oracle_volterra_matrix(profile.grid, build_kernel_with_h(op.kernel, profile.h_param))
+    assert np.array_equal(op.matrix.view(np.uint64), want.view(np.uint64))
+
 
 def test_transmute_identity_for_zero_chi():
     grid = Grid2D.square(1.0, 201)
@@ -323,12 +428,14 @@ def test_builds_solve_once_per_distinct_potential(name, params, solves, monkeypa
     # a linear axis and its flip share q = c1^2; equal axes share theirs
     sp = make_superpotential(name, params, Grid2D.square(1.0, 41))
     calls = []
+    solve = transmutation._solve_goursat
 
-    def counted(profile):
+    def counted(profile, q_uv):
         calls.append(profile)
-        return solve_goursat(profile)
+        return solve(profile, q_uv)
 
-    monkeypatch.setattr(transmutation, "solve_goursat", counted)
+    # the builds hand the solve the potential their sharing key is made of
+    monkeypatch.setattr(transmutation, "_solve_goursat", counted)
     t2d = build_transmute_2d(sp)
     assert len(calls) == solves
     calls.clear()
