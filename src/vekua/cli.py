@@ -20,8 +20,9 @@ the grid comes from ``--input``, a chi file flag on ``verify``); an
 unreadable input file; a non-numeric ``--params``; a node count that is not
 an odd integer >= 3; a half-width that is not positive and finite, or whose
 node spacing is not; an unknown family, a wrong parameter count for it
-(``tabulated`` takes none) or a non-finite parameter; a negative
-``--n-max`` or ``--degree``; a non-finite ``--a1`` or ``--a2``; a family,
+(``tabulated`` takes none) or a non-finite parameter; an ``--n-max`` or
+``--degree`` below 0 or from 1030 on, where the binomial C(n, n // 2)
+exceeds the largest double; a non-finite ``--a1`` or ``--a2``; a family,
 grid or coefficient whose formal powers (``formal-powers``, ``expand``, and
 ``verify`` up to the battery's degree) or ``power_custom`` tables overflow
 to a non-finite value; a finite input field whose ``transmute`` image,
@@ -47,6 +48,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -160,9 +162,12 @@ def _assemble(cfg: RunConfig, sp: Superpotential, n_max: int, a1: float = 1.0,
               a2: float = 0.0):
     """The formal-power table of ``sp`` up to ``n_max`` and, for a coefficient
     a1 + i a2 other than 1, the powers a1 Z^n(1) + a2 Z^n(i) (else an empty
-    list).  A family or a coefficient that overflows them to a non-finite
-    value is a config error, raised before any output exists and without a
-    numpy warning."""
+    list).  A degree whose largest binomial C(n, n // 2) exceeds the largest
+    double (n >= 1030), and a family or a coefficient that overflows the
+    powers to a non-finite value, are config errors, raised before any output
+    exists and without a numpy warning."""
+    if comb(n_max, n_max // 2) > sys.float_info.max:
+        raise ConfigError(f"degree {n_max}: binomial C({n_max}, {n_max // 2}) overflows a double")
     with np.errstate(over="ignore", invalid="ignore"):
         table = assemble_formal_powers(sp, n_max)
         custom = []

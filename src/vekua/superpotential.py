@@ -44,7 +44,8 @@ class AxisProfile:
     alone define a tabulated profile: ``dchi`` and ``d2chi`` are the first-
     derivative stencil applied once and twice, and off the nodes the potential
     is interpolated linearly, which keeps the overall O(h^2) order.  Passing
-    both definitions or neither raises ``ValueError``.
+    both definitions or neither raises ``ValueError``.  Transmutation kernels
+    are shared by the potential's definition: by equal :attr:`potential_key`.
     """
 
     grid: Grid1D
@@ -82,6 +83,19 @@ class AxisProfile:
     def h_param(self) -> float:
         """chi'(0); equals the derivative of exp(chi) at 0 since chi(0) = 0."""
         return float(self.dchi[self.grid.center])
+
+    @property
+    def potential_key(self) -> tuple:
+        """(half-width, n, q's definition): equal keys give bit-equal ``q_at``.
+
+        For ``poly`` = (c1, c2) that is (c2, |c1|) if c2 = +-0, since then
+        q_at = c2 + (c1 + c2 s)^2 is c1^2 for every finite s, else (c2, c1);
+        tabulated, the bytes of the samples of q that ``q_at`` interpolates.
+        """
+        if self.poly is None:
+            return (self.grid.half_width, self.grid.n, self.q.tobytes())
+        c1, c2 = self.poly
+        return (self.grid.half_width, self.grid.n, c2 + 0.0, abs(c1) if c2 == 0 else c1)
 
     def q_at(self, s):
         s = np.asarray(s, dtype=float)

@@ -21,10 +21,10 @@ antiderivative representation and the build fails on disagreement.
 
 The 2-D operators apply the four 1-D operators axis-by-axis to the real and
 imaginary parts and map complex polynomials in z onto the formal powers.
-:func:`build_transmute_2d` and :func:`build_transmute_tilde` solve one
-Goursat problem per distinct sampled potential among their profiles: a
-linear chi_j has the same q = c1^2 as its flip, and two axes with equal
-samples share one solve.
+Every builder solves one Goursat problem per distinct potential among its
+profiles, named by its definition (:attr:`AxisProfile.potential_key`), not
+by its samples: a linear chi_j has the same q = c1^2 as its flip, and two
+axes with equal definitions on equal grids share one solve.
 """
 
 from __future__ import annotations
@@ -81,15 +81,6 @@ class GoursatKernel:
         return len(self.defects)
 
 
-def _char_potential(profile: AxisProfile) -> np.ndarray:
-    """q(u + v) on the characteristic square: the potential the solve uses."""
-    u = profile.grid.refined().nodes
-    a = profile.grid.half_width
-    # q is only defined on [-a, a]; u+v leaves it outside the physical
-    # triangle only, so clamping cannot affect valid kernel entries.
-    return profile.q_at(np.clip(u[:, None] + u[None, :], -a, a))
-
-
 def solve_goursat(profile: AxisProfile) -> GoursatKernel:
     """Picard iteration for the kernel of one axis.
 
@@ -107,18 +98,16 @@ def solve_goursat(profile: AxisProfile) -> GoursatKernel:
     n = 21.  The solve raises with the defect history if :data:`MAX_ITER`
     sweeps do neither.  Only the axis-node table is kept.
     """
-    return _solve_goursat(profile, _char_potential(profile))
-
-
-def _solve_goursat(profile: AxisProfile, q_uv: np.ndarray) -> GoursatKernel:
-    """:func:`solve_goursat` with ``q_uv = _char_potential(profile)`` given."""
     grid = profile.grid
     cgrid = grid.refined()  # spacing h/2 on the same interval
-    c = cgrid.center
-    q_u = profile.q_at(np.clip(cgrid.nodes, -grid.half_width, grid.half_width))
+    c, a, u = cgrid.center, grid.half_width, cgrid.nodes
+    # q(u + v): q is only defined on [-a, a]; u+v leaves it outside the
+    # physical triangle only, so clamping cannot affect valid kernel entries
+    q_uv = profile.q_at(np.clip(u[:, None] + u[None, :], -a, a))
+    q_u = q_uv[:, c]  # v = 0 (u + 0.0 is u: no node is -0)
     g_u = 0.5 * cumulative_integral(cgrid, q_u, c)
     floor = (_ROUNDING_FLOOR * np.finfo(float).eps
-             * max(1.0, float(np.max(np.abs(q_u))) * grid.half_width**2))
+             * max(1.0, float(np.max(np.abs(q_u))) * a**2))
 
     k_cur = np.broadcast_to(g_u[:, None], (cgrid.n, cgrid.n)).copy()
     inner = np.empty_like(k_cur)
@@ -146,9 +135,8 @@ def _solve_goursat(profile: AxisProfile, q_uv: np.ndarray) -> GoursatKernel:
             defects=defects,
         )
 
-    n = grid.n
-    kk, ll = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    return GoursatKernel(grid, k_cur[kk + ll, kk - ll + n - 1], defects)
+    kk, ll = np.indices((grid.n, grid.n))
+    return GoursatKernel(grid, k_cur[kk + ll, kk - ll + grid.n - 1], defects)
 
 
 def build_kernel_with_h(gk: GoursatKernel, h_param: float) -> np.ndarray:
@@ -160,12 +148,10 @@ def build_kernel_with_h(gk: GoursatKernel, h_param: float) -> np.ndarray:
     k_axis = gk.axis_values
     if h_param == 0.0:
         return k_axis.copy()
-    n = gk.axis_grid.n
     odd_part = k_axis - k_axis[:, ::-1]  # K(x, s) - K(x, -s) along s
     anti = cumulative_integral(gk.axis_grid, odd_part, 0, axis=1)
     # int_t^x = C(x) - C(t), rows indexed by x
-    upper = anti[np.arange(n), np.arange(n)]
-    correction = upper[:, None] - anti
+    correction = np.diagonal(anti)[:, None] - anti
     return 0.5 * h_param + k_axis + 0.5 * h_param * correction
 
 
@@ -209,15 +195,27 @@ class TransmuteOp:
         return np.asarray(field2d) @ self.matrix.T
 
 
-def _dressed(profile: AxisProfile, gk: GoursatKernel) -> TransmuteOp:
-    """The operator of ``profile`` from a kernel solved for its potential."""
-    kernel = build_kernel_with_h(gk, profile.h_param)
-    return TransmuteOp(profile.grid, _volterra_matrix(profile.grid, kernel), gk)
+def _operators(*profiles: AxisProfile) -> list[TransmuteOp]:
+    """One operator per profile, from one Goursat solve per distinct potential.
+
+    Profiles share a kernel when their :attr:`AxisProfile.potential_key` is
+    equal; each operator is dressed with its own slope parameter.
+    """
+    kernels: dict[tuple, GoursatKernel] = {}
+    ops = []
+    for profile in profiles:
+        key = profile.potential_key
+        if key not in kernels:
+            kernels[key] = solve_goursat(profile)
+        gk, grid = kernels[key], profile.grid
+        ops.append(TransmuteOp(
+            grid, _volterra_matrix(grid, build_kernel_with_h(gk, profile.h_param)), gk))
+    return ops
 
 
 def build_transmute(profile: AxisProfile) -> TransmuteOp:
     """Transmutation operator mapping plain powers onto the dressed system."""
-    return _dressed(profile, solve_goursat(profile))
+    return _operators(profile)[0]
 
 
 def ttilde_antiderivative_form(t_op: TransmuteOp, profile: AxisProfile, f, df):
@@ -233,25 +231,6 @@ def ttilde_antiderivative_form(t_op: TransmuteOp, profile: AxisProfile, f, df):
     return np.exp(-profile.chi) * (acc + f[grid.center])
 
 
-def _operators(*profiles: AxisProfile) -> list[TransmuteOp]:
-    """One operator per profile, from one Goursat solve per distinct sampled potential.
-
-    Profiles share a kernel when their characteristic potential samples are
-    equal bit for bit on the same axis interval and node count; each
-    operator is dressed with its own slope parameter.
-    """
-    kernels: dict[tuple[float, int, bytes], GoursatKernel] = {}
-    ops = []
-    for profile in profiles:
-        q_uv = _char_potential(profile)
-        key = (profile.grid.half_width, profile.grid.n, q_uv.tobytes())
-        if key not in kernels:
-            kernels[key] = _solve_goursat(profile, q_uv)
-        del q_uv  # not held while the operator is dressed
-        ops.append(_dressed(profile, kernels[key]))
-    return ops
-
-
 def build_transmute_tilde(profile: AxisProfile) -> TransmuteOp:
     """Companion transmutation operator (opposite exponential dressing).
 
@@ -260,7 +239,7 @@ def build_transmute_tilde(profile: AxisProfile) -> TransmuteOp:
     then compared on low powers against the antiderivative representation
     through the plain operator; any disagreement above 50 h^2 per unit scale
     fails the build.  The two share one Goursat solve when the flip keeps
-    the potential (chi'' = 0).
+    the potential's definition (chi'' = 0 for ``poly``).
     """
     t_op, op = _operators(profile, profile.flipped())
     _check_tilde(profile, op, t_op)
@@ -325,7 +304,7 @@ class Transmute2D:
 
 
 def build_transmute_2d(sp: Superpotential) -> Transmute2D:
-    """The four axis operators, one Goursat solve per distinct sampled potential.
+    """The four axis operators, one Goursat solve per distinct potential.
 
     The companions are cross-checked as in :func:`build_transmute_tilde`.
     """

@@ -650,6 +650,11 @@ def exit_2_inputs(tmp_path_factory):
         (["formal-powers", "--sp", "zero", "--nodes", "5", "--n-max", "1", "--a1", "1e308",
           "--a2", "1e308"],
          "config error: --a1 1e+308 and --a2 1e+308 overflow the power_custom tables"),
+        # C(1030, 515) is not a finite double, so the binomial sum would raise
+        (["formal-powers", "--sp", "zero", "--nodes", "3", "--n-max", "1030"],
+         "config error: degree 1030: binomial C(1030, 515) overflows a double"),
+        (["expand", "--sp", "zero", "--input", "{sq21}", "--basis", "ker_h2", "--degree",
+          "1030"], "config error: degree 1030: binomial C(1030, 515) overflows a double"),
         # exp(2 chi) overflows, so the formal powers would be tables of inf/nan
         (["formal-powers", "--sp", "linear", "--params", "400,1", "--nodes", "21", "--n-max",
           "3"], "config error: --sp linear with --params 400.0,1.0 overflows the formal powers"),
@@ -692,6 +697,7 @@ def exit_2_inputs(tmp_path_factory):
          "transmute-even-nodes", "conjugate-half-width", "expand-nodes", "verify-chi1-file",
          "formal-powers-three-half-widths", "formal-powers-a1-nan", "formal-powers-a1-inf",
          "formal-powers-a2-minus-inf", "formal-powers-custom-overflows",
+         "formal-powers-degree-1030", "expand-degree-1030",
          "formal-powers-linear-overflows", "formal-powers-quadratic-overflows",
          "expand-linear-overflows", "verify-linear-overflows",
          "verify-spacing-overflows",

@@ -130,6 +130,33 @@ def test_tabulated_rejects_nonzero_origin(grid):
         make_superpotential("tabulated", (), grid, chi1_table=chi1, chi2_table=np.zeros(grid.gy.n))
 
 
+@pytest.mark.parametrize("polys, shared", [
+    ([(1.5, 0.0), (-1.5, 0.0), (1.5, -0.0), (-1.5, -0.0)], True),
+    ([(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)], True),
+    ([(0.0, 1.0), (-0.0, 1.0)], True),
+    ([(1.5, 1.0), (-1.5, -1.0)], False),  # q = c2 + (c1 + c2 s)^2 is not even in c2
+])
+def test_potential_key_names_the_bits_of_q(polys, shared):
+    # equal keys give bit-equal q on every point the Goursat solve samples,
+    # the ends of the interval and past them included
+    grid = Grid1D(1.0, 21)
+    u = grid.refined().nodes
+    s = np.concatenate([u[:, None] + u[None, :], [[-0.0, 0.0, -3.0, 3.0]]], axis=None)
+    profiles = [AxisProfile(grid, poly=p) for p in polys]
+    keys = {p.potential_key for p in profiles}
+    assert len(keys) == (1 if shared else len(profiles))
+    if shared:
+        want = profiles[0].q_at(s).view(np.uint64)
+        for p in profiles:
+            assert np.array_equal(p.q_at(s).view(np.uint64), want)
+    # tabulated, the samples of q name it, never equal to a poly key; the
+    # half-width is part of every key
+    table = AxisProfile(grid, chi=profiles[-1].chi)
+    assert table.potential_key != profiles[-1].potential_key
+    assert table.potential_key == AxisProfile(grid, chi=table.chi.copy()).potential_key
+    assert AxisProfile(Grid1D(2.0, 21), poly=polys[0]).potential_key not in keys
+
+
 def test_u0_of_flipped_chi_is_u2(grid, quad):
     flipped = make_superpotential("quadratic", (-1.0, -1.0), grid)
     np.testing.assert_array_equal(flipped.u0(), quad.u2())

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
@@ -419,28 +421,20 @@ def test_t0_identity_for_zero_chi(grid201):
     np.testing.assert_allclose(t2d.t1(w), w, atol=1e-12)
 
 
-@pytest.mark.parametrize(
-    "name, params, solves",
-    [("zero", (), 1), ("linear", (0.5, -1.0), 2), ("linear", (1.0, -1.0), 1),
-     ("quadratic", (1.0, -0.5), 4), ("quadratic", (0.5, 0.5), 2)],
-)
-def test_builds_solve_once_per_distinct_potential(name, params, solves, monkeypatch):
-    # a linear axis and its flip share q = c1^2; equal axes share theirs
-    sp = make_superpotential(name, params, Grid2D.square(1.0, 41))
+def _assert_solves_once_per_distinct_potential(sp, solves, tilde_solves, monkeypatch):
     calls = []
-    solve = transmutation._solve_goursat
+    solve = transmutation.solve_goursat
 
-    def counted(profile, q_uv):
+    def counted(profile):
         calls.append(profile)
-        return solve(profile, q_uv)
+        return solve(profile)
 
-    # the builds hand the solve the potential their sharing key is made of
-    monkeypatch.setattr(transmutation, "_solve_goursat", counted)
+    monkeypatch.setattr(transmutation, "solve_goursat", counted)
     t2d = build_transmute_2d(sp)
     assert len(calls) == solves
     calls.clear()
     build_transmute_tilde(sp.ax)
-    assert len(calls) == (2 if name == "quadratic" else 1)
+    assert len(calls) == tilde_solves
     monkeypatch.undo()
     # one solve each, nothing shared
     independent = (
@@ -451,12 +445,62 @@ def test_builds_solve_once_per_distinct_potential(name, params, solves, monkeypa
     )
     shared = (t2d.tx, t2d.ty, t2d.tx_tilde, t2d.ty_tilde)
     for got, want in zip(shared, independent):
-        assert np.array_equal(got.matrix, want.matrix)
+        assert np.array_equal(got.matrix.view(np.uint64), want.matrix.view(np.uint64))
     z = sp.grid.zmesh()
     w = (1.0 + 0.5j) * z**3 - 0.3j * z + np.exp(-np.abs(z) ** 2)
     t0, t1 = t2d.t0_t1(w)
     assert np.array_equal(t0, t2d.t0(w))
     assert np.array_equal(t1, t2d.t1(w))
+
+
+@pytest.mark.parametrize(
+    "name, params, solves",
+    [("zero", (), 1), ("linear", (0.5, -1.0), 2), ("linear", (1.0, -1.0), 1),
+     ("quadratic", (1.0, -0.5), 4), ("quadratic", (0.5, 0.5), 2)],
+)
+def test_builds_solve_once_per_distinct_potential(name, params, solves, monkeypatch):
+    # a linear axis and its flip share q = c1^2; equal axes share theirs
+    sp = make_superpotential(name, params, Grid2D.square(1.0, 41))
+    _assert_solves_once_per_distinct_potential(
+        sp, solves, 2 if name == "quadratic" else 1, monkeypatch)
+
+
+def _tabulated(chi1, chi2):
+    # 33 nodes on [-1, 1]: the spacing 1/16 and every node are exact, so the
+    # stencils of a linear table are exact and its flip keeps q bit for bit
+    grid = Grid2D.square(1.0, 33)
+    x = grid.gx.nodes
+    return make_superpotential("tabulated", (), grid, chi1_table=chi1(x), chi2_table=chi2(x))
+
+
+@pytest.mark.parametrize(
+    "build, solves, tilde_solves",
+    [(lambda: _tabulated(lambda x: 0.5 * x, lambda x: -x), 2, 1),
+     (lambda: _tabulated(lambda x: 0.5 * x**2, lambda x: -0.25 * x**2), 4, 2),
+     (lambda: make_superpotential("linear", (-0.0, 0.0), Grid2D.square(1.0, 41)), 1, 1),
+     (lambda: make_superpotential("zero", (), Grid2D(Grid1D(1.0, 41), Grid1D(2.0, 41))), 2, 1)],
+    ids=["tabulated-linear", "tabulated-quadratic", "linear-signed-zeros",
+         "zero-two-half-widths"],
+)
+def test_sharing_key_is_exact(build, solves, tilde_solves, monkeypatch):
+    # a linear table's flip shares its axis's solve, a quadratic table's does
+    # not (the stencil's chi'' changes sign); -0 and +0 slopes give q = 0 alike;
+    # equal potentials on different intervals are different kernels
+    _assert_solves_once_per_distinct_potential(build(), solves, tilde_solves, monkeypatch)
+
+
+def test_build_transmute_2d_peak_memory():
+    # the four solves of quadratic (1, -0.5) hold at most eight tables of the
+    # characteristic square at a time, (2n - 1)^2 doubles each
+    n = 201
+    sp = make_superpotential("quadratic", (1.0, -0.5), Grid2D.square(1.0, n))
+    tracemalloc.start()
+    try:
+        build_transmute_2d(sp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (2 * n - 1) ** 2 * 8
 
 
 def test_t0_maps_powers_to_formal_powers(t2d_quad, table_quad, sp_quad):
