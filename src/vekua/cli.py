@@ -35,12 +35,16 @@ domain error of the input: a field outside the kernel the subcommand needs
 residual or one of f_xx, f_yy and U f overflows, or the residual is not
 within 50 h^2 times the largest of 1, |f_xx|, |f_yy| and |U f| plus its
 rounding 24 eps max|f| / h^2, see :func:`vekua.operators.require_kernel`)
-or a grid too small for the stencils (``GridShapeError``).  Each prints
-one line to stderr.  A run that exits 2 or 3 leaves no ``--out`` directory
-behind: each subcommand makes it only once its results exist.  Identical
-flags yield byte-identical outputs.  Each output file is created new (see
-:func:`vekua.fields_io.open_output`), so a run into a directory that holds
-an earlier run's outputs replaces them rather than writing through them.
+or a grid too small for the stencils (``GridShapeError``); and any other
+overflow the library raises (``OverflowError``, e.g. the formal powers of
+the battery's refinement).  Each prints one line to stderr.  A degree from
+1030 on is refused before any assembly, and formal powers whose 1-D power
+systems overflow are refused before the 2-D binomial assembly.  A run that
+exits 2 or 3 leaves no ``--out`` directory behind: each subcommand makes it
+only once its results exist.  Identical flags yield byte-identical outputs.
+Each output file is created new (see :func:`vekua.fields_io.open_output`),
+so a run into a directory that holds an earlier run's outputs replaces them
+rather than writing through them.
 """
 
 from __future__ import annotations
@@ -165,18 +169,26 @@ def _assemble(cfg: RunConfig, sp: Superpotential, n_max: int, a1: float = 1.0,
     list).  A degree whose largest binomial C(n, n // 2) exceeds the largest
     double (n >= 1030), and a family or a coefficient that overflows the
     powers to a non-finite value, are config errors, raised before any output
-    exists and without a numpy warning."""
-    if comb(n_max, n_max // 2) > sys.float_info.max:
+    exists and without a numpy warning; the degree before any assembly, and
+    an overflow of the 1-D systems before the 2-D one."""
+    # C(n, n // 2) never decreases in n and first exceeds a double at n = 1030,
+    # so comparing at min(n, 1030) is exact and builds no larger integer
+    top = min(n_max, 1030)
+    if comb(top, top // 2) > sys.float_info.max:
         raise ConfigError(f"degree {n_max}: binomial C({n_max}, {n_max // 2}) overflows a double")
+    params = ",".join(map(str, cfg.sp_params)) or "none"
+    overflow = ConfigError(f"--sp {cfg.sp_name} with --params {params} overflows the formal "
+                           f"powers up to degree {n_max} to a non-finite value on this grid")
     with np.errstate(over="ignore", invalid="ignore"):
-        table = assemble_formal_powers(sp, n_max)
+        try:
+            table = assemble_formal_powers(sp, n_max)
+        except OverflowError as exc:
+            raise overflow from exc
         custom = []
         if a1 != 1.0 or a2 != 0.0:
             custom = [table.power(n, complex(a1, a2)) for n in range(n_max + 1)]
     if not all(np.isfinite(b).all() for b in (table.z_one, table.z_i, table.z1_one, table.z1_i)):
-        params = ",".join(map(str, cfg.sp_params)) or "none"
-        raise ConfigError(f"--sp {cfg.sp_name} with --params {params} overflows the formal "
-                          f"powers up to degree {n_max} to a non-finite value on this grid")
+        raise overflow
     if not all(np.isfinite(c).all() for c in custom):
         raise ConfigError(f"--a1 {a1} and --a2 {a2} overflow the power_custom "
                           "tables to a non-finite value")
@@ -406,6 +418,9 @@ def main(argv=None) -> int:
     except NonConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
+    except OverflowError as exc:  # e.g. the formal powers of the battery's refinement
+        print(f"overflow: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_USAGE

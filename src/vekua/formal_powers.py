@@ -167,8 +167,17 @@ def _binomial_sum(n, even_pair, odd_pair, extra_i=False):
 
 
 def assemble_formal_powers(sp: Superpotential, n_max: int):
-    """Explicit binomial assembly of all four power families up to ``n_max``."""
+    """Explicit binomial assembly of all four power families up to ``n_max``.
+
+    Raises ``OverflowError`` before the 2-D assembly if a 1-D system holds a
+    non-finite value: its row k meets a row 0 of the other axis in a term of
+    the degree-k sums, and that product stays non-finite (inf times 0 is NaN),
+    so some power would be non-finite too.
+    """
     aux = build_aux_system(sp, n_max)
+    if not all(np.isfinite(s).all() for s in (aux.phi, aux.phi_t, aux.psi, aux.psi_t)):
+        raise OverflowError(f"the 1-D power systems up to degree {n_max} overflow to a "
+                            "non-finite value")
     shape = (n_max + 1,) + sp.grid.shape
     z_one = np.empty(shape, dtype=complex)
     z_i = np.empty(shape, dtype=complex)

@@ -2,12 +2,17 @@
 
 The battery is the registry :data:`CHECKS`: one :class:`Check` per report
 row, in report order, each naming the relation it tests, the function that
-measures its residual on one resolution, its cap model (which decides
-whether it is also measured on the refinement, spacing halved), whether the
-ratio window applies, and which superpotential families it covers.
+measures it on one resolution, its cap model (which decides whether it is
+also measured on the refinement, spacing halved), whether the ratio window
+applies, and which superpotential families it covers.
 :func:`run_battery` is one loop over the registry; nothing else lists the
 checks, and the registry is the only source of caps: a run's configuration
 names the grid and the superpotential, nothing else.
+
+A measure yields each residual it computes (each component of a pair on
+its own); :func:`run_battery` takes their maximum as the row's residual at
+each resolution.  A NaN residual makes that maximum NaN, and a NaN fails
+both the cap and the ratio window, so a non-finite value is never dropped.
 
 Cap models:
 
@@ -19,7 +24,8 @@ Cap models:
   with h (a coefficient recovered by an exact self-fit, a commutation that
   holds to rounding).
 * neither: the measurement returns ``(residual, cap)``, a bound it works out
-  itself (the Taylor round-trip's stencil-noise bar).
+  itself (the Taylor round-trip's stencil-noise bar), instead of yielding
+  residuals.
 
 Ratio window: a second-order scheme shrinks a truncation residual by about 4
 when the spacing halves, so for checks with ``ratio_window`` the coarse/fine
@@ -168,61 +174,44 @@ class _CorpusField:
         return corpus_scale(self.grid, np.imag(self.w))
 
 
-def _vmax(pair, margin=2) -> float:
-    return max(interior_max(pair[0], margin), interior_max(pair[1], margin))
+# -- residual measurements: each yields its scale-normalized residuals, and the
+# row's residual is their maximum (see :func:`_worst`) --
 
-
-def _vdiff(a, b):
-    return (a[0] - b[0], a[1] - b[1])
-
-
-# -- residual measurements (max over the relevant family, scale-normalized) --
-
-def _res_zero_mode(level: _Level, op, sign: float) -> float:
+def _res_zero_mode(level: _Level, op, sign: float):
     sp = level.sp
     mode = sp.exp_chi(sign)
-    return interior_max(op(sp, mode), margin=2) / max(1.0, float(np.max(np.abs(mode))))
+    yield interior_max(op(sp, mode), margin=2) / max(1.0, float(np.max(np.abs(mode))))
 
 
-def _res_vekua_powers(level: _Level, successor: bool) -> float:
+def _res_vekua_powers(level: _Level, successor: bool):
     sp, table = level.sp, level.table
-    worst = 0.0
     for n in range(6):
         for a in (1.0, 1j):
             if successor:
-                w = table.power_succ(n, a)
-                r = ops.vekua_v1(sp, w)
+                yield interior_max(ops.vekua_v1(sp, table.power_succ(n, a)), margin=2)
             else:
-                w = table.power(n, a)
-                r = ops.vekua_v(sp, w)
-            worst = max(worst, interior_max(r, margin=2))
-    return worst
+                yield interior_max(ops.vekua_v(sp, table.power(n, a)), margin=2)
 
 
-def _res_ground_state_h(level: _Level) -> float:
+def _res_ground_state_h(level: _Level):
     sp, table = level.sp, level.table
-    worst = 0.0
     for n in range(5):
         for a in (1.0, 1j):
-            g = ops.h_diag(sp, ops.project(table.power(n, a)))
-            worst = max(worst, _vmax(g))
-    return worst
+            for g in ops.h_diag(sp, ops.project(table.power(n, a))):
+                yield interior_max(g, margin=2)
 
 
-def _res_ground_state_h1(level: _Level) -> float:
+def _res_ground_state_h1(level: _Level):
     sp, table = level.sp, level.table
-    worst = 0.0
     for n in range(1, 5):
         for a in (1.0, 1j):
             deriv = n * table.power_succ(n - 1, a)
-            g = ops.h1(sp, ops.project(deriv))
-            worst = max(worst, _vmax(g))
-    return worst
+            for g in ops.h1(sp, ops.project(deriv)):
+                yield interior_max(g, margin=2)
 
 
-def _res_darboux_projection(level: _Level) -> float:
+def _res_darboux_projection(level: _Level):
     sp = level.sp
-    worst = 0.0
     for fld in level.corpus:
         w, scale = fld.w, fld.scale
         pw = ops.project(w)
@@ -233,13 +222,12 @@ def _res_darboux_projection(level: _Level) -> float:
             (ops.pseudo_darboux_adjoint(sp, pw), ops.project(-2.0 * ops.vekua_v(sp, w))),
         ]
         for got, want in pairs:
-            worst = max(worst, _vmax(_vdiff(got, want)) / scale)
-    return worst
+            for a, b in zip(got, want):
+                yield interior_max(a - b, margin=2) / scale
 
 
-def _res_factorization(level: _Level) -> float:
+def _res_factorization(level: _Level):
     sp = level.sp
-    worst = 0.0
     for fld in level.corpus:
         w, scale = fld.w, fld.scale
         pw = ops.project(w)
@@ -251,15 +239,12 @@ def _res_factorization(level: _Level) -> float:
             (h1, ops.vekua_v(sp, ops.vekua_v1bar(sp, w))),
         ]
         for left, inner in combos:
-            proj = ops.project(4.0 * inner)
-            resid = (left[0] + proj[0], left[1] + proj[1])
-            worst = max(worst, _vmax(resid) / scale)
-    return worst
+            for a, b in zip(left, ops.project(4.0 * inner)):
+                yield interior_max(a + b, margin=2) / scale
 
 
-def _res_intertwining(level: _Level) -> float:
+def _res_intertwining(level: _Level):
     sp = level.sp
-    worst = 0.0
     for fld in level.corpus:
         f, scale = np.real(fld.w), fld.scale_re
         h0f, h2f = ops.h0(sp, f), ops.h2(sp, f)
@@ -271,13 +256,11 @@ def _res_intertwining(level: _Level) -> float:
             r3 = ops.h2(sp, ops.p_op(sp, i, +1, f)) - ops.p_op(sp, i, +1, h1f)
             r4 = ops.p_op(sp, i, -1, h2f) - ops.h1_element(sp, i, ops.p_op(sp, i, -1, f))
             for r in (r1, r2, r3, r4):
-                worst = max(worst, interior_max(r, margin=2) / scale)
-    return worst
+                yield interior_max(r, margin=2) / scale
 
 
-def _res_supercharge_factorization(level: _Level) -> float:
+def _res_supercharge_factorization(level: _Level):
     sp = level.sp
-    worst = 0.0
     for fld in level.corpus:
         v = (np.real(fld.w), np.imag(fld.w))
         scale = max(fld.scale_re, fld.scale_im)
@@ -289,57 +272,43 @@ def _res_supercharge_factorization(level: _Level) -> float:
             (ops.pseudo_darboux_adjoint(sp, ops.pseudo_darboux(sp, v)), h1),
         ]
         for got, want in combos:
-            worst = max(worst, _vmax(_vdiff(got, want)) / scale)
-    return worst
+            for a, b in zip(got, want):
+                yield interior_max(a - b, margin=2) / scale
 
 
-def _res_nilpotency(level: _Level) -> float:
+def _res_nilpotency(level: _Level):
     sp = level.sp
-    worst = 0.0
     for fld in level.corpus:
         f, scale = np.real(fld.w), fld.scale_re
-        s1 = sum(ops.p_op(sp, k, +1, ops.q_op(sp, k, -1, f)) for k in (1, 2))
-        s2 = sum(ops.q_op(sp, k, +1, ops.p_op(sp, k, -1, f)) for k in (1, 2))
-        worst = max(
-            worst,
-            interior_max(s1, margin=2) / scale,
-            interior_max(s2, margin=2) / scale,
-        )
-    return worst
+        for outer, inner in ((ops.p_op, ops.q_op), (ops.q_op, ops.p_op)):
+            s = sum(outer(sp, k, +1, inner(sp, k, -1, f)) for k in (1, 2))
+            yield interior_max(s, margin=2) / scale
 
 
-def _res_transmute_powers(level: _Level) -> float:
+def _res_transmute_powers(level: _Level):
     phi = level.table.aux.phi
     t_x = level.t2d.tx
     x = level.sp.grid.gx.nodes
-    worst = 0.0
     for k in range(6):
         got = t_x.along_x(x**k)
         want = phi[k]
-        worst = max(worst, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
-    return worst
+        yield float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
-def _res_t0_t1_powers(level: _Level) -> float:
+def _res_t0_t1_powers(level: _Level):
     sp, table = level.sp, level.table
     z = sp.grid.zmesh()
-    worst = 0.0
     for n in range(5):
         for a in (1.0, 1j):
             t0, t1 = level.t2d.t0_t1(a * z**n)
-            worst = max(
-                worst,
-                float(np.max(np.abs(t0 - table.power(n, a)))),
-                float(np.max(np.abs(t1 - table.power_succ(n, a)))),
-            )
-    return worst
+            yield float(np.max(np.abs(t0 - table.power(n, a))))
+            yield float(np.max(np.abs(t1 - table.power_succ(n, a))))
 
 
-def _res_diagram_differential(level: _Level) -> float:
+def _res_diagram_differential(level: _Level):
     sp = level.sp
     grid = sp.grid
     t2d = level.t2d
-    worst = 0.0
     for fld, (t0w, t1w) in zip(level.corpus, level.images):
         w, scale = fld.w, fld.scale
         t0_wzb, t1_wzb = t2d.t0_t1(d_zbar(grid, w))
@@ -351,67 +320,55 @@ def _res_diagram_differential(level: _Level) -> float:
             ops.vekua_v1bar(sp, t1w) - t0_wz,
         ]
         for r in rs:
-            worst = max(worst, interior_max(r, margin=2) / scale)
-    return worst
+            yield interior_max(r, margin=2) / scale
 
 
-def _res_diagram_integral(level: _Level) -> float:
+def _res_diagram_integral(level: _Level):
     sp = level.sp
     grid = sp.grid
     t2d = level.t2d
-    worst = 0.0
     for fld, (t0w, t1w) in zip(level.corpus, level.images):
         scale = fld.scale
         t0_anti, t1_anti = t2d.t0_t1(lpath_complex(grid, fld.w))
-        r1 = fg_integral(sp, 1, t0w) - t1_anti
-        r2 = fg_integral(sp, 0, t1w) - t0_anti
-        worst = max(
-            worst,
-            interior_max(r1, margin=1) / scale,
-            interior_max(r2, margin=1) / scale,
-        )
-    return worst
+        yield interior_max(fg_integral(sp, 1, t0w) - t1_anti, margin=1) / scale
+        yield interior_max(fg_integral(sp, 0, t1w) - t0_anti, margin=1) / scale
 
 
-def _res_diagram_laplacian(level: _Level) -> float:
+def _res_diagram_laplacian(level: _Level):
     sp = level.sp
     grid = sp.grid
     t2d = level.t2d
-    worst = 0.0
     for fld, (t0w, t1w) in zip(level.corpus, level.images):
         scale = fld.scale
         t0_lap, t1_lap = t2d.t0_t1(laplacian(grid, fld.w))
-        r1 = _vdiff(
-            ops.h_diag(sp, ops.project(t0w)),
-            tuple(-c for c in ops.project(t0_lap)),
-        )
-        r2 = _vdiff(
-            ops.h1(sp, ops.project(t1w)),
-            tuple(-c for c in ops.project(t1_lap)),
-        )
-        worst = max(worst, _vmax(r1) / scale, _vmax(r2) / scale)
-    return worst
+        pairs = [
+            (ops.h_diag(sp, ops.project(t0w)), ops.project(t0_lap)),
+            (ops.h1(sp, ops.project(t1w)), ops.project(t1_lap)),
+        ]
+        for left, lap in pairs:
+            for a, b in zip(left, lap):
+                yield interior_max(a + b, margin=2) / scale
 
 
-def _res_conjugate(level: _Level) -> float:
+def _res_conjugate(level: _Level):
     sp, table = level.sp, level.table
     w1 = np.real(table.power(1, 1.0))
     result = conj.conjugate_from_w1(sp, w1)
     _, resid = conj.fit_gauge(sp, result.partner, np.imag(table.power(1, 1.0)), kernel=0)
-    return resid
+    yield resid
 
 
-def _res_fit_self_residual(level: _Level) -> float:
-    return level.self_fit[1].residual_max
+def _res_fit_self_residual(level: _Level):
+    yield level.self_fit[1].residual_max
 
 
-def _res_fit_self_coefficients(level: _Level) -> float:
+def _res_fit_self_coefficients(level: _Level):
     n_slot, fit = level.self_fit
     coef = fit.coefficients.copy()
     unit = fit.coefficient(n_slot, "i")
     coef[2 * n_slot + 1] = 0.0
-    off_slot = float(np.max(np.abs(coef)))
-    return max(abs(unit - 1.0), off_slot)
+    yield abs(unit - 1.0)
+    yield float(np.max(np.abs(coef)))
 
 
 def _res_taylor_roundtrip(level: _Level):
@@ -430,32 +387,30 @@ def _res_taylor_roundtrip(level: _Level):
     return resid, bound
 
 
-def _res_analytic_limit(level: _Level) -> float:
+def _res_analytic_limit(level: _Level):
     table = level.table
     z = level.sp.grid.zmesh()
-    worst = 0.0
     for n in range(N_MAX + 1):
-        worst = max(worst, interior_max(table.power(n, 1.0) - z**n, margin=1))
-    return worst
+        yield interior_max(table.power(n, 1.0) - z**n, margin=1)
 
 
-def _res_t_commute(level: _Level) -> float:
+def _res_t_commute(level: _Level):
     t2d = level.t2d
-    worst = 0.0
     for fld in level.corpus:
         f, scale = np.real(fld.w), fld.scale_re
         # its own products, not the shared images: the residual is the rounding-level
         # difference between the two orders of the axis products
         ab = t2d.tx.along_x(t2d.ty.along_y(f))
         ba = t2d.ty.along_y(t2d.tx.along_x(f))
-        worst = max(worst, float(np.max(np.abs(ab - ba))) / scale)
-    return worst
+        yield float(np.max(np.abs(ab - ba))) / scale
 
 
 @dataclass(frozen=True)
 class Check:
     """One battery row: what it measures, its cap model and its ratio policy.
 
+    ``measure`` yields the residuals of one resolution; the row's residual is
+    their maximum, NaN if any is NaN, and a NaN residual fails the row.
     Exactly one cap model applies: ``h2_cap`` (multiple of h^2), ``abs_cap``
     (fixed), or neither, in which case ``measure`` returns ``(residual,
     cap)``; no run configuration overrides it.  Only an ``h2_cap`` row is also
@@ -525,6 +480,11 @@ def checks_for(sp_name: str) -> list[Check]:
     return [c for c in CHECKS if c.families is None or sp_name in c.families]
 
 
+def _worst(residuals) -> float:
+    """The largest of a measure's residuals, or NaN if any is NaN."""
+    return float(np.max(np.fromiter(residuals, float)))
+
+
 def run_battery(cfg: RunConfig) -> list[Row]:
     """Measure every registered identity at the configured grid and its refinement."""
     coarse = _Level(cfg, cfg.grid())
@@ -535,11 +495,12 @@ def run_battery(cfg: RunConfig) -> list[Row]:
         ratio = None
         try:
             if check.h2_cap is not None:
-                residual, cap = check.measure(coarse), check.h2_cap * coarse.h2_unit
+                residual, cap = _worst(check.measure(coarse)), check.h2_cap * coarse.h2_unit
                 if not residual <= RATIO_FLOOR:  # a NaN residual is not exact
-                    ratio = residual / max(check.measure(fine), np.finfo(float).tiny)
+                    # max keeps its first argument when that is NaN, so is the ratio
+                    ratio = residual / max(_worst(check.measure(fine)), np.finfo(float).tiny)
             elif check.abs_cap is not None:
-                residual, cap = check.measure(coarse), check.abs_cap
+                residual, cap = _worst(check.measure(coarse)), check.abs_cap
             else:
                 residual, cap = check.measure(coarse)
         except KernelMembershipError as exc:

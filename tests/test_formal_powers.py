@@ -281,3 +281,13 @@ def test_power_stacks_are_read_only(table_quad):
     for stack in (table_quad.z_one, table_quad.z_i, table_quad.z1_one, table_quad.z1_i):
         with pytest.raises(ValueError):
             stack[1, 0, 0] = 0.0
+
+
+def test_overflowing_1d_systems_refused_before_the_2d_assembly():
+    # on 3 nodes phi_k of chi = 0 is finite up to degree 196 and not from 197
+    sp = make_superpotential("zero", (), Grid2D.square(1.0, 3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isfinite(build_aux_system(sp, 196).phi).all()
+        assemble_formal_powers(sp, 196)
+        with pytest.raises(OverflowError, match="1-D power systems up to degree 197 overflow"):
+            assemble_formal_powers(sp, 197)

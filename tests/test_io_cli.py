@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,9 @@ import pytest
 import vekua
 import vekua.cli as cli
 import vekua.fields_io as fields_io
+import vekua.formal_powers as formal_powers
 import vekua.transmutation as transmutation
+import vekua.verification as verification
 from vekua.cli import build_parser, main
 from vekua.errors import (
     ConfigError,
@@ -711,6 +714,61 @@ def test_cli_domain_and_usage_errors_exit_2(tmp_path, capsys, exit_2_inputs, arg
     argv = [a.format(**exit_2_inputs) for a in argv] + ["--out", str(tmp_path / "o")]
     assert main(argv) == 2
     _one_line_error(capsys, prefix.format(**exit_2_inputs))
+    assert not (tmp_path / "o").exists()
+
+
+def test_largest_binomial_first_overflows_a_double_at_degree_1030():
+    assert comb(1029, 514) <= sys.float_info.max < comb(1030, 515)
+
+
+@pytest.mark.parametrize("argv", [
+    ["formal-powers", "--sp", "zero", "--nodes", "3", "--n-max", "3000000"],
+    ["expand", "--sp", "zero", "--input", "{sq21}", "--basis", "ker_h2", "--degree", "3000000"],
+], ids=["formal-powers", "expand"])
+def test_cli_refuses_a_large_degree_without_its_binomial(tmp_path, capsys, monkeypatch,
+                                                         exit_2_inputs, argv):
+    # C(n, n // 2) of a degree in the millions takes minutes to build as an integer
+    def small_comb(n, k):
+        assert n <= 1030, f"C({n}, {k}) built"
+        return comb(n, k)
+
+    monkeypatch.setattr(cli, "comb", small_comb)
+    argv = [a.format(**exit_2_inputs) for a in argv] + ["--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    _one_line_error(capsys, "config error: degree 3000000: binomial C(3000000, 1500000) "
+                    "overflows a double\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_refuses_overflowing_1d_systems_before_the_2d_assembly(tmp_path, capsys,
+                                                                    monkeypatch):
+    # phi_k of chi = 0 on 3 nodes is non-finite from degree 197; the binomial
+    # assembly up to degree 1029 would take most of a minute
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("2-D binomial assembly ran")
+
+    monkeypatch.setattr(formal_powers, "_binomial_sum", no_assembly)
+    argv = ["formal-powers", "--sp", "zero", "--nodes", "3", "--n-max", "1029",
+            "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    _one_line_error(capsys, "config error: --sp zero with --params none overflows the formal "
+                    "powers up to degree 1029 to a non-finite value on this grid\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_maps_an_overflow_of_the_refinement_to_exit_2(tmp_path, capsys, monkeypatch):
+    # the coarse powers are finite, those of the refined grid are not
+    assemble = verification.assemble_formal_powers
+
+    def overflow_when_refined(sp, n_max):
+        if sp.grid.gx.n != 21:
+            raise OverflowError("synthetic overflow")
+        return assemble(sp, n_max)
+
+    monkeypatch.setattr(verification, "assemble_formal_powers", overflow_when_refined)
+    argv = ["verify", "--sp", "zero", "--nodes", "21", "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    _one_line_error(capsys, "overflow: synthetic overflow\n")
     assert not (tmp_path / "o").exists()
 
 

@@ -1,7 +1,10 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
+import vekua.operators as ops
 import vekua.verification as verification
 from vekua.cli import main
 from vekua.errors import NonConvergenceError
@@ -78,6 +81,61 @@ def test_corrupt_potential_fails_rows_of_the_full_registry(family, monkeypatch, 
         assert row["residual"] is row["cap"] is row["ratio"] is None
         (line,) = [line for line in report if line.startswith(name + " ")]
         assert "exact" not in line and line.endswith("FAIL")
+
+
+def _spoil_one_output(monkeypatch, name, nodes, call):
+    """Mutant: the ``call``-th output of ``ops.<name>`` on the grid of ``nodes``
+    nodes per axis carries a NaN at its centre node; every other output is
+    unchanged."""
+    original = getattr(ops, name)
+    calls = []
+
+    def spoilt(sp, f):
+        out = original(sp, f)
+        if sp.grid.gx.n == nodes:
+            calls.append(None)
+            if len(calls) == call:
+                out = out.copy()
+                out[nodes // 2, nodes // 2] = np.nan
+        return out
+
+    monkeypatch.setattr(ops, name, spoilt)
+
+
+def _only_checks(monkeypatch, *names):
+    monkeypatch.setattr(verification, "CHECKS", tuple(
+        c for c in verification.CHECKS if c.name in names))
+
+
+QUADRATIC = RunConfig(n1=N, n2=N, sp_name="quadratic", sp_params=FAMILIES["quadratic"])
+
+
+def test_nan_at_one_node_of_one_power_fails_its_row(monkeypatch):
+    # the 12th V output of the coarse level is V[Z^5(i)], the row's last
+    _only_checks(monkeypatch, "vekua_main_powers")
+    _spoil_one_output(monkeypatch, "vekua_v", N, 12)
+    (row,) = run_battery(QUADRATIC)
+    assert math.isnan(row.residual) and not row.passed
+
+
+def test_nan_in_h2_fails_ground_state_h(monkeypatch, tmp_path):
+    # H2 acts on the second half of every diag(H0, H2) pair of the row
+    _only_checks(monkeypatch, "ground_state_h")
+    _spoil_one_output(monkeypatch, "h2", N, 1)
+    argv = ["verify", "--sp", "quadratic", "--params=1,-0.5", "--nodes", str(N),
+            "--out", str(tmp_path)]
+    assert main(argv) == 1
+    (row,) = json.loads((tmp_path / "verification_report.json").read_text())
+    assert row["identity"] == "ground_state_h"
+    assert row["residual"] is None and row["verdict"] == "fail"
+
+
+def test_nan_on_the_refinement_alone_fails_the_ratio_window(monkeypatch):
+    _only_checks(monkeypatch, "vekua_main_powers")
+    _spoil_one_output(monkeypatch, "vekua_v", 2 * N - 1, 12)
+    (row,) = run_battery(QUADRATIC)
+    assert row.residual <= row.cap
+    assert math.isnan(row.ratio) and not row.passed
 
 
 def test_non_convergence_still_exits_3(monkeypatch, tmp_path):
