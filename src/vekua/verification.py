@@ -38,10 +38,22 @@ level is not measured, the ratio column reads ``exact`` and the window is
 not applied.
 
 A measurement that raises :class:`~vekua.errors.KernelMembershipError` (its
-own input left the kernel it needs) is a failing row whose note carries the
-error, whose residual, cap and ratio read ``nan`` (``null`` in the JSON report,
-as every non-finite number) and whose refined level is not measured;
-non-convergence still propagates.
+own input left the kernel it needs), on either resolution, is a failing row
+whose note carries the error, whose residual, cap and ratio read ``nan``
+(``null`` in the JSON report, as every non-finite number) and whose refined
+level, if not yet measured, is not measured; non-convergence still
+propagates.
+
+Evaluation order: the battery holds one resolution at a time.  It measures
+every check on the configured grid, releases that level, and only then builds
+the refinement, on which it measures the rows left to refine.  On each level
+the checks that read the formal-power table (``Check.reads_table``) run
+first; the table, and the self-fit built from it, are then released before
+the other checks run, among them those that build the smooth corpus and its
+transmuted images.  Within
+each group checks run in registry order, and rows are always reported in
+registry order: the order changes which arrays are alive together, not what
+any row computes.
 """
 
 from __future__ import annotations
@@ -152,6 +164,12 @@ class _Level:
         target = np.imag(self.table.z_i[n_slot])
         fit = fit_formal_polynomial(self.sp, target, self.table, "ker_h0", degree=4)
         return n_slot, fit
+
+    def release_table(self) -> None:
+        """Drop the formal-power table and the self-fit built from it; a later
+        reader rebuilds them."""
+        self.__dict__.pop("table", None)
+        self.__dict__.pop("self_fit", None)
 
 
 class _CorpusField:
@@ -415,7 +433,10 @@ class Check:
     (fixed), or neither, in which case ``measure`` returns ``(residual,
     cap)``; no run configuration overrides it.  Only an ``h2_cap`` row is also
     measured on the refinement.  ``families`` limits the check to those
-    superpotential families; ``None`` covers all.
+    superpotential families; ``None`` covers all.  ``reads_table`` marks a
+    measure that reads the formal-power table or the self-fit: on each level
+    these run before the table is released, the others after (see the module
+    docstring).  A stale flag costs a rebuild of the table, never a wrong row.
     """
 
     name: str
@@ -425,6 +446,7 @@ class Check:
     abs_cap: float | None = None
     ratio_window: bool = False
     families: tuple[str, ...] | None = None
+    reads_table: bool = False
     note: str = ""
 
 
@@ -434,11 +456,15 @@ CHECKS: tuple[Check, ...] = (
     Check("zero_mode_h2", "H2[exp(chi)] = 0", lambda lv: _res_zero_mode(lv, ops.h2, 1.0),
           h2_cap=10.0),
     Check("vekua_main_powers", "V[Z^n(a)] = 0, n<=5",
-          lambda lv: _res_vekua_powers(lv, successor=False), h2_cap=100.0, ratio_window=True),
+          lambda lv: _res_vekua_powers(lv, successor=False), h2_cap=100.0, ratio_window=True,
+          reads_table=True),
     Check("vekua_succ_powers", "V1[Z1^n(a)] = 0, n<=5",
-          lambda lv: _res_vekua_powers(lv, successor=True), h2_cap=100.0, ratio_window=True),
-    Check("ground_state_h", "H P[Z^n(a)] = 0, n<=4", _res_ground_state_h, h2_cap=200.0),
-    Check("ground_state_h1", "H1 P[dZ^n(a)] = 0, n<=4", _res_ground_state_h1, h2_cap=200.0),
+          lambda lv: _res_vekua_powers(lv, successor=True), h2_cap=100.0, ratio_window=True,
+          reads_table=True),
+    Check("ground_state_h", "H P[Z^n(a)] = 0, n<=4", _res_ground_state_h, h2_cap=200.0,
+          reads_table=True),
+    Check("ground_state_h1", "H1 P[dZ^n(a)] = 0, n<=4", _res_ground_state_h1, h2_cap=200.0,
+          reads_table=True),
     Check("darboux_projection", "DP = 2P Vbar (+3 companions)", _res_darboux_projection,
           h2_cap=100.0, ratio_window=True),
     Check("factorization", "HP = -4P V1 Vbar (+3 companions)", _res_factorization,
@@ -451,9 +477,9 @@ CHECKS: tuple[Check, ...] = (
           h2_cap=100.0, ratio_window=True),
     # relative error; equals 1e-2 at axis spacing 5e-3
     Check("transmute_powers", "T1[x^k] = phi_k, k<=5 (relative)", _res_transmute_powers,
-          h2_cap=400.0, ratio_window=True),
+          h2_cap=400.0, ratio_window=True, reads_table=True),
     Check("t0_t1_powers", "T0[a z^n] = Z^n(a), T1[a z^n] = Z1^n(a), n<=4", _res_t0_t1_powers,
-          h2_cap=300.0),
+          h2_cap=300.0, reads_table=True),
     Check("diagram_differential", "V T0 = T1 dzbar (+3 companions)", _res_diagram_differential,
           h2_cap=300.0),
     Check("diagram_integral", "pair-int T0[w] = T1[int w] (+ swap)", _res_diagram_integral,
@@ -461,17 +487,18 @@ CHECKS: tuple[Check, ...] = (
     Check("diagram_laplacian", "H P T0 = -P T0 lap, H1 P T1 = -P T1 lap",
           _res_diagram_laplacian, h2_cap=300.0),
     Check("conjugate_reconstruction", "Im Z^1(1) from Re Z^1(1), gauge-fitted", _res_conjugate,
-          h2_cap=50.0),
+          h2_cap=50.0, reads_table=True),
     Check("fit_self_residual", "self-fit of a basis member", _res_fit_self_residual,
-          h2_cap=10.0),
+          h2_cap=10.0, reads_table=True),
     Check("fit_self_coefficients", "unit on-slot, zero off-slot", _res_fit_self_coefficients,
-          abs_cap=1e-6),
+          abs_cap=1e-6, reads_table=True),
     Check("taylor_roundtrip", "series(coefficients(Z^3)) on half-radius box",
-          _res_taylor_roundtrip, note="cap is the reported stencil-noise bound"),
+          _res_taylor_roundtrip, reads_table=True, note="cap is the reported stencil-noise bound"),
     Check("transmute_commute", "T1 T2 = T2 T1", _res_t_commute, abs_cap=1e-12),
     # Z^n(1) - z^n is the O(h^2) trapezoid error of the 1-D systems: 33-39 h^2 at n = 41..201
     Check("analytic_limit", "Z^n(1) = z^n for vanishing superpotential, n<=6",
-          _res_analytic_limit, h2_cap=50.0, ratio_window=True, families=("zero",)),
+          _res_analytic_limit, h2_cap=50.0, ratio_window=True, families=("zero",),
+          reads_table=True),
 )
 
 
@@ -485,28 +512,59 @@ def _worst(residuals) -> float:
     return float(np.max(np.fromiter(residuals, float)))
 
 
+def _measure_level(level: _Level, checks: list[Check], measure: Callable) -> dict:
+    """``measure(check, level)`` for each check, or its "not measured: ..." note:
+    the table readers first, then, with the table released, the rest."""
+    results: dict[str, object] = {}
+    for reads_table in (True, False):
+        for check in checks:
+            if check.reads_table == reads_table:
+                try:
+                    results[check.name] = measure(check, level)
+                except KernelMembershipError as exc:
+                    # the message, not the exception: its traceback would hold the level
+                    results[check.name] = f"not measured: {exc}"
+        level.release_table()
+    return results
+
+
+def _measure_coarse(check: Check, level: _Level) -> tuple[float, float]:
+    """(residual, cap) of a check on the configured grid."""
+    if check.h2_cap is not None:
+        return _worst(check.measure(level)), check.h2_cap * level.h2_unit
+    if check.abs_cap is not None:
+        return _worst(check.measure(level)), check.abs_cap
+    return check.measure(level)
+
+
 def run_battery(cfg: RunConfig) -> list[Row]:
-    """Measure every registered identity at the configured grid and its refinement."""
-    coarse = _Level(cfg, cfg.grid())
-    fine = _Level(cfg, cfg.grid().refined())
+    """Measure every registered identity at the configured grid and its refinement.
+
+    One level is alive at a time: every check runs on the configured grid, that
+    level is released, and the refinement is built for the ``h2_cap`` rows whose
+    coarse residual is not exact.  On each level the table readers run first
+    (see :func:`_measure_level`).  Rows come back in registry order."""
+    checks = checks_for(cfg.sp_name)
+    coarse = _measure_level(_Level(cfg, cfg.grid()), checks, _measure_coarse)
+    # a NaN residual is not exact
+    to_refine = [c for c in checks if c.h2_cap is not None
+                 and not isinstance(coarse[c.name], str) and not coarse[c.name][0] <= RATIO_FLOOR]
+    fine = _measure_level(_Level(cfg, cfg.grid().refined()), to_refine,
+                          lambda check, level: _worst(check.measure(level)))
     grid_label = f"{cfg.n1}x{cfg.n2}"
     rows: list[Row] = []
-    for check in checks_for(cfg.sp_name):
-        ratio = None
-        try:
-            if check.h2_cap is not None:
-                residual, cap = _worst(check.measure(coarse)), check.h2_cap * coarse.h2_unit
-                if not residual <= RATIO_FLOOR:  # a NaN residual is not exact
-                    # max keeps its first argument when that is NaN, so is the ratio
-                    ratio = residual / max(_worst(check.measure(fine)), np.finfo(float).tiny)
-            elif check.abs_cap is not None:
-                residual, cap = _worst(check.measure(coarse)), check.abs_cap
-            else:
-                residual, cap = check.measure(coarse)
-        except KernelMembershipError as exc:
+    for check in checks:
+        # a "not measured" note from either level
+        note = fine.get(check.name, coarse[check.name])
+        if isinstance(note, str):
             rows.append(Row(check.name, check.tag, grid_label, np.nan, np.nan, np.nan,
-                            check.ratio_window, False, f"not measured: {exc}"))
+                            check.ratio_window, False, note))
             continue
+        residual, cap = coarse[check.name]
+        ratio = None
+        if check.name in fine:
+            # max keeps its first argument when that is NaN, so is the ratio
+            ratio = residual / max(fine[check.name], np.finfo(float).tiny)
         passed = residual <= cap
         if check.ratio_window and ratio is not None:
             passed = passed and (RATIO_WINDOW[0] <= ratio <= RATIO_WINDOW[1])

@@ -1,5 +1,7 @@
 import json
 import math
+import weakref
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -7,12 +9,24 @@ import pytest
 import vekua.operators as ops
 import vekua.verification as verification
 from vekua.cli import main
-from vekua.errors import NonConvergenceError
+from vekua.errors import KernelMembershipError, NonConvergenceError
 from vekua.superpotential import Superpotential
-from vekua.verification import RunConfig, checks_for, run_battery
+from vekua.verification import (
+    RATIO_FLOOR,
+    RATIO_WINDOW,
+    Row,
+    RunConfig,
+    _Level,
+    _worst,
+    checks_for,
+    render_report,
+    rows_to_json,
+    run_battery,
+)
 
 N = 61
 FAMILIES = {"zero": (), "linear": (0.5, -1.0), "quadratic": (1.0, -0.5)}
+QUADRATIC = RunConfig(n1=N, n2=N, sp_name="quadratic", sp_params=FAMILIES["quadratic"])
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +47,113 @@ def test_battery_passes_every_row(batteries, family):
 def test_rows_follow_the_registry(batteries, family):
     names = [r.name for r in batteries[family]]
     assert names == [c.name for c in checks_for(family)]
+
+
+def _interleaved_battery(cfg):
+    """The battery with both levels alive throughout and each row measured on
+    the coarse level, then on the refinement, in registry order: the order
+    ``run_battery`` replaced, kept as a reference for its rows."""
+    coarse = _Level(cfg, cfg.grid())
+    fine = _Level(cfg, cfg.grid().refined())
+    grid_label = f"{cfg.n1}x{cfg.n2}"
+    rows = []
+    for check in checks_for(cfg.sp_name):
+        ratio = None
+        try:
+            if check.h2_cap is not None:
+                residual, cap = _worst(check.measure(coarse)), check.h2_cap * coarse.h2_unit
+                if not residual <= RATIO_FLOOR:
+                    ratio = residual / max(_worst(check.measure(fine)), np.finfo(float).tiny)
+            elif check.abs_cap is not None:
+                residual, cap = _worst(check.measure(coarse)), check.abs_cap
+            else:
+                residual, cap = check.measure(coarse)
+        except KernelMembershipError as exc:
+            rows.append(Row(check.name, check.tag, grid_label, np.nan, np.nan, np.nan,
+                            check.ratio_window, False, f"not measured: {exc}"))
+            continue
+        passed = residual <= cap
+        if check.ratio_window and ratio is not None:
+            passed = passed and (RATIO_WINDOW[0] <= ratio <= RATIO_WINDOW[1])
+        rows.append(Row(check.name, check.tag, grid_label, residual, cap, ratio,
+                        check.ratio_window, passed, check.note))
+    return rows
+
+
+def _assert_same_reports(rows, reference, cfg):
+    assert rows_to_json(rows) == rows_to_json(reference)
+    assert render_report(rows, cfg) == render_report(reference, cfg)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_level_order_keeps_every_row(batteries, family):
+    cfg = RunConfig(n1=N, n2=N, sp_name=family, sp_params=FAMILIES[family])
+    _assert_same_reports(batteries[family], _interleaved_battery(cfg), cfg)
+
+
+def test_level_order_keeps_every_row_on_a_non_square_grid():
+    cfg = RunConfig(half_width1=1.0, half_width2=0.5, n1=N, n2=41,
+                    sp_name="quadratic", sp_params=FAMILIES["quadratic"])
+    _assert_same_reports(run_battery(cfg), _interleaved_battery(cfg), cfg)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_battery_holds_one_level_and_one_table_at_a_time(family, monkeypatch):
+    levels = []  # weak references: a spy must not keep a level alive
+    assemblies = []  # nodes per x axis of each level that assembled its table
+    tables_at_images = []  # whether the table was held when the images were built
+
+    def alive():
+        return sum(ref() is not None for ref in levels)
+
+    build_images = verification._Level.images.func
+
+    class SpyLevel(verification._Level):
+        def __init__(self, cfg, grid):
+            assert alive() == 0
+            super().__init__(cfg, grid)
+            levels.append(weakref.ref(self))
+
+        @cached_property
+        def images(self):
+            tables_at_images.append((self.grid.gx.n, "table" in self.__dict__))
+            return build_images(self)
+
+    assemble = verification.assemble_formal_powers
+
+    def spy_assemble(sp, n_max):
+        assert alive() == 1
+        assemblies.append(sp.grid.gx.n)
+        return assemble(sp, n_max)
+
+    monkeypatch.setattr(verification, "_Level", SpyLevel)
+    monkeypatch.setattr(verification, "assemble_formal_powers", spy_assemble)
+    run_battery(RunConfig(n1=N, n2=N, sp_name=family, sp_params=FAMILIES[family]))
+    assert len(levels) == 2
+    assert assemblies == [N, 2 * N - 1]
+    assert {held for _, held in tables_at_images} == {False}
+    # zero's diagram rows are exact on the coarse grid, so its refinement builds no images
+    assert [n for n, _ in tables_at_images] == ([N] if family == "zero" else [N, 2 * N - 1])
+
+
+def test_refused_refinement_reads_not_measured_in_its_place(batteries, monkeypatch):
+    conjugate_from_w1 = verification.conj.conjugate_from_w1
+
+    def refuse_on_the_refinement(sp, w1):
+        if sp.grid.gx.n == 2 * N - 1:
+            raise KernelMembershipError("synthetic: not in ker h2")
+        return conjugate_from_w1(sp, w1)
+
+    monkeypatch.setattr(verification.conj, "conjugate_from_w1", refuse_on_the_refinement)
+    rows = run_battery(QUADRATIC)
+    assert [r.name for r in rows] == [r.name for r in batteries["quadratic"]]
+    for row, before in zip(rows, batteries["quadratic"]):
+        if row.name != "conjugate_reconstruction":
+            assert row == before
+            continue
+        assert row.note == "not measured: synthetic: not in ker h2"
+        assert math.isnan(row.residual) and math.isnan(row.cap) and math.isnan(row.ratio)
+        assert not row.passed
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -105,9 +226,6 @@ def _spoil_one_output(monkeypatch, name, nodes, call):
 def _only_checks(monkeypatch, *names):
     monkeypatch.setattr(verification, "CHECKS", tuple(
         c for c in verification.CHECKS if c.name in names))
-
-
-QUADRATIC = RunConfig(n1=N, n2=N, sp_name="quadratic", sp_params=FAMILIES["quadratic"])
 
 
 def test_nan_at_one_node_of_one_power_fails_its_row(monkeypatch):
