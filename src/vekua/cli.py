@@ -7,9 +7,13 @@ in the formal-power basis) and ``verify`` (full identity battery at two
 resolutions).
 
 Every subcommand reads one :class:`~vekua.verification.RunConfig`: the
-dataclass defaults, overridden by the flags.  Only ``formal-powers`` and
-``verify`` build their grid, from ``--half-width`` and ``--nodes``;
-``transmute``, ``conjugate`` and ``expand`` run on the grid of ``--input``.
+dataclass defaults, overridden by the flags.  It builds, and refuses, the
+run's grid, superpotential and formal powers for every subcommand.  Only
+``formal-powers`` and ``verify`` build their grid, from ``--half-width`` and
+``--nodes``; ``transmute``, ``conjugate`` and ``expand`` run on the grid of
+``--input``.  ``verify`` builds nothing itself: its refusals of a grid,
+family or formal powers are the battery's own, made on the configured grid
+before any check is measured (see :func:`~vekua.verification.run_battery`).
 ``verify`` runs catalog families only, so it takes no
 ``--chi1-file``/``--chi2-file``.  Caps are not settable; they come from
 :data:`vekua.verification.CHECKS`.
@@ -72,11 +76,10 @@ from .fields_io import (
     write_field_csv,
     write_grid_meta,
 )
-from .formal_powers import assemble_formal_powers
 from .grid import Grid2D
-from .superpotential import Superpotential, catalog_names, make_superpotential
+from .superpotential import Superpotential, catalog_names
 from .transmutation import build_transmute, build_transmute_2d, build_transmute_tilde
-from .verification import N_MAX, RunConfig, run_battery, render_report, write_report
+from .verification import RunConfig, render_report, rows_to_json, run_battery
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -141,20 +144,17 @@ def _finite(flag: str, value: float) -> None:
 
 
 def _build(cfg: RunConfig, args, grid: Grid2D | None = None) -> tuple[Grid2D, Superpotential]:
-    """The run's grid (``grid``, else the config's) and superpotential; a
-    value the grid or the family refuses is a config error."""
-    try:
-        if grid is None:
-            grid = cfg.grid()
-        tables = {}
-        if cfg.sp_name == "tabulated":
-            if args.chi1_file is None or args.chi2_file is None:
-                raise ConfigError("tabulated family needs --chi1-file and --chi2-file")
-            tables["chi1_table"] = read_axis_table(args.chi1_file, grid.gx, "chi1")
-            tables["chi2_table"] = read_axis_table(args.chi2_file, grid.gy, "chi2")
-        return grid, make_superpotential(cfg.sp_name, cfg.sp_params, grid, **tables)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    """The run's grid (``grid``, else the config's) and superpotential, each
+    refused by ``cfg`` as a config error."""
+    if grid is None:
+        grid = cfg.grid()
+    tables = {}
+    if cfg.sp_name == "tabulated":
+        if args.chi1_file is None or args.chi2_file is None:
+            raise ConfigError("tabulated family needs --chi1-file and --chi2-file")
+        tables["chi1_table"] = read_axis_table(args.chi1_file, grid.gx, "chi1")
+        tables["chi2_table"] = read_axis_table(args.chi2_file, grid.gy, "chi2")
+    return grid, cfg.superpotential(grid, **tables)
 
 
 def _out_dir(args) -> Path:
@@ -164,31 +164,23 @@ def _out_dir(args) -> Path:
 
 def _assemble(cfg: RunConfig, sp: Superpotential, n_max: int, a1: float = 1.0,
               a2: float = 0.0):
-    """The formal-power table of ``sp`` up to ``n_max`` and, for a coefficient
+    """The formal-power table of ``sp`` up to ``n_max`` (see
+    :meth:`~vekua.verification.RunConfig.formal_powers`) and, for a coefficient
     a1 + i a2 other than 1, the powers a1 Z^n(1) + a2 Z^n(i) (else an empty
-    list).  A degree whose largest binomial C(n, n // 2) exceeds the largest
-    double (n >= 1030), and a family or a coefficient that overflows the
-    powers to a non-finite value, are config errors, raised before any output
-    exists and without a numpy warning; the degree before any assembly, and
-    an overflow of the 1-D systems before the 2-D one."""
+    list).  Config errors, raised before any output exists: a degree whose
+    largest binomial C(n, n // 2) exceeds the largest double (n >= 1030),
+    before any assembly, and a coefficient whose powers overflow to a
+    non-finite value, without a numpy warning."""
     # C(n, n // 2) never decreases in n and first exceeds a double at n = 1030,
     # so comparing at min(n, 1030) is exact and builds no larger integer
     top = min(n_max, 1030)
     if comb(top, top // 2) > sys.float_info.max:
         raise ConfigError(f"degree {n_max}: binomial C({n_max}, {n_max // 2}) overflows a double")
-    params = ",".join(map(str, cfg.sp_params)) or "none"
-    overflow = ConfigError(f"--sp {cfg.sp_name} with --params {params} overflows the formal "
-                           f"powers up to degree {n_max} to a non-finite value on this grid")
+    table = cfg.formal_powers(sp, n_max)
+    if a1 == 1.0 and a2 == 0.0:
+        return table, []
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            table = assemble_formal_powers(sp, n_max)
-        except OverflowError as exc:
-            raise overflow from exc
-        custom = []
-        if a1 != 1.0 or a2 != 0.0:
-            custom = [table.power(n, complex(a1, a2)) for n in range(n_max + 1)]
-    if not all(np.isfinite(b).all() for b in (table.z_one, table.z_i, table.z1_one, table.z1_i)):
-        raise overflow
+        custom = [table.power(n, complex(a1, a2)) for n in range(n_max + 1)]
     if not all(np.isfinite(c).all() for c in custom):
         raise ConfigError(f"--a1 {a1} and --a2 {a2} overflow the power_custom "
                           "tables to a non-finite value")
@@ -338,13 +330,14 @@ def _cmd_verify(args) -> int:
     cfg = _load_config(args, own_grid=True)
     if cfg.sp_name == "tabulated":
         raise ConfigError("verify runs on catalog families (the battery refines the grid)")
-    # a grid, family or formal powers the battery cannot build: exit 2, not 1
-    _, sp = _build(cfg, args)
-    _assemble(cfg, sp, N_MAX)
     rows = run_battery(cfg)
+    report = render_report(rows, cfg)
     out = _out_dir(args)
-    write_report(rows, cfg, out)
-    print(render_report(rows, cfg), end="")
+    with open_output(out / "verification_report.txt") as fh:
+        fh.write(report)
+    with open_output(out / "verification_report.json") as fh:
+        fh.write(rows_to_json(rows))
+    print(report, end="")
     failed = [r for r in rows if not r.passed]
     if failed:
         print(f"FAILED identities: {', '.join(r.name for r in failed)}", file=sys.stderr)

@@ -22,7 +22,7 @@ from functools import wraps
 
 import numpy as np
 
-from .grid import Grid1D, Grid2D, _first_derivative
+from .grid import Grid1D, Grid2D, _first_derivative, _second_derivative
 
 __all__ = [
     "AxisProfile",
@@ -41,9 +41,10 @@ class AxisProfile:
 
     ``poly`` = (c1, c2) defines chi_j = c1*s + c2*s^2/2: ``chi``, ``dchi``,
     ``d2chi`` and the potential off the nodes are exact.  Samples ``chi``
-    alone define a tabulated profile: ``dchi`` and ``d2chi`` are the first-
-    derivative stencil applied once and twice, and off the nodes the potential
-    is interpolated linearly, which keeps the overall O(h^2) order.  Passing
+    alone define a tabulated profile: ``dchi`` and ``d2chi`` are the first- and
+    second-derivative stencils of the samples, both O(h^2) at every node, the
+    ends included, and off the nodes the potential is interpolated linearly,
+    which keeps the overall O(h^2) order.  Passing
     both definitions or neither raises ``ValueError``.  Transmutation kernels
     are shared by the potential's definition: by equal :attr:`potential_key`.
     """
@@ -60,7 +61,7 @@ class AxisProfile:
         if self.poly is None:
             self.chi = self.grid.check(np.asarray(self.chi, dtype=float))
             self.dchi = _first_derivative(self.chi, self.grid.h, axis=0)
-            self.d2chi = _first_derivative(self.dchi, self.grid.h, axis=0)
+            self.d2chi = _second_derivative(self.chi, self.grid.h, axis=0)
         else:
             c1, c2 = self.poly
             x = self.grid.nodes

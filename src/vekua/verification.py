@@ -44,13 +44,15 @@ whose note carries the error, whose residual, cap and ratio read ``nan``
 level, if not yet measured, is not measured; non-convergence still
 propagates.
 
-Evaluation order: the battery holds one resolution at a time.  It measures
-every check on the configured grid, releases that level, and only then builds
-the refinement, on which it measures the rows left to refine.  On each level
-the checks that read the formal-power table (``Check.reads_table``) run
-first; the table, and the self-fit built from it, are then released before
-the other checks run, among them those that build the smooth corpus and its
-transmuted images.  Within
+Evaluation order: the battery holds one resolution at a time.  It builds
+the configured grid's superpotential and formal-power table through
+:class:`RunConfig`, which refuses what it cannot build, so a refused
+configuration measures nothing.  It then measures every check on that grid,
+releases that level, and only then builds the refinement, on which it
+measures the rows left to refine.  On each level the checks that read the
+formal-power table (``Check.reads_table``) run first; the table, and the
+self-fit built from it, are then released before the other checks run, among
+them those that build the smooth corpus and its transmuted images.  Within
 each group checks run in registry order, and rows are always reported in
 registry order: the order changes which arrays are alive together, not what
 any row computes.
@@ -61,7 +63,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -69,9 +70,8 @@ import numpy as np
 from . import conjugate as conj
 from . import operators as ops
 from .corpus import corpus_scale, smooth_corpus
-from .errors import KernelMembershipError
+from .errors import ConfigError, KernelMembershipError
 from .expansion import evaluate_series, fit_formal_polynomial, taylor_coefficients
-from .fields_io import open_output
 from .formal_powers import (
     FormalPowerTable,
     assemble_formal_powers,
@@ -99,10 +99,16 @@ N_MAX = 6  # highest formal-power degree the battery builds
 
 @dataclass
 class RunConfig:
-    """Grid and superpotential of one verification run: a plain record, which
-    :class:`~vekua.grid.Grid1D` and :func:`~vekua.superpotential.make_superpotential`
-    validate when the battery builds them.  The CLI builds it from these
-    defaults and its flags alone.  Caps live in :data:`CHECKS` only."""
+    """Grid and superpotential of one run, and the one place they are built.
+
+    Each builder refuses what it cannot build with a
+    :class:`~vekua.errors.ConfigError`: :meth:`grid` the half-widths and node
+    counts :class:`~vekua.grid.Grid1D` refuses, :meth:`superpotential` the
+    family, parameters or samples :func:`~vekua.superpotential.make_superpotential`
+    refuses, and :meth:`formal_powers` a table that overflows to a non-finite
+    value.  The CLI builds its subcommands through them, and
+    :func:`run_battery` its configured grid.  The CLI builds the record from
+    these defaults and its flags alone.  Caps live in :data:`CHECKS` only."""
 
     half_width1: float = 1.0
     half_width2: float = 1.0
@@ -112,7 +118,36 @@ class RunConfig:
     sp_params: tuple[float, ...] = ()
 
     def grid(self) -> Grid2D:
-        return Grid2D(Grid1D(self.half_width1, self.n1), Grid1D(self.half_width2, self.n2))
+        try:
+            return Grid2D(Grid1D(self.half_width1, self.n1), Grid1D(self.half_width2, self.n2))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    def superpotential(self, grid: Grid2D, **tables) -> Superpotential:
+        """The configured family on ``grid``; ``tables`` are the tabulated
+        family's ``chi1_table`` and ``chi2_table`` samples."""
+        try:
+            return make_superpotential(self.sp_name, self.sp_params, grid, **tables)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    def formal_powers(self, sp: Superpotential, n_max: int) -> FormalPowerTable:
+        """The formal-power table of ``sp`` up to ``n_max``, refused without a
+        numpy warning if it overflows to a non-finite value; an overflow of the
+        1-D systems is refused before the 2-D assembly."""
+        params = ",".join(map(str, self.sp_params)) or "none"
+        overflow = ConfigError(f"--sp {self.sp_name} with --params {params} overflows the "
+                               f"formal powers up to degree {n_max} to a non-finite value on "
+                               "this grid")
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                table = assemble_formal_powers(sp, n_max)
+            except OverflowError as exc:
+                raise overflow from exc
+        if not all(np.isfinite(b).all() for b in (table.z_one, table.z_i, table.z1_one,
+                                                    table.z1_i)):
+            raise overflow
+        return table
 
 
 @dataclass
@@ -138,7 +173,7 @@ class _Level:
 
     @cached_property
     def sp(self) -> Superpotential:
-        return make_superpotential(self.cfg.sp_name, self.cfg.sp_params, self.grid)
+        return self.cfg.superpotential(self.grid)
 
     @cached_property
     def table(self) -> FormalPowerTable:
@@ -543,9 +578,19 @@ def run_battery(cfg: RunConfig) -> list[Row]:
     One level is alive at a time: every check runs on the configured grid, that
     level is released, and the refinement is built for the ``h2_cap`` rows whose
     coarse residual is not exact.  On each level the table readers run first
-    (see :func:`_measure_level`).  Rows come back in registry order."""
+    (see :func:`_measure_level`).  Rows come back in registry order.
+
+    The configured grid is input from outside, refused like every other
+    subcommand's input: a grid, family or formal-power table of it that
+    :class:`RunConfig` cannot build raises its
+    :class:`~vekua.errors.ConfigError` before any check is measured.  The
+    refinement is derived from it: its formal powers are the library's plain
+    assembly, whose errors propagate as raised (an ``OverflowError``, say)."""
     checks = checks_for(cfg.sp_name)
-    coarse = _measure_level(_Level(cfg, cfg.grid()), checks, _measure_coarse)
+    level = _Level(cfg, cfg.grid())
+    level.table = cfg.formal_powers(level.sp, N_MAX)
+    coarse = _measure_level(level, checks, _measure_coarse)
+    del level  # the refinement is built with no coarse array alive
     # a NaN residual is not exact
     to_refine = [c for c in checks if c.h2_cap is not None
                  and not isinstance(coarse[c.name], str) and not coarse[c.name][0] <= RATIO_FLOOR]
@@ -621,15 +666,3 @@ def rows_to_json(rows: list[Row]) -> str:
         for r in rows
     ]
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
-
-
-def write_report(rows: list[Row], cfg: RunConfig, out_dir) -> tuple[Path, Path]:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    txt = out / "verification_report.txt"
-    js = out / "verification_report.json"
-    with open_output(txt) as fh:
-        fh.write(render_report(rows, cfg))
-    with open_output(js) as fh:
-        fh.write(rows_to_json(rows))
-    return txt, js

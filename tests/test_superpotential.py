@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vekua.grid import Grid1D, Grid2D, _first_derivative
+from vekua.grid import Grid1D, Grid2D, _first_derivative, _second_derivative
 from vekua.superpotential import AxisProfile, generating_pair, make_superpotential
 
 
@@ -90,10 +90,22 @@ def test_tabulated_derivatives_are_the_stencils_of_the_samples(grid):
     sp = make_superpotential("tabulated", (), grid, chi1_table=chi1, chi2_table=chi2)
     for profile, samples in ((sp.ax, chi1), (sp.ay, chi2)):
         dchi = _first_derivative(samples, profile.grid.h, axis=0)
-        d2chi = _first_derivative(dchi, profile.grid.h, axis=0)
+        d2chi = _second_derivative(samples, profile.grid.h, axis=0)
         # bit for bit, the sign of zero included
         assert np.array_equal(profile.dchi.view(np.uint64), dchi.view(np.uint64))
         assert np.array_equal(profile.d2chi.view(np.uint64), d2chi.view(np.uint64))
+
+
+def test_tabulated_second_derivative_is_second_order_at_the_ends():
+    # chi = log cosh s has chi'' = sech^2 s, which no stencil reproduces exactly
+    errors = []
+    for n in (61, 121, 241):
+        axis = Grid1D(1.0, n)
+        profile = AxisProfile(axis, chi=np.log(np.cosh(axis.nodes)))
+        exact = 1.0 / np.cosh(axis.nodes) ** 2
+        errors.append(max(abs(profile.d2chi[k] - exact[k]) for k in (0, -1)))
+    ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
+    assert all(3.5 <= r <= 4.5 for r in ratios), ratios
 
 
 def test_axis_profile_takes_exactly_one_definition(grid):

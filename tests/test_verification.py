@@ -6,10 +6,11 @@ from functools import cached_property
 import numpy as np
 import pytest
 
+import vekua.formal_powers as formal_powers
 import vekua.operators as ops
 import vekua.verification as verification
 from vekua.cli import main
-from vekua.errors import KernelMembershipError, NonConvergenceError
+from vekua.errors import ConfigError, KernelMembershipError, NonConvergenceError
 from vekua.superpotential import Superpotential
 from vekua.verification import (
     RATIO_FLOOR,
@@ -269,3 +270,47 @@ def test_non_convergence_still_exits_3(monkeypatch, tmp_path):
 def test_cli_verify_zero_exits_zero(tmp_path):
     assert main(["verify", "--sp", "zero", "--nodes", str(N), "--out", str(tmp_path)]) == 0
     assert (tmp_path / "verification_report.json").exists()
+
+
+def test_cli_verify_assembles_each_level_once(monkeypatch, tmp_path):
+    # every assembly of a formal-power table reaches build_aux_system through
+    # this module global, whichever module imported assemble_formal_powers
+    build_aux_system = formal_powers.build_aux_system
+    assembled = []
+
+    def spy(sp, n_max):
+        assembled.append(sp.grid.gx.n)
+        return build_aux_system(sp, n_max)
+
+    monkeypatch.setattr(formal_powers, "build_aux_system", spy)
+    argv = ["verify", "--sp", "quadratic", "--params=1,-0.5", "--nodes", str(N),
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert assembled == [N, 2 * N - 1]
+
+
+@pytest.mark.parametrize("cfg, argv, message", [
+    (RunConfig(n1=21, n2=21, sp_name="linear", sp_params=(400.0, 1.0)),
+     ["--sp", "linear", "--params", "400,1", "--nodes", "21"],
+     "--sp linear with --params 400.0,1.0 overflows the formal powers up to degree 6 to a "
+     "non-finite value on this grid"),
+    (RunConfig(half_width1=1e308, half_width2=1e308, n1=5, n2=5),
+     ["--half-width", "1e308", "--nodes", "5"],
+     "half_width 1e+308 with 5 nodes gives spacing h = inf; it must be positive and finite"),
+    (RunConfig(n1=21, n2=21, sp_name="linear"), ["--sp", "linear", "--nodes", "21"],
+     "family 'linear' takes 2 parameters, got 0"),
+], ids=["overflowing-powers", "overflowing-spacing", "missing-params"])
+def test_battery_refuses_a_configuration_it_cannot_build(cfg, argv, message, monkeypatch,
+                                                         tmp_path, capsys):
+    def no_measure(*args):
+        raise AssertionError("a check was measured")
+
+    monkeypatch.setattr(verification, "_measure_level", no_measure)
+    with pytest.raises(ConfigError) as refused:
+        run_battery(cfg)
+    assert str(refused.value) == message
+    # the text the CLI prints is the battery's own
+    assert main(["verify", *argv, "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"config error: {message}\n")
+    assert not (tmp_path / "o").exists()
