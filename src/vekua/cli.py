@@ -39,7 +39,8 @@ domain error of the input: a field outside the kernel the subcommand needs
 residual or one of f_xx, f_yy and U f overflows, or the residual is not
 within 50 h^2 times the largest of 1, |f_xx|, |f_yy| and |U f| plus its
 rounding 24 eps max|f| / h^2, see :func:`vekua.operators.require_kernel`)
-or a grid too small for the stencils (``GridShapeError``); and any other
+or a grid too small for the stencils or too coarse for the battery's Taylor
+round trip (``GridShapeError``); and any other
 overflow the library raises (``OverflowError``, e.g. the formal powers of
 the battery's refinement).  Each prints one line to stderr.  A degree from
 1030 on is refused before any assembly, and formal powers whose 1-D power

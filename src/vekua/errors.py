@@ -2,7 +2,8 @@
 
 
 class GridShapeError(ValueError):
-    """Sample array does not match the grid it is supposed to live on."""
+    """Sample array does not match its grid, or the grid is too small or too
+    coarse for a stencil."""
 
 
 class KernelMembershipError(ValueError):

@@ -19,6 +19,7 @@ from math import factorial
 
 import numpy as np
 
+from .errors import GridShapeError
 from .grid import _first_derivative, interior, interior_max
 from .formal_powers import FormalPowerTable, _basis_part
 from .operators import h0, h2, require_kernel
@@ -58,8 +59,9 @@ def taylor_coefficients(sp: Superpotential, w, degree: int) -> TaylorCoefficient
     (:func:`~vekua.operators.vekua_vbar` at even levels,
     :func:`~vekua.operators.vekua_v1bar` at odd ones) and reads off the
     origin value at each level.  Raises ``ValueError`` for a field with
-    non-finite values, and when the propagated stencil-noise estimate drowns
-    out every computed coefficient, which is the signal that the grid is too
+    non-finite values, and :class:`~vekua.errors.GridShapeError` (a
+    ``ValueError``) when the propagated stencil-noise estimate drowns out
+    every computed coefficient, which is the signal that the grid is too
     coarse for the requested degree.
 
     Every level lives on one centred window ``[lo, n - lo)`` per axis, with
@@ -127,7 +129,7 @@ def taylor_coefficients(sp: Superpotential, w, degree: int) -> TaylorCoefficient
 
     biggest = float(np.max(np.abs(values)))
     if noise[degree] > max(biggest, 1e-12):
-        raise ValueError(
+        raise GridShapeError(
             f"stencil noise {noise[degree]:.3e} exceeds every coefficient "
             f"({biggest:.3e}); use a finer grid for degree {degree}"
         )

@@ -143,11 +143,10 @@ def build_kernel_with_h(gk: GoursatKernel, h_param: float) -> np.ndarray:
     """Dress the Goursat kernel with the boundary-slope parameter h.
 
     Returns the full Volterra kernel h/2 + K(x,t) + (h/2) * int_t^x
-    [K(x,s) - K(x,-s)] ds on axis-node pairs; reduces to K when h = 0.
+    [K(x,s) - K(x,-s)] ds on axis-node pairs; reduces to K when h = 0, but
+    for the sign of a zero entry, which :func:`_volterra_matrix` drops.
     """
     k_axis = gk.axis_values
-    if h_param == 0.0:
-        return k_axis.copy()
     odd_part = k_axis - k_axis[:, ::-1]  # K(x, s) - K(x, -s) along s
     anti = cumulative_integral(gk.axis_grid, odd_part, 0, axis=1)
     # int_t^x = C(x) - C(t), rows indexed by x

@@ -843,6 +843,24 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("module, loaded", [
+    ("vekua.grid", ["vekua", "vekua.errors", "vekua.grid"]),
+    ("vekua.cli", ["vekua", "vekua.cli", "vekua.conjugate", "vekua.corpus", "vekua.errors",
+                   "vekua.expansion", "vekua.fields_io", "vekua.formal_powers", "vekua.grid",
+                   "vekua.operators", "vekua.superpotential", "vekua.transmutation",
+                   "vekua.verification"]),
+])
+def test_import_loads_only_what_the_module_imports(module, loaded):
+    # the package namespace re-exports nothing, so it pulls in no module of its own
+    code = (f"import sys, {module}; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'vekua'))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == repr(loaded)
+
+
 def test_cli_formal_powers_custom_coefficient(tmp_path):
     out = tmp_path / "fp"
     argv = ["formal-powers", "--sp", "linear", "--params", "0.5,-1", "--nodes", "21",

@@ -289,6 +289,32 @@ def test_cli_verify_assembles_each_level_once(monkeypatch, tmp_path):
     assert assembled == [N, 2 * N - 1]
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_cli_verify_passes_on_a_non_square_grid(family, tmp_path):
+    # n1 more than twice n2: the Taylor round trip's box is cut per axis
+    params = ",".join(map(str, FAMILIES[family]))
+    argv = ["verify", "--sp", family, f"--params={params}", "--nodes", "121", "59",
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+
+
+def test_cli_verify_ends_with_an_exit_code_on_a_small_non_square_grid(tmp_path):
+    argv = ["verify", "--sp", "zero", "--nodes", "61", "29", "--out", str(tmp_path)]
+    assert isinstance(main(argv), int)
+
+
+@pytest.mark.parametrize("nodes", [("5", "21"), ("41", "9")])
+def test_cli_verify_refuses_a_grid_too_coarse_for_the_taylor_round_trip(nodes, tmp_path,
+                                                                        capsys):
+    argv = ["verify", "--sp", "quadratic", "--params=1,-0.5", "--nodes", *nodes,
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("domain error (GridShapeError): stencil noise ")
+    assert err.endswith("use a finer grid for degree 4\n") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("cfg, argv, message", [
     (RunConfig(n1=21, n2=21, sp_name="linear", sp_params=(400.0, 1.0)),
      ["--sp", "linear", "--params", "400,1", "--nodes", "21"],
