@@ -6,10 +6,12 @@ built from cumulative integrals with alternating exponential weights, and a
 binomial recombination.  Each axis needs the system of its profile and that
 of the flipped profile (-chi_j); the tilde system is that same construction
 on :meth:`AxisProfile.flipped`, with no rule of its own.  That explicit
-assembly is the only construction here.  The pair integral
-:func:`fg_integral`, the step of the generic recursive construction by
-pair-alternating integration, serves the battery's ``diagram_integral`` row,
-where it must commute with the transmutation operators.
+assembly is the only construction here, and it runs on request: a
+:class:`FormalPowerTable` keeps the 1-D systems, O(n_max) values per axis
+node, and assembles a sampled power from them when it is read.  The pair
+integral :func:`fg_integral`, the step of the generic recursive construction
+by pair-alternating integration, serves the battery's ``diagram_integral``
+row, where it must commute with the transmutation operators.
 
 All tables are built at the origin node z0 = 0, where the normalization
 chi1(0) = chi2(0) = 0 makes the degree-zero coefficients trivially solvable.
@@ -17,6 +19,7 @@ chi1(0) = chi2(0) = 0 makes the degree-zero coefficients trivially solvable.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from math import comb
 
@@ -84,35 +87,71 @@ def _basis_part(basis_kind: str, field_c) -> np.ndarray:
     raise ValueError("basis_kind must be 'ker_h0' or 'ker_h2'")
 
 
+class _PowerStack:
+    """Z^n of one family, n = 0..n_max: a read-only sequence over the degrees.
+
+    Indexing it at degree n assembles Z^n from the axis factors
+    (:func:`_binomial_sum`) into a new read-only array.  The stack keeps only
+    the last degree it built, and lets it go before it builds another.
+    """
+
+    def __init__(self, even_pair, odd_pair, extra_i: bool, scratch: list):
+        self._pairs = (even_pair, odd_pair)
+        self._extra_i = extra_i
+        self._scratch = scratch
+        self._degree = None
+        self._power = None
+
+    def __len__(self) -> int:
+        return len(self._pairs[0][0])
+
+    def __getitem__(self, n) -> np.ndarray:
+        n = range(len(self))[operator.index(n)]  # IndexError outside the degrees
+        if n != self._degree:
+            self._degree = self._power = None
+            power = _binomial_sum(n, *self._pairs, self._extra_i, self._scratch)
+            power.flags.writeable = False
+            self._degree, self._power = n, power
+        return self._power
+
+
 @dataclass(eq=False)
 class FormalPowerTable:
-    """Sampled formal powers of both sequence members for n = 0..n_max.
+    """Formal powers of both sequence members for n = 0..n_max, assembled on request.
 
-    ``z_one[n]``/``z_i[n]`` solve the main Vekua equation, ``z1_one[n]`` /
-    ``z1_i[n]`` the successor one.  General coefficients come from the
+    The table holds the 1-D systems ``aux`` and four read-only stacks
+    (:class:`_PowerStack`): ``z_one[n]``/``z_i[n]`` solve the main Vekua
+    equation, ``z1_one[n]`` / ``z1_i[n]`` the successor one.  Reading a stack
+    degree by degree holds one 2-D power of it at a time; reading a degree
+    again assembles the same bits again.  General coefficients come from the
     real-linear rule a = a1 + i*a2 -> a1 * Z(1) + a2 * Z(i).
 
-    The four power stacks are read-only once the table exists, so the fit
-    designs that :meth:`design` memoizes per ``(basis_kind, degree)`` can
-    never go stale.
+    Every power is read-only and assembled the same way each time, so the fit
+    designs that :meth:`design` memoizes per ``(basis_kind, degree)`` can never
+    go stale.
     """
 
     sp: Superpotential
-    z_one: np.ndarray
-    z_i: np.ndarray
-    z1_one: np.ndarray
-    z1_i: np.ndarray
-    aux: AuxSystem | None = None
+    aux: AuxSystem
+    z_one: _PowerStack = field(init=False, repr=False)
+    z_i: _PowerStack = field(init=False, repr=False)
+    z1_one: _PowerStack = field(init=False, repr=False)
+    z1_i: _PowerStack = field(init=False, repr=False)
     _designs: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        for stack in (self.z_one, self.z_i, self.z1_one, self.z1_i):
-            stack.flags.writeable = False
+        phi, phi_t, psi, psi_t = self.aux.phi, self.aux.phi_t, self.aux.psi, self.aux.psi_t
+        scratch: list = []  # the four stacks' sums share their buffers
+        self.z_one = _PowerStack((phi, psi), (phi_t, psi_t), False, scratch)
+        self.z_i = _PowerStack((phi_t, psi_t), (phi, psi), True, scratch)
+        # successor family: swap phi <-> phi_t, psi systems invariant
+        self.z1_one = _PowerStack((phi_t, psi), (phi, psi_t), False, scratch)
+        self.z1_i = _PowerStack((phi, psi_t), (phi_t, psi), True, scratch)
 
     @property
     def n_max(self) -> int:
         """Highest degree in the table."""
-        return len(self.z_one) - 1
+        return len(self.aux.phi) - 1
 
     def power(self, n: int, a: complex) -> np.ndarray:
         """Formal power of the main sequence with coefficient ``a``."""
@@ -151,46 +190,60 @@ class FormalPowerTable:
             raise ValueError(f"exponent {n} outside the built range 0..{self.n_max}")
 
 
-def _binomial_sum(n, even_pair, odd_pair, extra_i=False):
-    """sum_j C(n,j) i^j (or i^(j+1)) * pair_j, pair chosen by parity of j."""
+def _binomial_sum(n, even_pair, odd_pair, extra_i, scratch):
+    """sum_j C(n,j) i^j (or i^(j+1)) * pair_j, pair chosen by parity of j.
+
+    pair_j is the outer product of row n-j of its x system and row j of its y
+    system.  The unit i^j is real for even j and imaginary for odd j (the
+    other way round with ``extra_i``), so the terms of each parity are summed
+    in increasing j in one real accumulator, which is then copied into its
+    part of the result.  For finite factors and n < 100 (where ``1j**j`` is
+    exact) this equals, bit for bit, the complex sum of the complex terms
+    started from zero: each product with a zero component that the complex
+    sum adds is +0 or -0, and the copy adds 0.0, which turns a -0 into the +0
+    of a zero-started sum.  ``scratch`` holds the accumulator and the term
+    buffer, shared by the sums of one table; the first sum fills it.
+    """
     fx_even, fy_even = even_pair
-    fx_odd, fy_odd = odd_pair
-    total = np.zeros((fx_even.shape[1], fy_even.shape[1]), dtype=complex)
-    for j in range(n + 1):
-        unit = 1j ** (j + 1) if extra_i else 1j**j
-        if j % 2 == 0:
-            term = np.outer(fx_even[n - j], fy_even[j])
-        else:
-            term = np.outer(fx_odd[n - j], fy_odd[j])
-        total += comb(n, j) * unit * term
+    if not scratch:
+        scratch.extend(np.empty((2, fx_even.shape[1], fy_even.shape[1])))
+    acc, term = scratch
+    total = np.empty(acc.shape, dtype=complex)
+    for parity, (fx, fy) in enumerate((even_pair, odd_pair)):
+        part = total.imag if (parity + extra_i) % 2 else total.real
+        if n < parity:  # no term of this parity: the zero-started sum
+            part.fill(0.0)
+            continue
+        for j in range(parity, n + 1, 2):
+            out = acc if j == parity else term
+            np.einsum("i,j->ij", fx[n - j], fy[j], out=out)  # np.outer, about twice as fast
+            negative = (j + extra_i) % 4 >= 2  # the unit is -1 or -i
+            c = float(comb(n, j))
+            if c != 1.0:
+                np.multiply(out, -c if negative else c, out=out)
+            if out is term:
+                (np.subtract if negative and c == 1.0 else np.add)(acc, term, out=acc)
+            elif negative and c == 1.0:
+                np.negative(acc, out=acc)
+        np.add(acc, 0.0, out=part)
     return total
 
 
 def assemble_formal_powers(sp: Superpotential, n_max: int):
-    """Explicit binomial assembly of all four power families up to ``n_max``.
+    """The formal-power table of ``sp`` up to ``n_max``: its 1-D systems, from
+    which each power is assembled when it is read.
 
-    Raises ``OverflowError`` before the 2-D assembly if a 1-D system holds a
-    non-finite value: its row k meets a row 0 of the other axis in a term of
-    the degree-k sums, and that product stays non-finite (inf times 0 is NaN),
-    so some power would be non-finite too.
+    Raises ``OverflowError`` if a 1-D system holds a non-finite value: its row
+    k meets a row 0 of the other axis in a term of the degree-k sums, and that
+    product stays non-finite (inf times 0 is NaN), so some power would be
+    non-finite too.  A power can still overflow with finite 1-D systems (a
+    product of two large rows); only reading it shows that.
     """
     aux = build_aux_system(sp, n_max)
     if not all(np.isfinite(s).all() for s in (aux.phi, aux.phi_t, aux.psi, aux.psi_t)):
         raise OverflowError(f"the 1-D power systems up to degree {n_max} overflow to a "
                             "non-finite value")
-    shape = (n_max + 1,) + sp.grid.shape
-    z_one = np.empty(shape, dtype=complex)
-    z_i = np.empty(shape, dtype=complex)
-    z1_one = np.empty(shape, dtype=complex)
-    z1_i = np.empty(shape, dtype=complex)
-    phi, phi_t, psi, psi_t = aux.phi, aux.phi_t, aux.psi, aux.psi_t
-    for n in range(n_max + 1):
-        z_one[n] = _binomial_sum(n, (phi, psi), (phi_t, psi_t))
-        z_i[n] = _binomial_sum(n, (phi_t, psi_t), (phi, psi), extra_i=True)
-        # successor family: swap phi <-> phi_t, psi systems invariant
-        z1_one[n] = _binomial_sum(n, (phi_t, psi), (phi, psi_t))
-        z1_i[n] = _binomial_sum(n, (phi, psi_t), (phi_t, psi), extra_i=True)
-    return FormalPowerTable(sp, z_one, z_i, z1_one, z1_i, aux)
+    return FormalPowerTable(sp, aux)
 
 
 def _adjoint_pair(sp: Superpotential, m: int = 0):

@@ -50,9 +50,12 @@ the configured grid's superpotential and formal-power table through
 configuration measures nothing.  It then measures every check on that grid,
 releases that level, and only then builds the refinement, on which it
 measures the rows left to refine.  On each level the checks that read the
-formal-power table (``Check.reads_table``) run first; the table, and the
-self-fit built from it, are then released before the other checks run, among
-them those that build the smooth corpus and its transmuted images.  Within
+formal-power table (``Check.reads_table``) run first.  The table holds its
+1-D systems and the last power each of its four stacks assembled; a power is
+assembled from the 1-D systems when it is read, so a row that starts again
+from degree zero assembles each degree again, with the same bits.  The table,
+and the self-fit built from it, are then released before the other checks
+run, among them those that build the smooth corpus and its transmuted images.  Within
 each group checks run in registry order, and rows are always reported in
 registry order: the order changes which arrays are alive together, not what
 any row computes.
@@ -133,8 +136,9 @@ class RunConfig:
 
     def formal_powers(self, sp: Superpotential, n_max: int) -> FormalPowerTable:
         """The formal-power table of ``sp`` up to ``n_max``, refused without a
-        numpy warning if it overflows to a non-finite value; an overflow of the
-        1-D systems is refused before the 2-D assembly."""
+        numpy warning if it overflows to a non-finite value: an overflow of the
+        1-D systems before any power is assembled, and otherwise a non-finite
+        power, found by assembling and checking each in turn."""
         params = ",".join(map(str, self.sp_params)) or "none"
         overflow = ConfigError(f"--sp {self.sp_name} with --params {params} overflows the "
                                f"formal powers up to degree {n_max} to a non-finite value on "
@@ -144,8 +148,11 @@ class RunConfig:
                 table = assemble_formal_powers(sp, n_max)
             except OverflowError as exc:
                 raise overflow from exc
-        if not all(np.isfinite(b).all() for b in (table.z_one, table.z_i, table.z1_one,
-                                                    table.z1_i)):
+            # a power is assembled as it is read, so the scan holds one degree at a time
+            stacks = (table.z_one, table.z_i, table.z1_one, table.z1_i)
+            finite = all(np.isfinite(stack[n]).all()
+                         for n in range(n_max + 1) for stack in stacks)
+        if not finite:
             raise overflow
         return table
 
@@ -201,7 +208,8 @@ class _Level:
         return n_slot, fit
 
     def release_table(self) -> None:
-        """Drop the formal-power table and the self-fit built from it; a later
+        """Drop the formal-power table (its 1-D systems, the powers its stacks
+        keep and its memoized designs) and the self-fit built from it; a later
         reader rebuilds them."""
         self.__dict__.pop("table", None)
         self.__dict__.pop("self_fit", None)

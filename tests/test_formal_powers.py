@@ -1,14 +1,16 @@
+import tracemalloc
+from math import comb
+
 import numpy as np
 import pytest
 
 import vekua.operators as ops
 from vekua.formal_powers import (
-    FormalPowerTable,
     assemble_formal_powers,
     build_aux_system,
     fg_integral,
 )
-from vekua.grid import Grid2D, interior_max
+from vekua.grid import Grid1D, Grid2D, interior, interior_max
 from vekua.superpotential import Superpotential, generating_pair, make_superpotential
 
 
@@ -213,7 +215,7 @@ def test_fg_integral_recursion_step(quad, table_quad):
 # ------------------------------------------------------------- recursion
 
 def recursive_formal_powers(sp, n_max):
-    """Oracle: the same table by recursive pair integration.
+    """Oracle: the stacks (z_one, z_i, z1_one, z1_i) by recursive pair integration.
 
     Degree zero starts from the generating pairs themselves; each next degree
     integrates the opposite family with the alternating pair integral, so it
@@ -228,31 +230,37 @@ def recursive_formal_powers(sp, n_max):
         z_i[n + 1] = (n + 1) * fg_integral(sp, 0, z1_i[n])
         z1_one[n + 1] = (n + 1) * fg_integral(sp, 1, z_one[n])
         z1_i[n + 1] = (n + 1) * fg_integral(sp, 1, z_i[n])
-    return FormalPowerTable(sp, z_one, z_i, z1_one, z1_i)
+    return z_one, z_i, z1_one, z1_i
+
+
+def _combine(z_one, z_i, n, a):
+    """a1 Z^n(1) + a2 Z^n(i) for a = a1 + i a2, the rule of FormalPowerTable.power."""
+    a = complex(a)
+    return a.real * z_one[n] + a.imag * z_i[n]
 
 
 def test_recursive_matches_explicit(quad, table_quad):
-    rec = recursive_formal_powers(quad, 4)
+    z_one, z_i, z1_one, z1_i = recursive_formal_powers(quad, 4)
     for n in range(5):
         for a in (1.0, 1j):
-            gap = np.max(np.abs(rec.power(n, a) - table_quad.power(n, a)))
+            gap = np.max(np.abs(_combine(z_one, z_i, n, a) - table_quad.power(n, a)))
             assert gap <= 20 * H2
-            gap1 = np.max(np.abs(rec.power_succ(n, a) - table_quad.power_succ(n, a)))
+            gap1 = np.max(np.abs(_combine(z1_one, z1_i, n, a) - table_quad.power_succ(n, a)))
             assert gap1 <= 20 * H2
 
 
 def test_recursive_degree_zero_exact(quad):
-    rec = recursive_formal_powers(quad, 0)
+    z_one, z_i, _, _ = recursive_formal_powers(quad, 0)
     f0, g0 = generating_pair(quad, 0)
-    np.testing.assert_array_equal(rec.z_one[0], f0)
-    np.testing.assert_array_equal(rec.z_i[0], g0)
+    np.testing.assert_array_equal(z_one[0], f0)
+    np.testing.assert_array_equal(z_i[0], g0)
 
 
 def test_recursive_zero_chi_analytic_limit(grid, zero_sp):
-    rec = recursive_formal_powers(zero_sp, 4)
+    z_one, z_i, _, _ = recursive_formal_powers(zero_sp, 4)
     z = grid.zmesh()
     for n in range(5):
-        assert np.max(np.abs(rec.power(n, 1.0) - z**n)) <= 5e-3
+        assert np.max(np.abs(_combine(z_one, z_i, n, 1.0) - z**n)) <= 5e-3
 
 
 def test_explicit_assembly_convergence():
@@ -277,10 +285,114 @@ def test_period_one_degeneracy_when_chi1_vanishes(grid):
 
 
 def test_power_stacks_are_read_only(table_quad):
-    # the fit designs memoized on the table are built from these stacks
+    # the fit designs memoized on the table are built from these powers
     for stack in (table_quad.z_one, table_quad.z_i, table_quad.z1_one, table_quad.z1_i):
-        with pytest.raises(ValueError):
-            stack[1, 0, 0] = 0.0
+        for n in range(7):
+            with pytest.raises(ValueError):
+                stack[n][0, 0] = 0.0
+
+
+def _complex_binomial_sum(n, even_pair, odd_pair, extra_i=False):
+    """Oracle: the binomial sum as complex terms added to a zero-started complex
+    sum, as every table was assembled before the split real sums."""
+    fx_even, fy_even = even_pair
+    fx_odd, fy_odd = odd_pair
+    total = np.zeros((fx_even.shape[1], fy_even.shape[1]), dtype=complex)
+    for j in range(n + 1):
+        unit = 1j ** (j + 1) if extra_i else 1j**j
+        if j % 2 == 0:
+            term = np.outer(fx_even[n - j], fy_even[j])
+        else:
+            term = np.outer(fx_odd[n - j], fy_odd[j])
+        total += comb(n, j) * unit * term
+    return total
+
+
+def _oracle_stacks(aux, n_max):
+    """(z_one, z_i, z1_one, z1_i) of the oracle sums, each a full stack of powers."""
+    phi, phi_t, psi, psi_t = aux.phi, aux.phi_t, aux.psi, aux.psi_t
+    families = (((phi, psi), (phi_t, psi_t), False), ((phi_t, psi_t), (phi, psi), True),
+                ((phi_t, psi), (phi, psi_t), False), ((phi, psi_t), (phi_t, psi), True))
+    return [np.array([_complex_binomial_sum(n, *family) for n in range(n_max + 1)])
+            for family in families]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _family(name, grid):
+    if name == "zero":
+        return make_superpotential("zero", (), grid)
+    if name == "linear":
+        return make_superpotential("linear", (0.5, -1.0), grid)
+    if name == "quadratic":
+        return make_superpotential("quadratic", (1.0, -0.5), grid)
+    x, y = grid.gx.nodes, grid.gy.nodes
+    return make_superpotential("tabulated", (), grid, chi1_table=np.log(np.cosh(x)),
+                               chi2_table=-np.log(np.cosh(2.0 * y)))
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (21, 21), (61, 61), (61, 41)])
+@pytest.mark.parametrize("name", ["zero", "linear", "quadratic", "tabulated"])
+def test_assembled_powers_match_the_complex_sums_bit_for_bit(name, shape):
+    grid = Grid2D(Grid1D(1.0, shape[0]), Grid1D(1.0, shape[1]))
+    table = assemble_formal_powers(_family(name, grid), 6)
+    z_one, z_i, z1_one, z1_i = _oracle_stacks(table.aux, 6)
+    stacks = (table.z_one, table.z_i, table.z1_one, table.z1_i)
+    for got, want in zip(stacks, (z_one, z_i, z1_one, z1_i)):
+        assert len(got) == 7
+        for n in range(7):
+            np.testing.assert_array_equal(_bits(got[n]), _bits(want[n]), err_msg=f"n={n}")
+    for n in range(7):
+        for a in (1.0, 1j, 0.5 - 1j):
+            np.testing.assert_array_equal(_bits(table.power(n, a)),
+                                          _bits(a.real * z_one[n] + a.imag * z_i[n]))
+            np.testing.assert_array_equal(_bits(table.power_succ(n, a)),
+                                          _bits(a.real * z1_one[n] + a.imag * z1_i[n]))
+    for basis_kind, part in (("ker_h0", np.imag), ("ker_h2", np.real)):
+        want = np.column_stack([interior(part(z[n]), margin=2).ravel()
+                                for n in range(5) for z in (z_one, z_i)])
+        np.testing.assert_array_equal(_bits(table.design(basis_kind, 4)), _bits(want))
+
+
+def test_assembly_holds_the_1d_systems_alone(quad):
+    # 28 sampled powers would be 18 MiB at 201 nodes; the 1-D systems are 45 kB
+    tracemalloc.start()
+    try:
+        table = assemble_formal_powers(quad, 6)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert table.n_max == 6
+    assert held < 2**20
+
+
+def test_reading_a_stack_in_turn_holds_one_power_at_a_time(quad):
+    power_bytes = 16 * 201 * 201
+    tracemalloc.start()
+    try:
+        table = assemble_formal_powers(quad, 6)
+        for n in range(7):
+            assert table.z_one[n].shape == (201, 201)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one power and the two real buffers of the sums, a power's worth; two powers
+    # alive together would need three
+    assert peak < 2.5 * power_bytes
+
+
+def test_a_stack_keeps_its_last_degree_alone(table_quad):
+    stack = table_quad.z1_i
+    first = stack[4]
+    assert stack[4] is first
+    stack[3]
+    again = stack[4]  # assembled again, with the same bits
+    assert again is not first
+    np.testing.assert_array_equal(_bits(again), _bits(first))
+    with pytest.raises(IndexError):
+        stack[7]
 
 
 def test_overflowing_1d_systems_refused_before_the_2d_assembly():

@@ -664,6 +664,11 @@ def exit_2_inputs(tmp_path_factory):
         (["formal-powers", "--sp", "quadratic", "--params", "1e3,1", "--nodes", "21",
           "--n-max", "3"],
          "config error: --sp quadratic with --params 1000.0,1.0 overflows the formal powers"),
+        # the 1-D systems are finite, but 2 x y overflows in Z^2
+        (["formal-powers", "--sp", "zero", "--half-width", "1.2e154", "--nodes", "3",
+          "--n-max", "2"],
+         "config error: --sp zero with --params none overflows the formal powers up to degree "
+         "2 to a non-finite value on this grid\n"),
         (["expand", "--sp", "linear", "--params", "400,1", "--input", "{sq21}", "--basis",
           "ker_h0"], "config error: --sp linear with --params 400.0,1.0 overflows the formal powers"),
         # the battery's formal powers would overflow
@@ -702,6 +707,7 @@ def exit_2_inputs(tmp_path_factory):
          "formal-powers-a2-minus-inf", "formal-powers-custom-overflows",
          "formal-powers-degree-1030", "expand-degree-1030",
          "formal-powers-linear-overflows", "formal-powers-quadratic-overflows",
+         "formal-powers-2d-assembly-overflows",
          "expand-linear-overflows", "verify-linear-overflows",
          "verify-spacing-overflows",
          "transmute-input-spacing-overflows", "transmute-image-overflows",
