@@ -91,44 +91,41 @@ class _PowerStack:
     """Z^n of one family, n = 0..n_max: a read-only sequence over the degrees.
 
     Indexing it at degree n assembles Z^n from the axis factors
-    (:func:`_binomial_sum`) into a new read-only array.  The stack keeps only
-    the last degree it built, and lets it go before it builds another.
+    (:func:`_binomial_sum`) into a new read-only array that belongs to its
+    reader: the stack keeps no power, so reading a degree again assembles the
+    same bits again.
     """
 
-    def __init__(self, even_pair, odd_pair, extra_i: bool, scratch: list):
+    def __init__(self, even_pair, odd_pair, extra_i: bool):
         self._pairs = (even_pair, odd_pair)
         self._extra_i = extra_i
-        self._scratch = scratch
-        self._degree = None
-        self._power = None
 
     def __len__(self) -> int:
         return len(self._pairs[0][0])
 
     def __getitem__(self, n) -> np.ndarray:
         n = range(len(self))[operator.index(n)]  # IndexError outside the degrees
-        if n != self._degree:
-            self._degree = self._power = None
-            power = _binomial_sum(n, *self._pairs, self._extra_i, self._scratch)
-            power.flags.writeable = False
-            self._degree, self._power = n, power
-        return self._power
+        power = _binomial_sum(n, *self._pairs, self._extra_i)
+        power.flags.writeable = False
+        return power
 
 
 @dataclass(eq=False)
 class FormalPowerTable:
     """Formal powers of both sequence members for n = 0..n_max, assembled on request.
 
-    The table holds the 1-D systems ``aux`` and four read-only stacks
-    (:class:`_PowerStack`): ``z_one[n]``/``z_i[n]`` solve the main Vekua
-    equation, ``z1_one[n]`` / ``z1_i[n]`` the successor one.  Reading a stack
-    degree by degree holds one 2-D power of it at a time; reading a degree
-    again assembles the same bits again.  General coefficients come from the
-    real-linear rule a = a1 + i*a2 -> a1 * Z(1) + a2 * Z(i).
+    The table holds its 1-D systems ``aux`` and the fit designs that
+    :meth:`design` memoizes per ``(basis_kind, degree)``, nothing else.  Its
+    four read-only stacks (:class:`_PowerStack`) assemble each power on
+    request into an array that belongs to the reader: ``z_one[n]``/``z_i[n]``
+    solve the main Vekua equation, ``z1_one[n]`` / ``z1_i[n]`` the successor
+    one.  General coefficients come from the real-linear rule
+    a = a1 + i*a2 -> a1 * Z(1) + a2 * Z(i); for finite powers ``power(n, 1.0)``
+    and ``power(n, 1j)`` equal ``z_one[n]`` and ``z_i[n]`` bit for bit, as a
+    stack holds no -0.
 
-    Every power is read-only and assembled the same way each time, so the fit
-    designs that :meth:`design` memoizes per ``(basis_kind, degree)`` can never
-    go stale.
+    Every power is read-only and assembled the same way each time, so a
+    memoized design can never go stale.
     """
 
     sp: Superpotential
@@ -141,12 +138,11 @@ class FormalPowerTable:
 
     def __post_init__(self):
         phi, phi_t, psi, psi_t = self.aux.phi, self.aux.phi_t, self.aux.psi, self.aux.psi_t
-        scratch: list = []  # the four stacks' sums share their buffers
-        self.z_one = _PowerStack((phi, psi), (phi_t, psi_t), False, scratch)
-        self.z_i = _PowerStack((phi_t, psi_t), (phi, psi), True, scratch)
+        self.z_one = _PowerStack((phi, psi), (phi_t, psi_t), False)
+        self.z_i = _PowerStack((phi_t, psi_t), (phi, psi), True)
         # successor family: swap phi <-> phi_t, psi systems invariant
-        self.z1_one = _PowerStack((phi_t, psi), (phi, psi_t), False, scratch)
-        self.z1_i = _PowerStack((phi, psi_t), (phi_t, psi), True, scratch)
+        self.z1_one = _PowerStack((phi_t, psi), (phi, psi_t), False)
+        self.z1_i = _PowerStack((phi, psi_t), (phi_t, psi), True)
 
     @property
     def n_max(self) -> int:
@@ -190,7 +186,7 @@ class FormalPowerTable:
             raise ValueError(f"exponent {n} outside the built range 0..{self.n_max}")
 
 
-def _binomial_sum(n, even_pair, odd_pair, extra_i, scratch):
+def _binomial_sum(n, even_pair, odd_pair, extra_i):
     """sum_j C(n,j) i^j (or i^(j+1)) * pair_j, pair chosen by parity of j.
 
     pair_j is the outer product of row n-j of its x system and row j of its y
@@ -201,13 +197,11 @@ def _binomial_sum(n, even_pair, odd_pair, extra_i, scratch):
     exact) this equals, bit for bit, the complex sum of the complex terms
     started from zero: each product with a zero component that the complex
     sum adds is +0 or -0, and the copy adds 0.0, which turns a -0 into the +0
-    of a zero-started sum.  ``scratch`` holds the accumulator and the term
-    buffer, shared by the sums of one table; the first sum fills it.
+    of a zero-started sum.  Each call allocates its own accumulator and term
+    buffer, and returns a new array.
     """
     fx_even, fy_even = even_pair
-    if not scratch:
-        scratch.extend(np.empty((2, fx_even.shape[1], fy_even.shape[1])))
-    acc, term = scratch
+    acc, term = np.empty((2, fx_even.shape[1], fy_even.shape[1]))
     total = np.empty(acc.shape, dtype=complex)
     for parity, (fx, fy) in enumerate((even_pair, odd_pair)):
         part = total.imag if (parity + extra_i) % 2 else total.real

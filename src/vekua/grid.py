@@ -38,6 +38,7 @@ values); use :func:`interior_max` with an appropriate margin.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,7 +67,8 @@ class Grid1D:
 
     The node count must be an odd integer (and at least 3) so that 0 is a
     node: the normalization chi(0) = 0 and every origin-based integral depend
-    on it.  The spacing ``h`` must be positive and finite in floating point.
+    on it.  The square of the spacing ``h`` must be a positive normal double:
+    not below ``sys.float_info.min`` and not overflowing.
     """
 
     half_width: float
@@ -80,9 +82,11 @@ class Grid1D:
             raise ValueError(f"node count must be an integer, got {self.n!r}")
         if self.n < 3 or self.n % 2 == 0:
             raise ValueError(f"node count must be odd and >= 3, got {self.n}")
-        if not (np.isfinite(self.h) and self.h > 0):  # 2 * half_width overflows, or h underflows
+        h = float(self.h)  # a numpy scalar would warn where h * h overflows
+        # every second-difference stencil and h^2 cap divides by h * h
+        if not sys.float_info.min <= h * h <= sys.float_info.max:
             raise ValueError(f"half_width {self.half_width} with {self.n} nodes gives spacing "
-                             f"h = {self.h}; it must be positive and finite")
+                             f"h = {h}, whose square {h * h} is not a positive normal double")
         # index arithmetic keeps the nodes exactly antisymmetric about 0
         self.nodes = (np.arange(self.n) - (self.n - 1) // 2) * self.h
 

@@ -43,22 +43,6 @@ whose note carries the error, whose residual, cap and ratio read ``nan``
 (``null`` in the JSON report, as every non-finite number) and whose refined
 level, if not yet measured, is not measured; non-convergence still
 propagates.
-
-Evaluation order: the battery holds one resolution at a time.  It builds
-the configured grid's superpotential and formal-power table through
-:class:`RunConfig`, which refuses what it cannot build, so a refused
-configuration measures nothing.  It then measures every check on that grid,
-releases that level, and only then builds the refinement, on which it
-measures the rows left to refine.  On each level the checks that read the
-formal-power table (``Check.reads_table``) run first.  The table holds its
-1-D systems and the last power each of its four stacks assembled; a power is
-assembled from the 1-D systems when it is read, so a row that starts again
-from degree zero assembles each degree again, with the same bits.  The table,
-and the self-fit built from it, are then released before the other checks
-run, among them those that build the smooth corpus and its transmuted images.  Within
-each group checks run in registry order, and rows are always reported in
-registry order: the order changes which arrays are alive together, not what
-any row computes.
 """
 
 from __future__ import annotations
@@ -207,13 +191,6 @@ class _Level:
         fit = fit_formal_polynomial(self.sp, target, self.table, "ker_h0", degree=4)
         return n_slot, fit
 
-    def release_table(self) -> None:
-        """Drop the formal-power table (its 1-D systems, the powers its stacks
-        keep and its memoized designs) and the self-fit built from it; a later
-        reader rebuilds them."""
-        self.__dict__.pop("table", None)
-        self.__dict__.pop("self_fit", None)
-
 
 class _CorpusField:
     """One smooth corpus field with its scales, each computed on first use."""
@@ -246,27 +223,26 @@ def _res_zero_mode(level: _Level, op, sign: float):
 
 def _res_vekua_powers(level: _Level, successor: bool):
     sp, table = level.sp, level.table
+    op, stacks = ((ops.vekua_v1, (table.z1_one, table.z1_i)) if successor
+                  else (ops.vekua_v, (table.z_one, table.z_i)))
     for n in range(6):
-        for a in (1.0, 1j):
-            if successor:
-                yield interior_max(ops.vekua_v1(sp, table.power_succ(n, a)), margin=2)
-            else:
-                yield interior_max(ops.vekua_v(sp, table.power(n, a)), margin=2)
+        for stack in stacks:  # Z^n(1), then Z^n(i)
+            yield interior_max(op(sp, stack[n]), margin=2)
 
 
 def _res_ground_state_h(level: _Level):
     sp, table = level.sp, level.table
     for n in range(5):
-        for a in (1.0, 1j):
-            for g in ops.h_diag(sp, ops.project(table.power(n, a))):
+        for stack in (table.z_one, table.z_i):
+            for g in ops.h_diag(sp, ops.project(stack[n])):
                 yield interior_max(g, margin=2)
 
 
 def _res_ground_state_h1(level: _Level):
     sp, table = level.sp, level.table
     for n in range(1, 5):
-        for a in (1.0, 1j):
-            deriv = n * table.power_succ(n - 1, a)
+        for stack in (table.z1_one, table.z1_i):
+            deriv = n * stack[n - 1]
             for g in ops.h1(sp, ops.project(deriv)):
                 yield interior_max(g, margin=2)
 
@@ -360,10 +336,10 @@ def _res_t0_t1_powers(level: _Level):
     sp, table = level.sp, level.table
     z = sp.grid.zmesh()
     for n in range(5):
-        for a in (1.0, 1j):
+        for a, main, succ in ((1.0, table.z_one, table.z1_one), (1j, table.z_i, table.z1_i)):
             t0, t1 = level.t2d.t0_t1(a * z**n)
-            yield float(np.max(np.abs(t0 - table.power(n, a))))
-            yield float(np.max(np.abs(t1 - table.power_succ(n, a))))
+            yield float(np.max(np.abs(t0 - main[n])))
+            yield float(np.max(np.abs(t1 - succ[n])))
 
 
 def _res_diagram_differential(level: _Level):
@@ -413,9 +389,9 @@ def _res_diagram_laplacian(level: _Level):
 
 def _res_conjugate(level: _Level):
     sp, table = level.sp, level.table
-    w1 = np.real(table.power(1, 1.0))
-    result = conj.conjugate_from_w1(sp, w1)
-    _, resid = conj.fit_gauge(sp, result.partner, np.imag(table.power(1, 1.0)), kernel=0)
+    z = table.z_one[1]
+    result = conj.conjugate_from_w1(sp, np.real(z))
+    _, resid = conj.fit_gauge(sp, result.partner, np.imag(z), kernel=0)
     yield resid
 
 
@@ -435,7 +411,7 @@ def _res_fit_self_coefficients(level: _Level):
 def _res_taylor_roundtrip(level: _Level):
     sp, table = level.sp, level.table
     n = 3
-    w = table.power(n, 1.0)
+    w = table.z_one[n]
     coeffs = taylor_coefficients(sp, w, degree=4)
     series = evaluate_series(coeffs, table)
     # the half-radius box: each axis loses a quarter of its intervals at both ends
@@ -452,7 +428,7 @@ def _res_analytic_limit(level: _Level):
     table = level.table
     z = level.sp.grid.zmesh()
     for n in range(N_MAX + 1):
-        yield interior_max(table.power(n, 1.0) - z**n, margin=1)
+        yield interior_max(table.z_one[n] - z**n, margin=1)
 
 
 def _res_t_commute(level: _Level):
@@ -476,10 +452,7 @@ class Check:
     (fixed), or neither, in which case ``measure`` returns ``(residual,
     cap)``; no run configuration overrides it.  Only an ``h2_cap`` row is also
     measured on the refinement.  ``families`` limits the check to those
-    superpotential families; ``None`` covers all.  ``reads_table`` marks a
-    measure that reads the formal-power table or the self-fit: on each level
-    these run before the table is released, the others after (see the module
-    docstring).  A stale flag costs a rebuild of the table, never a wrong row.
+    superpotential families; ``None`` covers all.
     """
 
     name: str
@@ -489,7 +462,6 @@ class Check:
     abs_cap: float | None = None
     ratio_window: bool = False
     families: tuple[str, ...] | None = None
-    reads_table: bool = False
     note: str = ""
 
 
@@ -499,15 +471,11 @@ CHECKS: tuple[Check, ...] = (
     Check("zero_mode_h2", "H2[exp(chi)] = 0", lambda lv: _res_zero_mode(lv, ops.h2, 1.0),
           h2_cap=10.0),
     Check("vekua_main_powers", "V[Z^n(a)] = 0, n<=5",
-          lambda lv: _res_vekua_powers(lv, successor=False), h2_cap=100.0, ratio_window=True,
-          reads_table=True),
+          lambda lv: _res_vekua_powers(lv, successor=False), h2_cap=100.0, ratio_window=True),
     Check("vekua_succ_powers", "V1[Z1^n(a)] = 0, n<=5",
-          lambda lv: _res_vekua_powers(lv, successor=True), h2_cap=100.0, ratio_window=True,
-          reads_table=True),
-    Check("ground_state_h", "H P[Z^n(a)] = 0, n<=4", _res_ground_state_h, h2_cap=200.0,
-          reads_table=True),
-    Check("ground_state_h1", "H1 P[dZ^n(a)] = 0, n<=4", _res_ground_state_h1, h2_cap=200.0,
-          reads_table=True),
+          lambda lv: _res_vekua_powers(lv, successor=True), h2_cap=100.0, ratio_window=True),
+    Check("ground_state_h", "H P[Z^n(a)] = 0, n<=4", _res_ground_state_h, h2_cap=200.0),
+    Check("ground_state_h1", "H1 P[dZ^n(a)] = 0, n<=4", _res_ground_state_h1, h2_cap=200.0),
     Check("darboux_projection", "DP = 2P Vbar (+3 companions)", _res_darboux_projection,
           h2_cap=100.0, ratio_window=True),
     Check("factorization", "HP = -4P V1 Vbar (+3 companions)", _res_factorization,
@@ -520,9 +488,9 @@ CHECKS: tuple[Check, ...] = (
           h2_cap=100.0, ratio_window=True),
     # relative error; equals 1e-2 at axis spacing 5e-3
     Check("transmute_powers", "T1[x^k] = phi_k, k<=5 (relative)", _res_transmute_powers,
-          h2_cap=400.0, ratio_window=True, reads_table=True),
+          h2_cap=400.0, ratio_window=True),
     Check("t0_t1_powers", "T0[a z^n] = Z^n(a), T1[a z^n] = Z1^n(a), n<=4", _res_t0_t1_powers,
-          h2_cap=300.0, reads_table=True),
+          h2_cap=300.0),
     Check("diagram_differential", "V T0 = T1 dzbar (+3 companions)", _res_diagram_differential,
           h2_cap=300.0),
     Check("diagram_integral", "pair-int T0[w] = T1[int w] (+ swap)", _res_diagram_integral,
@@ -530,18 +498,17 @@ CHECKS: tuple[Check, ...] = (
     Check("diagram_laplacian", "H P T0 = -P T0 lap, H1 P T1 = -P T1 lap",
           _res_diagram_laplacian, h2_cap=300.0),
     Check("conjugate_reconstruction", "Im Z^1(1) from Re Z^1(1), gauge-fitted", _res_conjugate,
-          h2_cap=50.0, reads_table=True),
+          h2_cap=50.0),
     Check("fit_self_residual", "self-fit of a basis member", _res_fit_self_residual,
-          h2_cap=10.0, reads_table=True),
+          h2_cap=10.0),
     Check("fit_self_coefficients", "unit on-slot, zero off-slot", _res_fit_self_coefficients,
-          abs_cap=1e-6, reads_table=True),
+          abs_cap=1e-6),
     Check("taylor_roundtrip", "series(coefficients(Z^3)) on half-radius box",
-          _res_taylor_roundtrip, reads_table=True, note="cap is the reported stencil-noise bound"),
+          _res_taylor_roundtrip, note="cap is the reported stencil-noise bound"),
     Check("transmute_commute", "T1 T2 = T2 T1", _res_t_commute, abs_cap=1e-12),
     # Z^n(1) - z^n is the O(h^2) trapezoid error of the 1-D systems: 33-39 h^2 at n = 41..201
     Check("analytic_limit", "Z^n(1) = z^n for vanishing superpotential, n<=6",
-          _res_analytic_limit, h2_cap=50.0, ratio_window=True, families=("zero",),
-          reads_table=True),
+          _res_analytic_limit, h2_cap=50.0, ratio_window=True, families=("zero",)),
 )
 
 
@@ -556,18 +523,15 @@ def _worst(residuals) -> float:
 
 
 def _measure_level(level: _Level, checks: list[Check], measure: Callable) -> dict:
-    """``measure(check, level)`` for each check, or its "not measured: ..." note:
-    the table readers first, then, with the table released, the rest."""
+    """``measure(check, level)`` for each check in registry order, or its
+    "not measured: ..." note."""
     results: dict[str, object] = {}
-    for reads_table in (True, False):
-        for check in checks:
-            if check.reads_table == reads_table:
-                try:
-                    results[check.name] = measure(check, level)
-                except KernelMembershipError as exc:
-                    # the message, not the exception: its traceback would hold the level
-                    results[check.name] = f"not measured: {exc}"
-        level.release_table()
+    for check in checks:
+        try:
+            results[check.name] = measure(check, level)
+        except KernelMembershipError as exc:
+            # the message, not the exception: its traceback would hold the level
+            results[check.name] = f"not measured: {exc}"
     return results
 
 
@@ -585,24 +549,30 @@ def run_battery(cfg: RunConfig) -> list[Row]:
 
     One level is alive at a time: every check runs on the configured grid, that
     level is released, and the refinement is built for the ``h2_cap`` rows whose
-    coarse residual is not exact.  On each level the table readers run first
-    (see :func:`_measure_level`).  Rows come back in registry order.
+    coarse residual is not exact.  Checks run, and rows come back, in registry
+    order.
 
     The configured grid is input from outside, refused like every other
     subcommand's input: a grid, family or formal-power table of it that
     :class:`RunConfig` cannot build raises its
-    :class:`~vekua.errors.ConfigError` before any check is measured.  The
+    :class:`~vekua.errors.ConfigError` before any check is measured, and so
+    does a grid whose refinement :class:`~vekua.grid.Grid1D` refuses.  The
     refinement is derived from it: its formal powers are the library's plain
     assembly, whose errors propagate as raised (an ``OverflowError``, say)."""
     checks = checks_for(cfg.sp_name)
-    level = _Level(cfg, cfg.grid())
+    grid = cfg.grid()
+    try:
+        fine_grid = grid.refined()
+    except ValueError as exc:  # a squared spacing that is normal until it is quartered
+        raise ConfigError(f"the refinement of this grid: {exc}") from exc
+    level = _Level(cfg, grid)
     level.table = cfg.formal_powers(level.sp, N_MAX)
     coarse = _measure_level(level, checks, _measure_coarse)
     del level  # the refinement is built with no coarse array alive
     # a NaN residual is not exact
     to_refine = [c for c in checks if c.h2_cap is not None
                  and not isinstance(coarse[c.name], str) and not coarse[c.name][0] <= RATIO_FLOOR]
-    fine = _measure_level(_Level(cfg, cfg.grid().refined()), to_refine,
+    fine = _measure_level(_Level(cfg, fine_grid), to_refine,
                           lambda check, level: _worst(check.measure(level)))
     grid_label = f"{cfg.n1}x{cfg.n2}"
     rows: list[Row] = []

@@ -383,16 +383,24 @@ def test_reading_a_stack_in_turn_holds_one_power_at_a_time(quad):
     assert peak < 2.5 * power_bytes
 
 
-def test_a_stack_keeps_its_last_degree_alone(table_quad):
-    stack = table_quad.z1_i
-    first = stack[4]
-    assert stack[4] is first
-    stack[3]
-    again = stack[4]  # assembled again, with the same bits
-    assert again is not first
+def test_a_table_keeps_no_power_it_assembled(quad):
+    # the 1-D systems are 45 kB; one power kept per stack would be 2.5 MiB at 201 nodes
+    tracemalloc.start()
+    try:
+        table = assemble_formal_powers(quad, 6)
+        for stack in (table.z_one, table.z_i, table.z1_one, table.z1_i):
+            for n in range(7):
+                assert stack[n].shape == (201, 201)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 2**20
+    first = table.z1_i[4]
+    again = table.z1_i[4]  # a new read-only array, assembled again with the same bits
+    assert again is not first and not again.flags.writeable
     np.testing.assert_array_equal(_bits(again), _bits(first))
     with pytest.raises(IndexError):
-        stack[7]
+        table.z1_i[7]
 
 
 def test_overflowing_1d_systems_refused_before_the_2d_assembly():

@@ -49,14 +49,22 @@ def test_grid_requires_odd_node_count():
             Grid1D(half_width, 5)
 
 
-@pytest.mark.parametrize("half_width, n", [(1e308, 5), (5e-324, 5)], ids=["overflow", "underflow"])
+@pytest.mark.parametrize("half_width, n", [(1e308, 5), (5e-324, 5), (1e300, 21), (1e-300, 21)],
+                         ids=["overflow", "underflow", "square-overflow", "square-underflow"])
 def test_grid_refuses_a_spacing_that_is_not_positive_and_finite(half_width, n):
-    # 2 * 1e308 overflows: h = inf and the nodes would read -inf, nan, inf
+    # 2 * 1e308 overflows: h = inf and the nodes would read -inf, nan, inf; h = 1e299
+    # and h = 1e-301 are finite, but every h^2 stencil and cap divides by inf or 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         message = re.escape(f"half_width {half_width} with {n} nodes gives spacing")
         with pytest.raises(ValueError, match=message):
             Grid1D(half_width, n)
+
+
+def test_grid_takes_a_spacing_whose_square_is_normal():
+    assert Grid1D(1.2e154, 3).h ** 2 == pytest.approx(1.44e308)
+    tiny = Grid1D(float(np.sqrt(sys.float_info.min)), 3)  # h = sqrt(min) and h * h >= min
+    assert tiny.h * tiny.h >= sys.float_info.min
 
 
 @pytest.mark.parametrize("n", [21.9, 21.0, True, "21", None])

@@ -677,6 +677,14 @@ def exit_2_inputs(tmp_path_factory):
         # 2 * a1 overflows, so the node spacing would be inf
         (["verify", "--half-width", "1e308", "--nodes", "5"],
          "config error: half_width 1e+308 with 5 nodes gives spacing h = inf"),
+        # a finite, positive spacing whose square, which every h^2 stencil and cap
+        # divides by, underflows to 0 or overflows
+        (["verify", "--half-width", "1e-300", "--nodes", "21"],
+         "config error: half_width 1e-300 with 21 nodes gives spacing h = 1e-301, whose "
+         "square 0.0 is not a positive normal double\n"),
+        (["verify", "--half-width", "1e300", "--nodes", "21"],
+         "config error: half_width 1e+300 with 21 nodes gives spacing h = 1e+299, whose "
+         "square inf is not a positive normal double\n"),
         (["transmute", "--sp", "zero", "--input", "{huge3}"],
          "config error: {huge3}:x: half_width 1.5e+308 with 3 nodes gives spacing h = inf"),
         # finite input whose image, or whose h0 or h2 terms, overflow
@@ -709,7 +717,8 @@ def exit_2_inputs(tmp_path_factory):
          "formal-powers-linear-overflows", "formal-powers-quadratic-overflows",
          "formal-powers-2d-assembly-overflows",
          "expand-linear-overflows", "verify-linear-overflows",
-         "verify-spacing-overflows",
+         "verify-spacing-overflows", "verify-squared-spacing-underflows",
+         "verify-squared-spacing-overflows",
          "transmute-input-spacing-overflows", "transmute-image-overflows",
          "conjugate-terms-overflow", "expand-terms-overflow", "conjugate-partner-overflows",
          "expand-fit-overflows", "verify-config",

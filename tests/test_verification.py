@@ -1,7 +1,6 @@
 import json
 import math
 import weakref
-from functools import cached_property
 
 import numpy as np
 import pytest
@@ -102,23 +101,15 @@ def test_level_order_keeps_every_row_on_a_non_square_grid():
 def test_battery_holds_one_level_and_one_table_at_a_time(family, monkeypatch):
     levels = []  # weak references: a spy must not keep a level alive
     assemblies = []  # nodes per x axis of each level that assembled its table
-    tables_at_images = []  # whether the table was held when the images were built
 
     def alive():
         return sum(ref() is not None for ref in levels)
-
-    build_images = verification._Level.images.func
 
     class SpyLevel(verification._Level):
         def __init__(self, cfg, grid):
             assert alive() == 0
             super().__init__(cfg, grid)
             levels.append(weakref.ref(self))
-
-        @cached_property
-        def images(self):
-            tables_at_images.append((self.grid.gx.n, "table" in self.__dict__))
-            return build_images(self)
 
     assemble = verification.assemble_formal_powers
 
@@ -132,9 +123,6 @@ def test_battery_holds_one_level_and_one_table_at_a_time(family, monkeypatch):
     run_battery(RunConfig(n1=N, n2=N, sp_name=family, sp_params=FAMILIES[family]))
     assert len(levels) == 2
     assert assemblies == [N, 2 * N - 1]
-    assert {held for _, held in tables_at_images} == {False}
-    # zero's diagram rows are exact on the coarse grid, so its refinement builds no images
-    assert [n for n, _ in tables_at_images] == ([N] if family == "zero" else [N, 2 * N - 1])
 
 
 def test_refused_refinement_reads_not_measured_in_its_place(batteries, monkeypatch):
@@ -322,10 +310,17 @@ def test_cli_verify_refuses_a_grid_too_coarse_for_the_taylor_round_trip(nodes, t
      "non-finite value on this grid"),
     (RunConfig(half_width1=1e308, half_width2=1e308, n1=5, n2=5),
      ["--half-width", "1e308", "--nodes", "5"],
-     "half_width 1e+308 with 5 nodes gives spacing h = inf; it must be positive and finite"),
+     "half_width 1e+308 with 5 nodes gives spacing h = inf, whose square inf is not a "
+     "positive normal double"),
+    # h^2 = 4e-308 is normal, and its quarter on the refinement is not
+    (RunConfig(half_width1=2e-153, half_width2=2e-153, n1=21, n2=21),
+     ["--half-width", "2e-153", "--nodes", "21"],
+     "the refinement of this grid: half_width 2e-153 with 41 nodes gives spacing h = 1e-154, "
+     "whose square 1e-308 is not a positive normal double"),
     (RunConfig(n1=21, n2=21, sp_name="linear"), ["--sp", "linear", "--nodes", "21"],
      "family 'linear' takes 2 parameters, got 0"),
-], ids=["overflowing-powers", "overflowing-spacing", "missing-params"])
+], ids=["overflowing-powers", "overflowing-spacing", "subnormal-refined-spacing",
+        "missing-params"])
 def test_battery_refuses_a_configuration_it_cannot_build(cfg, argv, message, monkeypatch,
                                                          tmp_path, capsys):
     def no_measure(*args):
