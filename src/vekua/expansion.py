@@ -4,7 +4,9 @@ Two approximation routes.  The collocation fit is the workhorse: linear
 least squares over the real span of the imaginary (or real) parts of the
 sampled formal powers, which are complete for the respective kernels.  Its
 design matrix depends only on the table, the basis and the degree, so the
-table builds it once per ``(basis, degree)`` and every fit reuses it.  The
+table builds it once per ``(basis, degree)`` and factorizes it once (a thin
+SVD), and every fit reuses both: a fit after the first on a design takes two
+matrix-vector products and the residual's product.  The
 Taylor route evaluates successive pair derivatives at the origin, on the
 centred window that the origin values and the noise model read; repeated
 numerical differentiation is ill-conditioned, so it is capped at degree 6
@@ -183,7 +185,13 @@ def fit_formal_polynomial(
     deficiency is tolerated (one column is structurally zero) and reported
     through the singular values.  ``degree`` must be an integer in
     0..``table.n_max``.  The design matrix is the table's memoized
-    :meth:`~vekua.formal_powers.FormalPowerTable.design`.
+    :meth:`~vekua.formal_powers.FormalPowerTable.design`, and the solve reuses
+    its thin SVD, which the table factorizes once per design
+    (:meth:`~vekua.formal_powers.FormalPowerTable.design_factors`): the
+    minimum-norm least-squares solution V diag(1/s) U^T rhs over the singular
+    values that ``np.linalg.lstsq`` would keep, so ``rank`` and
+    ``singular_values`` are what it reports, and the coefficients agree with
+    it to rounding.
     """
     grid = sp.grid
     target = grid.check(np.asarray(target, dtype=float))
@@ -199,8 +207,10 @@ def fit_formal_polynomial(
     require_kernel(sp, op, target, "fit_formal_polynomial")
 
     design = table.design(basis_kind, degree)
+    factors = table.design_factors(basis_kind, degree)
     rhs = interior(target, margin=2).ravel()
-    coef, _, rank, sv = np.linalg.lstsq(design, rhs, rcond=None)
+    proj = factors.ut @ rhs
+    coef = factors.vt.T @ (proj / factors.s[: factors.rank])
     resid = design @ coef - rhs
     return FitResult(
         basis_kind=basis_kind,
@@ -208,8 +218,8 @@ def fit_formal_polynomial(
         coefficients=coef,
         residual_max=float(np.max(np.abs(resid))),
         residual_rms=float(np.sqrt(np.mean(resid**2))),
-        singular_values=sv,
-        rank=int(rank),
+        singular_values=factors.s,
+        rank=factors.rank,
     )
 
 

@@ -30,6 +30,7 @@ from .superpotential import AxisProfile, Superpotential, generating_pair
 
 __all__ = [
     "AuxSystem",
+    "DesignFactors",
     "FormalPowerTable",
     "build_aux_system",
     "assemble_formal_powers",
@@ -110,22 +111,51 @@ class _PowerStack:
         return power
 
 
+@dataclass(frozen=True, eq=False)
+class DesignFactors:
+    """Thin SVD of a fit design, cut where ``np.linalg.lstsq`` cuts its rank.
+
+    A singular value is kept when it exceeds eps * max(m, k) * s[0], numpy's
+    default ``rcond`` rule for an m x k design, so ``rank`` and the
+    minimum-norm solution mean what they mean for ``lstsq``.  ``ut`` holds the
+    left singular vectors of the kept values as rows (rank x m), ``s`` every
+    singular value in descending order, ``vt`` the right singular vectors of
+    the kept values as rows (rank x k); all three are read-only.
+
+    Each row of ``ut`` is contiguous, so ``ut @ rhs`` takes m-term dot
+    products, which BLAS sums in several partial sums.  Stored as columns
+    (``u``, m x rank), ``u.T @ rhs`` would add m scaled rows of ``u`` one
+    after another, whose rounding moves the battery's self-fit coefficients
+    several times further from ``lstsq``'s.
+    """
+
+    ut: np.ndarray
+    s: np.ndarray
+    vt: np.ndarray
+
+    @property
+    def rank(self) -> int:
+        return len(self.ut)
+
+
 @dataclass(eq=False)
 class FormalPowerTable:
     """Formal powers of both sequence members for n = 0..n_max, assembled on request.
 
-    The table holds its 1-D systems ``aux`` and the fit designs that
-    :meth:`design` memoizes per ``(basis_kind, degree)``, nothing else.  Its
-    four read-only stacks (:class:`_PowerStack`) assemble each power on
-    request into an array that belongs to the reader: ``z_one[n]``/``z_i[n]``
-    solve the main Vekua equation, ``z1_one[n]`` / ``z1_i[n]`` the successor
-    one.  General coefficients come from the real-linear rule
+    The table holds three things, nothing else: its 1-D systems ``aux``; the
+    fit designs that :meth:`design` memoizes per ``(basis_kind, degree)``;
+    and their factors, the thin SVD that :meth:`design_factors` memoizes per
+    key on the first fit (one m x rank array and two small ones).  Its four
+    read-only stacks (:class:`_PowerStack`) assemble each power on request
+    into an array that belongs to the reader: ``z_one[n]``/``z_i[n]`` solve
+    the main Vekua equation, ``z1_one[n]`` / ``z1_i[n]`` the successor one.
+    General coefficients come from the real-linear rule
     a = a1 + i*a2 -> a1 * Z(1) + a2 * Z(i); for finite powers ``power(n, 1.0)``
     and ``power(n, 1j)`` equal ``z_one[n]`` and ``z_i[n]`` bit for bit, as a
     stack holds no -0.
 
     Every power is read-only and assembled the same way each time, so a
-    memoized design can never go stale.
+    memoized design, and the factors of it, can never go stale.
     """
 
     sp: Superpotential
@@ -135,6 +165,7 @@ class FormalPowerTable:
     z1_one: _PowerStack = field(init=False, repr=False)
     z1_i: _PowerStack = field(init=False, repr=False)
     _designs: dict = field(default_factory=dict, init=False, repr=False)
+    _factors: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         phi, phi_t, psi, psi_t = self.aux.phi, self.aux.phi_t, self.aux.psi, self.aux.psi_t
@@ -180,6 +211,22 @@ class FormalPowerTable:
             design.flags.writeable = False
             self._designs[key] = design
         return self._designs[key]
+
+    def design_factors(self, basis_kind: str, degree: int) -> DesignFactors:
+        """Thin SVD of :meth:`design` for the same key, factorized on the first
+        request and returned as is afterwards, so that each fit after the first
+        on a key takes two matrix-vector products instead of a factorization."""
+        key = (basis_kind, degree)
+        if key not in self._factors:
+            design = self.design(basis_kind, degree)
+            u, s, vt = np.linalg.svd(design, full_matrices=False)
+            rank = int(np.count_nonzero(s > np.finfo(float).eps * max(design.shape) * s[0]))
+            ut = np.ascontiguousarray(u[:, :rank].T)
+            vt = vt[:rank]
+            for a in (ut, s, vt):
+                a.flags.writeable = False
+            self._factors[key] = DesignFactors(ut, s, vt)
+        return self._factors[key]
 
     def _check(self, n: int):
         if not 0 <= n <= self.n_max:

@@ -60,6 +60,9 @@ TOL = 1e-12  # Picard stops once the max change of an iterate is below this,
 _ROUNDING_FLOOR = 64.0
 MAX_ITER = 60
 TILDE_CHECK_CAP = 50.0  # units of h^2 * scale
+# Rounding of the companion cross-check, in units of eps * (n - 1) * M; its
+# error model and measured envelope are in _check_tilde.
+TILDE_ROUNDING = 2.0
 
 
 @dataclass(eq=False)
@@ -236,9 +239,10 @@ def build_transmute_tilde(profile: AxisProfile) -> TransmuteOp:
     Equal to :func:`build_transmute` on the flipped profile, whose potential
     is (chi')^2 - chi'' and whose slope parameter is -h.  The operator is
     then compared on low powers against the antiderivative representation
-    through the plain operator; any disagreement above 50 h^2 per unit scale
-    fails the build.  The two share one Goursat solve when the flip keeps
-    the potential's definition (chi'' = 0 for ``poly``).
+    through the plain operator; any disagreement above 50 h^2 per unit scale,
+    plus its rounding, fails the build (:func:`_check_tilde`).  The two share
+    one Goursat solve when the flip keeps the potential's definition
+    (chi'' = 0 for ``poly``).
     """
     t_op, op = _operators(profile, profile.flipped())
     _check_tilde(profile, op, t_op)
@@ -246,20 +250,39 @@ def build_transmute_tilde(profile: AxisProfile) -> TransmuteOp:
 
 
 def _check_tilde(profile: AxisProfile, op: TransmuteOp, t_op: TransmuteOp) -> None:
-    """Raise unless the companion ``op`` matches its antiderivative form on x, x^2, x^3."""
+    """Raise unless the companion ``op`` matches its antiderivative form on x, x^2, x^3.
+
+    The cap is :data:`TILDE_CHECK_CAP` * h^2 * max(1, M) + R, with M the
+    largest magnitude of the antiderivative form.  The h^2 term is the
+    truncation of the two second-order constructions; R =
+    :data:`TILDE_ROUNDING` * eps * (n - 1) * M is their rounding, which the
+    h^2 term alone no longer covers once h^2 nears eps (half-width 1e-20 on
+    21 nodes: a gap of 1.5e-36 against 5e-41).  With u = eps/2: the running
+    trapezoid sum adds n - 1 increments from the left end, with partial sums
+    up to 2M, so it carries up to 2 (n - 1) u M; the Volterra product adds up
+    to n terms per row, with partial sums near M where R matters (there
+    a max|K| is small, a the half-width), (n - 1) u M more; the subtraction
+    of the origin value, the f(0) term and the exponential factors add a few
+    u M.  That is 1.5 (n - 1) eps M and a few u M, below C = 2.  Measured on
+    x^1 (half-widths 1e-20 to 1e-8, n = 21 to 401; zero, linear and
+    quadratic): at most 0.18 of the unit eps (n - 1) M, and in units of
+    eps M rising with n as the model says, 2.7 at n = 21 and 72 at n = 401.
+    """
     x = profile.grid.nodes
     h2_unit = profile.grid.h**2
+    rounding_unit = TILDE_ROUNDING * np.finfo(float).eps * (profile.grid.n - 1)
     for k in (1, 2, 3):
         f = x**k
         df = k * x ** (k - 1) if k > 1 else np.ones_like(x)
         via_kernel = op.along_x(f)
         via_anti = ttilde_antiderivative_form(t_op, profile, f, df)
-        scale = max(1.0, float(np.max(np.abs(via_anti))))
+        magnitude = float(np.max(np.abs(via_anti)))
+        cap = TILDE_CHECK_CAP * h2_unit * max(1.0, magnitude) + rounding_unit * magnitude
         gap = float(np.max(np.abs(via_kernel - via_anti)))
-        if gap > TILDE_CHECK_CAP * h2_unit * scale:
+        if gap > cap:
             raise NonConvergenceError(
                 f"companion-transmutation cross-check failed on x^{k}: "
-                f"gap {gap:.3e} > {TILDE_CHECK_CAP * h2_unit * scale:.3e}",
+                f"gap {gap:.3e} > {cap:.3e}",
                 defects=op.kernel.defects,
             )
 

@@ -247,37 +247,45 @@ def _res_ground_state_h1(level: _Level):
                 yield interior_max(g, margin=2)
 
 
+def _component_gaps(combine, got, want, scale: float):
+    """interior_max(combine(a, b)) / scale for each component pair of ``got``
+    and ``want``.  A measure passes each (got, want) pair as it builds it, so
+    the pair is freed once its residuals are taken, before the next is built."""
+    for a, b in zip(got, want):
+        yield interior_max(combine(a, b), margin=2) / scale
+
+
 def _res_darboux_projection(level: _Level):
     sp = level.sp
+    pairs = (
+        (ops.darboux, 2.0, ops.vekua_vbar),
+        (ops.darboux_adjoint, -2.0, ops.vekua_v1),
+        (ops.pseudo_darboux, 2.0, ops.vekua_v1bar),
+        (ops.pseudo_darboux_adjoint, -2.0, ops.vekua_v),
+    )
     for fld in level.corpus:
         w, scale = fld.w, fld.scale
         pw = ops.project(w)
-        pairs = [
-            (ops.darboux(sp, pw), ops.project(2.0 * ops.vekua_vbar(sp, w))),
-            (ops.darboux_adjoint(sp, pw), ops.project(-2.0 * ops.vekua_v1(sp, w))),
-            (ops.pseudo_darboux(sp, pw), ops.project(2.0 * ops.vekua_v1bar(sp, w))),
-            (ops.pseudo_darboux_adjoint(sp, pw), ops.project(-2.0 * ops.vekua_v(sp, w))),
-        ]
-        for got, want in pairs:
-            for a, b in zip(got, want):
-                yield interior_max(a - b, margin=2) / scale
+        for darboux, c, vekua in pairs:
+            yield from _component_gaps(np.subtract, darboux(sp, pw),
+                                       ops.project(c * vekua(sp, w)), scale)
 
 
 def _res_factorization(level: _Level):
     sp = level.sp
+    # H P (resp. H1 P) against -4 P of each product of two Vekua operators
+    groups = (
+        (ops.h_diag, ((ops.vekua_v1, ops.vekua_vbar), (ops.vekua_v1bar, ops.vekua_v))),
+        (ops.h1, ((ops.vekua_vbar, ops.vekua_v1), (ops.vekua_v, ops.vekua_v1bar))),
+    )
     for fld in level.corpus:
         w, scale = fld.w, fld.scale
         pw = ops.project(w)
-        h, h1 = ops.h_diag(sp, pw), ops.h1(sp, pw)
-        combos = [
-            (h, ops.vekua_v1(sp, ops.vekua_vbar(sp, w))),
-            (h, ops.vekua_v1bar(sp, ops.vekua_v(sp, w))),
-            (h1, ops.vekua_vbar(sp, ops.vekua_v1(sp, w))),
-            (h1, ops.vekua_v(sp, ops.vekua_v1bar(sp, w))),
-        ]
-        for left, inner in combos:
-            for a, b in zip(left, ops.project(4.0 * inner)):
-                yield interior_max(a + b, margin=2) / scale
+        for hamiltonian, products in groups:
+            left = hamiltonian(sp, pw)
+            for outer, inner in products:
+                yield from _component_gaps(np.add, left,
+                                           ops.project(4.0 * outer(sp, inner(sp, w))), scale)
 
 
 def _res_intertwining(level: _Level):
@@ -298,19 +306,20 @@ def _res_intertwining(level: _Level):
 
 def _res_supercharge_factorization(level: _Level):
     sp = level.sp
+    # D^+ D = H and D D^+ = H1, and the same for the pseudo-Darboux pair
+    groups = (
+        (ops.h_diag, ((ops.darboux_adjoint, ops.darboux),
+                      (ops.pseudo_darboux, ops.pseudo_darboux_adjoint))),
+        (ops.h1, ((ops.darboux, ops.darboux_adjoint),
+                  (ops.pseudo_darboux_adjoint, ops.pseudo_darboux))),
+    )
     for fld in level.corpus:
         v = (np.real(fld.w), np.imag(fld.w))
         scale = max(fld.scale_re, fld.scale_im)
-        h, h1 = ops.h_diag(sp, v), ops.h1(sp, v)
-        combos = [
-            (ops.darboux_adjoint(sp, ops.darboux(sp, v)), h),
-            (ops.darboux(sp, ops.darboux_adjoint(sp, v)), h1),
-            (ops.pseudo_darboux(sp, ops.pseudo_darboux_adjoint(sp, v)), h),
-            (ops.pseudo_darboux_adjoint(sp, ops.pseudo_darboux(sp, v)), h1),
-        ]
-        for got, want in combos:
-            for a, b in zip(got, want):
-                yield interior_max(a - b, margin=2) / scale
+        for hamiltonian, products in groups:
+            want = hamiltonian(sp, v)
+            for outer, inner in products:
+                yield from _component_gaps(np.subtract, outer(sp, inner(sp, v)), want, scale)
 
 
 def _res_nilpotency(level: _Level):
@@ -346,18 +355,15 @@ def _res_diagram_differential(level: _Level):
     sp = level.sp
     grid = sp.grid
     t2d = level.t2d
+    # V T0 w = T1 dzbar w and V1 T1 w = T0 dzbar w; the same with d_z for the
+    # conjugate operators
+    pairs = ((d_zbar, ops.vekua_v, ops.vekua_v1), (d_z, ops.vekua_vbar, ops.vekua_v1bar))
     for fld, (t0w, t1w) in zip(level.corpus, level.images):
         w, scale = fld.w, fld.scale
-        t0_wzb, t1_wzb = t2d.t0_t1(d_zbar(grid, w))
-        t0_wz, t1_wz = t2d.t0_t1(d_z(grid, w))
-        rs = [
-            ops.vekua_v(sp, t0w) - t1_wzb,
-            ops.vekua_v1(sp, t1w) - t0_wzb,
-            ops.vekua_vbar(sp, t0w) - t1_wz,
-            ops.vekua_v1bar(sp, t1w) - t0_wz,
-        ]
-        for r in rs:
-            yield interior_max(r, margin=2) / scale
+        for deriv, v0, v1 in pairs:
+            t0_d, t1_d = t2d.t0_t1(deriv(grid, w))
+            yield from _component_gaps(np.subtract, (v0(sp, t0w), v1(sp, t1w)),
+                                       (t1_d, t0_d), scale)
 
 
 def _res_diagram_integral(level: _Level):

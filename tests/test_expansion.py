@@ -279,8 +279,9 @@ def test_fit_reports_structural_rank_deficiency(zero_sp, table_zero, grid):
 
 
 def _inline_design_fit(target, table, basis_kind, degree):
-    """The fit with its design built inline on every call: the oracle of the
-    memoized design (same columns, same order, same lstsq call)."""
+    """The fit with its design built and factorized inline on every call: the
+    oracle of the memoized design and its factors (same columns, same order,
+    same thin SVD cut at lstsq's rank rule, same products)."""
     part = np.imag if basis_kind == "ker_h0" else np.real
     columns = []
     for n in range(degree + 1):
@@ -288,9 +289,13 @@ def _inline_design_fit(target, table, basis_kind, degree):
         columns.append(interior(part(table.z_i[n]), margin=2).ravel())
     design = np.column_stack(columns)
     rhs = interior(target, margin=2).ravel()
-    coef, _, rank, sv = np.linalg.lstsq(design, rhs, rcond=None)
+    u, sv, vt = np.linalg.svd(design, full_matrices=False)
+    keep = sv > np.finfo(float).eps * max(design.shape) * sv[0]
+    ut = np.ascontiguousarray(u[:, keep].T)
+    coef = vt[keep].T @ ((ut @ rhs) / sv[keep])
     resid = design @ coef - rhs
-    return coef, sv, int(rank), float(np.max(np.abs(resid))), float(np.sqrt(np.mean(resid**2)))
+    rank = int(np.count_nonzero(keep))
+    return coef, sv, rank, float(np.max(np.abs(resid))), float(np.sqrt(np.mean(resid**2)))
 
 
 @pytest.mark.parametrize(
@@ -314,6 +319,54 @@ def test_memoized_design_fits_bit_for_bit(name, params, n):
             assert fit.rank == rank
             assert fit.residual_max.hex() == rmax.hex()
             assert fit.residual_rms.hex() == rrms.hex()
+
+
+@pytest.mark.parametrize(
+    "name, params, n",
+    [("zero", (), 61), ("linear", (0.5, -1.0), 61), ("quadratic", (1.0, -0.5), 61),
+     ("linear", (0.5, -1.0), 5)],
+    ids=["zero", "linear", "quadratic", "one-interior-row"],
+)
+def test_factorized_fit_agrees_with_lstsq(name, params, n):
+    """The factorized solve is lstsq's minimum-norm solution to rounding: the same
+    rank, with the structurally zero column Im Z^0(1) of ker_h0, and on 5 nodes
+    a single interior row against up to 10 columns."""
+    sp = make_superpotential(name, params, Grid2D.square(1.0, n))
+    table = assemble_formal_powers(sp, 4)
+    member = table.power(2, 1.0) + 0.3 * table.power(3, 1j) - 0.2 * table.power(1, 1.0 + 1j)
+    for basis_kind, target in (("ker_h0", np.imag(member)), ("ker_h2", np.real(member))):
+        for degree in range(table.n_max + 1):
+            fit = fit_formal_polynomial(sp, target, table, basis_kind, degree)
+            design = table.design(basis_kind, degree)
+            coef, _, rank, sv = np.linalg.lstsq(design, interior(target, margin=2).ravel(),
+                                                rcond=None)
+            assert fit.rank == rank
+            if basis_kind == "ker_h0" and n > 5:
+                assert fit.rank == design.shape[1] - 1  # Im Z^0(1) = 0
+            tol = 1e-12 * max(1.0, float(np.max(np.abs(coef))))
+            np.testing.assert_allclose(fit.coefficients, coef, rtol=0, atol=tol)
+            np.testing.assert_allclose(fit.singular_values, sv, rtol=1e-12)
+
+
+def test_a_later_fit_on_a_key_reuses_its_read_only_factors(monkeypatch, quad, table_quad):
+    target = np.imag(table_quad.z_i[2])
+    first = fit_formal_polynomial(quad, target, table_quad, "ker_h0", degree=5)
+    factors = table_quad.design_factors("ker_h0", 5)
+    for a in (factors.ut, factors.s, factors.vt):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    assert factors.ut.flags.c_contiguous
+    assert factors.ut.shape == (first.rank, 197 * 197)
+    assert factors.vt.shape == (first.rank, 12)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd ran for a key already factorized")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    again = fit_formal_polynomial(quad, target, table_quad, "ker_h0", degree=5)
+    assert table_quad.design_factors("ker_h0", 5) is factors
+    np.testing.assert_array_equal(again.coefficients, first.coefficients)
+    assert again.singular_values is factors.s
 
 
 def test_design_is_built_once_and_read_only(table_quad):

@@ -685,6 +685,10 @@ def exit_2_inputs(tmp_path_factory):
         (["verify", "--half-width", "1e300", "--nodes", "21"],
          "config error: half_width 1e+300 with 21 nodes gives spacing h = 1e+299, whose "
          "square inf is not a positive normal double\n"),
+        # the companion cross-checks pass at their rounding; the Taylor round trip's
+        # grid refusal is reached
+        (["verify", "--half-width", "1e-20", "--nodes", "21"],
+         "domain error (GridShapeError): stencil noise "),
         (["transmute", "--sp", "zero", "--input", "{huge3}"],
          "config error: {huge3}:x: half_width 1.5e+308 with 3 nodes gives spacing h = inf"),
         # finite input whose image, or whose h0 or h2 terms, overflow
@@ -719,6 +723,7 @@ def exit_2_inputs(tmp_path_factory):
          "expand-linear-overflows", "verify-linear-overflows",
          "verify-spacing-overflows", "verify-squared-spacing-underflows",
          "verify-squared-spacing-overflows",
+         "verify-tiny-spacing-taylor-refused",
          "transmute-input-spacing-overflows", "transmute-image-overflows",
          "conjugate-terms-overflow", "expand-terms-overflow", "conjugate-partner-overflows",
          "expand-fit-overflows", "verify-config",
@@ -809,6 +814,18 @@ def test_cli_transmute_non_convergence_exits_3_without_output(tmp_path, capsys, 
                  "--out", str(tmp_path / "o")]) == 3
     _one_line_error(capsys, "non-convergence: Goursat iteration did not reach 1e-12 in 2 steps")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("op", ["T0", "T1d-tilde"])
+def test_cli_transmute_on_a_tiny_grid(tmp_path, op):
+    # half-width 1e-20: the companion cross-check's gap is rounding, above 50 h^2
+    grid = Grid2D.square(1e-20, 21)
+    inp = tmp_path / "input.csv"
+    write_field_csv(inp, grid, grid.zmesh())
+    out = tmp_path / "t"
+    assert main(["transmute", "--sp", "quadratic", "--params=1,-0.5", "--op", op,
+                 "--input", str(inp), "--out", str(out)]) == 0
+    assert (out / "transmuted.csv").stat().st_size > 0
 
 
 def test_cli_transmute_kernel_at_its_rounding_floor(tmp_path):

@@ -350,6 +350,24 @@ def test_ttilde_matches_antiderivative_form(sp_linear):
         np.testing.assert_allclose(tt_op.along_x(f), via_anti, atol=60 * H2)
 
 
+@pytest.mark.parametrize("n", [21, 201, 401])
+@pytest.mark.parametrize("name, params", [("zero", ()), ("linear", (1.0, -1.0)),
+                                          ("quadratic", (1.0, -0.5))])
+def test_companion_cross_check_allows_its_rounding_on_a_tiny_grid(name, params, n):
+    # half-width 1e-20: h^2 is far below eps, so x^1 gaps of a few eps * max|x|
+    # are rounding alone (at n = 21 a gap of 1.5e-36 against 50 h^2 = 5e-41)
+    sp = make_superpotential(name, params, Grid2D.square(1e-20, n))
+    build_transmute_2d(sp)
+
+
+def test_companion_cross_check_refuses_the_plain_operator(sp_linear):
+    # chi1 = x: the plain operator is not its own companion, and the rounding
+    # term does not hide a truncation-size gap
+    t_op = build_transmute(sp_linear.ax)
+    with pytest.raises(NonConvergenceError, match="cross-check failed on x"):
+        transmutation._check_tilde(sp_linear.ax, t_op, t_op)
+
+
 @pytest.mark.parametrize("name, params", [("linear", (0.5, -1.0)), ("quadratic", (-1.0, 0.5))])
 def test_ttilde_is_the_plain_build_on_the_flipped_profile(name, params):
     sp = make_superpotential(name, params, Grid2D.square(1.0, 61))
