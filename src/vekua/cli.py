@@ -81,7 +81,12 @@ from .fields_io import (
 )
 from .grid import Grid2D
 from .superpotential import Superpotential, catalog_names
-from .transmutation import build_transmute, build_transmute_2d, build_transmute_tilde
+from .transmutation import (
+    build_transmute,
+    build_transmute_2d,
+    build_transmute_tilde,
+    solve_goursat,
+)
 from .verification import RunConfig, render_report, rows_to_json, run_battery
 
 EXIT_OK = 0
@@ -246,16 +251,20 @@ def _cmd_transmute(args) -> int:
     cfg = _load_config(args, own_grid=False)
     grid, values = read_field_csv(args.input)
     _, sp = _build(cfg, args, grid)
+    # the profile of each kernel --dump-kernel writes: that of the plain x and
+    # y operators for T0/T1, that of the operator applied for a 1-D op
     if args.op in ("T0", "T1"):
         t2d = build_transmute_2d(sp)
         apply = t2d.t0 if args.op == "T0" else t2d.t1
-        kernels = {"x": t2d.tx, "y": t2d.ty}
+        kernels = {"x": sp.ax, "y": sp.ay}
     else:
         along_x = args.op in ("T1d", "T1d-tilde")
-        build = build_transmute_tilde if args.op.endswith("tilde") else build_transmute
-        op = build(sp.ax if along_x else sp.ay)
+        tilde = args.op.endswith("tilde")
+        profile = sp.ax if along_x else sp.ay
+        op = (build_transmute_tilde if tilde else build_transmute)(profile)
         apply = op.along_x if along_x else op.along_y
-        kernels = {"x" if along_x else "y": op}
+        # the companion is the plain construction on the flipped profile
+        kernels = {"x" if along_x else "y": profile.flipped() if tilde else profile}
     with np.errstate(over="ignore", invalid="ignore"):
         result = apply(values)
     if not np.isfinite(result).all():
@@ -265,8 +274,9 @@ def _cmd_transmute(args) -> int:
     write_field_csv(out / "transmuted.csv", grid, result)
     write_grid_meta(out / "grid.json", grid)
     if args.dump_kernel:
-        for label, op in kernels.items():
-            _write_kernel_csv(out / f"kernel_{label}.csv", op.kernel)
+        # an operator keeps no kernel: each is solved again, bit for bit
+        for label, profile in kernels.items():
+            _write_kernel_csv(out / f"kernel_{label}.csv", solve_goursat(profile))
     print(f"applied {args.op}, output in {out}")
     return EXIT_OK
 

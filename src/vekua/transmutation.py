@@ -24,7 +24,11 @@ imaginary parts and map complex polynomials in z onto the formal powers.
 Every builder solves one Goursat problem per distinct potential among its
 profiles, named by its definition (:attr:`AxisProfile.potential_key`), not
 by its samples: a linear chi_j has the same q = c1^2 as its flip, and two
-axes with equal definitions on equal grids share one solve.
+axes with equal definitions on equal grids share one solve.  An operator
+keeps its Volterra matrix and the solve's defect history, not the kernel;
+whoever needs the kernel itself (``vekua transmute --dump-kernel``) solves
+it again from the operator's profile, the flipped one for a companion, and
+gets the same bits.
 """
 
 from __future__ import annotations
@@ -99,7 +103,8 @@ def solve_goursat(profile: AxisProfile) -> GoursatKernel:
     once max|K| exceeds TOL / eps, about 4.5e3.  The stall falls as the grid
     is refined; the floor's constant is set on the coarsest measured grid,
     n = 21.  The solve raises with the defect history if :data:`MAX_ITER`
-    sweeps do neither.  Only the axis-node table is kept.
+    sweeps do neither.  The three other sweep tables are freed before the
+    axis-node table is gathered from the iterate; only that table is kept.
     """
     grid = profile.grid
     cgrid = grid.refined()  # spacing h/2 on the same interval
@@ -138,8 +143,9 @@ def solve_goursat(profile: AxisProfile) -> GoursatKernel:
             defects=defects,
         )
 
-    kk, ll = np.indices((grid.n, grid.n))
-    return GoursatKernel(grid, k_cur[kk + ll, kk - ll + grid.n - 1], defects)
+    del q_uv, q_u, inner, work  # only k_cur is read from here on
+    k = np.arange(grid.n)  # axis pair (x_k, t_l) is characteristic node (k + l, k - l + n - 1)
+    return GoursatKernel(grid, k_cur[k[:, None] + k, (k + grid.n - 1)[:, None] - k], defects)
 
 
 def build_kernel_with_h(gk: GoursatKernel, h_param: float) -> np.ndarray:
@@ -183,11 +189,17 @@ def _volterra_matrix(grid: Grid1D, kernel: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class TransmuteOp:
-    """1-D transmutation operator in dense matrix form."""
+    """1-D transmutation operator in dense matrix form.
+
+    It keeps its Volterra matrix and the Picard defect history of the Goursat
+    solve behind it, not the solved kernel: the build releases that n x n
+    table once the matrix exists.  :func:`solve_goursat` on the operator's
+    profile gives the kernel again, bit for bit.
+    """
 
     grid: Grid1D
     matrix: np.ndarray
-    kernel: GoursatKernel
+    defects: list[float]
 
     def along_x(self, f) -> np.ndarray:
         """Apply along the first axis of a 1-D or 2-D field."""
@@ -201,7 +213,8 @@ def _operators(*profiles: AxisProfile) -> list[TransmuteOp]:
     """One operator per profile, from one Goursat solve per distinct potential.
 
     Profiles share a kernel when their :attr:`AxisProfile.potential_key` is
-    equal; each operator is dressed with its own slope parameter.
+    equal; each operator is dressed with its own slope parameter.  The
+    kernels are dropped on return: an operator keeps its matrix and defects.
     """
     kernels: dict[tuple, GoursatKernel] = {}
     ops = []
@@ -211,7 +224,7 @@ def _operators(*profiles: AxisProfile) -> list[TransmuteOp]:
             kernels[key] = solve_goursat(profile)
         gk, grid = kernels[key], profile.grid
         ops.append(TransmuteOp(
-            grid, _volterra_matrix(grid, build_kernel_with_h(gk, profile.h_param)), gk))
+            grid, _volterra_matrix(grid, build_kernel_with_h(gk, profile.h_param)), gk.defects))
     return ops
 
 
@@ -283,7 +296,7 @@ def _check_tilde(profile: AxisProfile, op: TransmuteOp, t_op: TransmuteOp) -> No
             raise NonConvergenceError(
                 f"companion-transmutation cross-check failed on x^{k}: "
                 f"gap {gap:.3e} > {cap:.3e}",
-                defects=op.kernel.defects,
+                defects=op.defects,
             )
 
 
@@ -294,6 +307,9 @@ class Transmute2D:
     ``t0`` maps z^n onto the main formal powers, ``t1`` onto the successor
     ones: the real part goes through the plain/plain (resp. tilde/plain)
     axis operators and the imaginary part through the complementary pair.
+    All three entry points are one construction, :meth:`_images`: ``t0`` and
+    ``t1`` take four products each, ``t0_t1`` six, as the two images share
+    their y-passes.
     """
 
     sp: Superpotential
@@ -302,26 +318,34 @@ class Transmute2D:
     tx_tilde: TransmuteOp
     ty_tilde: TransmuteOp
 
-    def _apply(self, w, re_x: TransmuteOp, im_x: TransmuteOp) -> np.ndarray:
-        # real part through (re_x, ty), imaginary part through (im_x, ty_tilde)
-        w = self.sp.grid.check(np.asarray(w, dtype=complex))
-        re = re_x.along_x(self.ty.along_y(w.real))
-        im = im_x.along_x(self.ty_tilde.along_y(w.imag))
-        return re + 1j * im
+    def _images(self, w, x_pairs) -> list[np.ndarray]:
+        """One image per ``(re_x, im_x)`` of ``x_pairs``: the real part of ``w``
+        through (re_x, ty), its imaginary part through (im_x, ty_tilde).
 
-    def t0(self, w) -> np.ndarray:
-        return self._apply(w, self.tx, self.tx_tilde)
-
-    def t1(self, w) -> np.ndarray:
-        return self._apply(w, self.tx_tilde, self.tx)
-
-    def t0_t1(self, w) -> tuple[np.ndarray, np.ndarray]:
-        """``(t0(w), t1(w))``, sharing the two y-passes: six products, not eight."""
+        Each image is written part by part into one complex output.  That
+        equals ``re + 1j * im`` bit for bit except for the sign of an exact
+        zero, which the products do not give here.
+        """
         w = self.sp.grid.check(np.asarray(w, dtype=complex))
         re_y = self.ty.along_y(w.real)
         im_y = self.ty_tilde.along_y(w.imag)
-        t0 = self.tx.along_x(re_y) + 1j * self.tx_tilde.along_x(im_y)
-        t1 = self.tx_tilde.along_x(re_y) + 1j * self.tx.along_x(im_y)
+        images = []
+        for re_x, im_x in x_pairs:
+            image = np.empty(w.shape, dtype=complex)
+            image.real = re_x.along_x(re_y)
+            image.imag = im_x.along_x(im_y)
+            images.append(image)
+        return images
+
+    def t0(self, w) -> np.ndarray:
+        return self._images(w, ((self.tx, self.tx_tilde),))[0]
+
+    def t1(self, w) -> np.ndarray:
+        return self._images(w, ((self.tx_tilde, self.tx),))[0]
+
+    def t0_t1(self, w) -> tuple[np.ndarray, np.ndarray]:
+        """``(t0(w), t1(w))``, sharing the two y-passes: six products, not eight."""
+        t0, t1 = self._images(w, ((self.tx, self.tx_tilde), (self.tx_tilde, self.tx)))
         return t0, t1
 
 

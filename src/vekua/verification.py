@@ -14,6 +14,13 @@ its own); :func:`run_battery` takes their maximum as the row's residual at
 each resolution.  A NaN residual makes that maximum NaN, and a NaN fails
 both the cap and the ratio window, so a non-finite value is never dropped.
 
+Each resolution is a level that holds only what its next residual reads
+(see :class:`_Level`).  The three ``diagram_*`` rows share one pass over the
+corpus, field by field: a field's images (T0 w, T1 w) are built once, every
+diagram row the level measures takes its residuals of that field, and the
+images are dropped before the next field's are built; each row then reads
+its residuals, as floats, from that pass.
+
 Cap models:
 
 * ``h2_cap``: the cap is that multiple of h^2 (times a per-field scale where
@@ -155,11 +162,20 @@ class Row:
 
 
 class _Level:
-    """Everything the checks need at one resolution, each built on first use."""
+    """Everything the checks need at one resolution, each built on first use.
 
-    def __init__(self, cfg: RunConfig, grid: Grid2D):
+    A level measures ``checks`` and holds only what their next residual
+    reads: the superpotential, the formal-power table (1-D systems and fit
+    designs), the four axis operators (matrices and defects), the corpus
+    fields with their scales, the self-fit, and the diagram rows' residuals
+    as floats.  No corpus field's transmuted image outlives the residuals
+    taken from it (:attr:`diagram_residuals`).
+    """
+
+    def __init__(self, cfg: RunConfig, grid: Grid2D, checks: list["Check"]):
         self.cfg = cfg
         self.grid = grid
+        self.checks = checks
         self.h2_unit = grid.hmax**2
 
     @cached_property
@@ -179,9 +195,21 @@ class _Level:
         return [_CorpusField(self.grid, w) for _, w in smooth_corpus(self.grid)]
 
     @cached_property
-    def images(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(T0[w], T1[w]) of each corpus field, shared by the diagram checks."""
-        return [self.t2d.t0_t1(fld.w) for fld in self.corpus]
+    def diagram_residuals(self) -> dict[str, list[float]]:
+        """The residuals of each diagram row this level measures, by row name.
+
+        The diagram rows share one pass over the corpus, field by field: a
+        field's (T0 w, T1 w) is built once, every diagram row takes its
+        residuals of that field, and the images are dropped before the next
+        field's are built."""
+        names = {check.name for check in self.checks}
+        measures = {name: m for name, m in _DIAGRAM_MEASURES.items() if name in names}
+        residuals: dict[str, list[float]] = {name: [] for name in measures}
+        for fld in self.corpus:
+            t0w, t1w = self.t2d.t0_t1(fld.w)
+            for name, measure in measures.items():
+                residuals[name].extend(measure(self, fld, t0w, t1w))
+        return residuals
 
     @cached_property
     def self_fit(self):
@@ -351,46 +379,44 @@ def _res_t0_t1_powers(level: _Level):
             yield float(np.max(np.abs(t1 - succ[n])))
 
 
-def _res_diagram_differential(level: _Level):
+# -- the diagram rows, per corpus field and its images (T0 w, T1 w); see
+# :attr:`_Level.diagram_residuals` --
+
+def _diagram_differential(level: _Level, fld: _CorpusField, t0w, t1w):
     sp = level.sp
-    grid = sp.grid
-    t2d = level.t2d
     # V T0 w = T1 dzbar w and V1 T1 w = T0 dzbar w; the same with d_z for the
     # conjugate operators
     pairs = ((d_zbar, ops.vekua_v, ops.vekua_v1), (d_z, ops.vekua_vbar, ops.vekua_v1bar))
-    for fld, (t0w, t1w) in zip(level.corpus, level.images):
-        w, scale = fld.w, fld.scale
-        for deriv, v0, v1 in pairs:
-            t0_d, t1_d = t2d.t0_t1(deriv(grid, w))
-            yield from _component_gaps(np.subtract, (v0(sp, t0w), v1(sp, t1w)),
-                                       (t1_d, t0_d), scale)
+    for deriv, v0, v1 in pairs:
+        t0_d, t1_d = level.t2d.t0_t1(deriv(sp.grid, fld.w))
+        yield from _component_gaps(np.subtract, (v0(sp, t0w), v1(sp, t1w)),
+                                   (t1_d, t0_d), fld.scale)
 
 
-def _res_diagram_integral(level: _Level):
+def _diagram_integral(level: _Level, fld: _CorpusField, t0w, t1w):
     sp = level.sp
-    grid = sp.grid
-    t2d = level.t2d
-    for fld, (t0w, t1w) in zip(level.corpus, level.images):
-        scale = fld.scale
-        t0_anti, t1_anti = t2d.t0_t1(lpath_complex(grid, fld.w))
-        yield interior_max(fg_integral(sp, 1, t0w) - t1_anti, margin=1) / scale
-        yield interior_max(fg_integral(sp, 0, t1w) - t0_anti, margin=1) / scale
+    t0_anti, t1_anti = level.t2d.t0_t1(lpath_complex(sp.grid, fld.w))
+    yield interior_max(fg_integral(sp, 1, t0w) - t1_anti, margin=1) / fld.scale
+    yield interior_max(fg_integral(sp, 0, t1w) - t0_anti, margin=1) / fld.scale
 
 
-def _res_diagram_laplacian(level: _Level):
+def _diagram_laplacian(level: _Level, fld: _CorpusField, t0w, t1w):
     sp = level.sp
-    grid = sp.grid
-    t2d = level.t2d
-    for fld, (t0w, t1w) in zip(level.corpus, level.images):
-        scale = fld.scale
-        t0_lap, t1_lap = t2d.t0_t1(laplacian(grid, fld.w))
-        pairs = [
-            (ops.h_diag(sp, ops.project(t0w)), ops.project(t0_lap)),
-            (ops.h1(sp, ops.project(t1w)), ops.project(t1_lap)),
-        ]
-        for left, lap in pairs:
-            for a, b in zip(left, lap):
-                yield interior_max(a + b, margin=2) / scale
+    t0_lap, t1_lap = level.t2d.t0_t1(laplacian(sp.grid, fld.w))
+    pairs = [
+        (ops.h_diag(sp, ops.project(t0w)), ops.project(t0_lap)),
+        (ops.h1(sp, ops.project(t1w)), ops.project(t1_lap)),
+    ]
+    for left, lap in pairs:
+        for a, b in zip(left, lap):
+            yield interior_max(a + b, margin=2) / fld.scale
+
+
+_DIAGRAM_MEASURES = {
+    "diagram_differential": _diagram_differential,
+    "diagram_integral": _diagram_integral,
+    "diagram_laplacian": _diagram_laplacian,
+}
 
 
 def _res_conjugate(level: _Level):
@@ -441,7 +467,7 @@ def _res_t_commute(level: _Level):
     t2d = level.t2d
     for fld in level.corpus:
         f, scale = np.real(fld.w), fld.scale_re
-        # its own products, not the shared images: the residual is the rounding-level
+        # its own products, not the diagram pass's images: the residual is the rounding-level
         # difference between the two orders of the axis products
         ab = t2d.tx.along_x(t2d.ty.along_y(f))
         ba = t2d.ty.along_y(t2d.tx.along_x(f))
@@ -496,15 +522,18 @@ CHECKS: tuple[Check, ...] = (
     Check("transmute_powers", "T1[x^k] = phi_k, k<=5 (relative)", _res_transmute_powers,
           h2_cap=400.0, ratio_window=True),
     Check("t0_t1_powers", "T0[a z^n] = Z^n(a), T1[a z^n] = Z1^n(a), n<=4", _res_t0_t1_powers,
-          h2_cap=300.0),
-    Check("diagram_differential", "V T0 = T1 dzbar (+3 companions)", _res_diagram_differential,
-          h2_cap=300.0),
-    Check("diagram_integral", "pair-int T0[w] = T1[int w] (+ swap)", _res_diagram_integral,
-          h2_cap=300.0),
+          h2_cap=300.0, ratio_window=True),
+    Check("diagram_differential", "V T0 = T1 dzbar (+3 companions)",
+          lambda lv: lv.diagram_residuals["diagram_differential"], h2_cap=300.0,
+          ratio_window=True),
+    Check("diagram_integral", "pair-int T0[w] = T1[int w] (+ swap)",
+          lambda lv: lv.diagram_residuals["diagram_integral"], h2_cap=300.0,
+          ratio_window=True),
     Check("diagram_laplacian", "H P T0 = -P T0 lap, H1 P T1 = -P T1 lap",
-          _res_diagram_laplacian, h2_cap=300.0),
+          lambda lv: lv.diagram_residuals["diagram_laplacian"], h2_cap=300.0,
+          ratio_window=True),
     Check("conjugate_reconstruction", "Im Z^1(1) from Re Z^1(1), gauge-fitted", _res_conjugate,
-          h2_cap=50.0),
+          h2_cap=50.0, ratio_window=True),
     Check("fit_self_residual", "self-fit of a basis member", _res_fit_self_residual,
           h2_cap=10.0),
     Check("fit_self_coefficients", "unit on-slot, zero off-slot", _res_fit_self_coefficients,
@@ -528,11 +557,11 @@ def _worst(residuals) -> float:
     return float(np.max(np.fromiter(residuals, float)))
 
 
-def _measure_level(level: _Level, checks: list[Check], measure: Callable) -> dict:
-    """``measure(check, level)`` for each check in registry order, or its
-    "not measured: ..." note."""
+def _measure_level(level: _Level, measure: Callable) -> dict:
+    """``measure(check, level)`` for each check of the level in registry order,
+    or its "not measured: ..." note."""
     results: dict[str, object] = {}
-    for check in checks:
+    for check in level.checks:
         try:
             results[check.name] = measure(check, level)
         except KernelMembershipError as exc:
@@ -571,14 +600,14 @@ def run_battery(cfg: RunConfig) -> list[Row]:
         fine_grid = grid.refined()
     except ValueError as exc:  # a squared spacing that is normal until it is quartered
         raise ConfigError(f"the refinement of this grid: {exc}") from exc
-    level = _Level(cfg, grid)
+    level = _Level(cfg, grid, checks)
     level.table = cfg.formal_powers(level.sp, N_MAX)
-    coarse = _measure_level(level, checks, _measure_coarse)
+    coarse = _measure_level(level, _measure_coarse)
     del level  # the refinement is built with no coarse array alive
     # a NaN residual is not exact
     to_refine = [c for c in checks if c.h2_cap is not None
                  and not isinstance(coarse[c.name], str) and not coarse[c.name][0] <= RATIO_FLOOR]
-    fine = _measure_level(_Level(cfg, fine_grid), to_refine,
+    fine = _measure_level(_Level(cfg, fine_grid, to_refine),
                           lambda check, level: _worst(check.measure(level)))
     grid_label = f"{cfg.n1}x{cfg.n2}"
     rows: list[Row] = []

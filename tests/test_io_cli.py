@@ -316,7 +316,14 @@ def _kernel_csv_oracle(gk) -> bytes:
 @pytest.mark.parametrize("op", ["T0", "T1d-tilde", "T2d"])
 def test_cli_kernel_dump_bytes(tmp_path, op):
     from vekua.superpotential import make_superpotential
-    from vekua.transmutation import build_transmute, build_transmute_2d, build_transmute_tilde
+    from vekua.transmutation import (
+        _volterra_matrix,
+        build_kernel_with_h,
+        build_transmute,
+        build_transmute_2d,
+        build_transmute_tilde,
+        solve_goursat,
+    )
 
     _, inp = _write_sample_field(tmp_path, n=11)
     out = tmp_path / "out"
@@ -324,16 +331,21 @@ def test_cli_kernel_dump_bytes(tmp_path, op):
             "--op", op, "--out", str(out), "--dump-kernel"]
     assert main(argv) == 0
     sp = make_superpotential("quadratic", (1.0, -0.5), read_field_csv(inp)[0])
+    # each dumped kernel with the operator it belongs to and that operator's profile
     if op == "T0":
         t2d = build_transmute_2d(sp)
-        kernels = {"x": t2d.tx, "y": t2d.ty}
+        kernels = {"x": (t2d.tx, sp.ax), "y": (t2d.ty, sp.ay)}
     elif op == "T1d-tilde":
-        kernels = {"x": build_transmute_tilde(sp.ax)}
+        kernels = {"x": (build_transmute_tilde(sp.ax), sp.ax.flipped())}
     else:
-        kernels = {"y": build_transmute(sp.ay)}
+        kernels = {"y": (build_transmute(sp.ay), sp.ay)}
     assert sorted(p.name for p in out.glob("kernel_*.csv")) == [f"kernel_{k}.csv" for k in kernels]
-    for label, t in kernels.items():
-        assert (out / f"kernel_{label}.csv").read_bytes() == _kernel_csv_oracle(t.kernel)
+    for label, (t, profile) in kernels.items():
+        gk = solve_goursat(profile)
+        assert (out / f"kernel_{label}.csv").read_bytes() == _kernel_csv_oracle(gk)
+        # the dumped kernel is the one behind the operator: its matrix, bit for bit
+        matrix = _volterra_matrix(profile.grid, build_kernel_with_h(gk, profile.h_param))
+        assert np.array_equal(t.matrix.view(np.uint64), matrix.view(np.uint64))
 
 
 def _write_axis_table(path, grid, samples, label):

@@ -212,9 +212,16 @@ def test_goursat_equals_the_row_loop_sweep_bit_for_bit(name, params, n):
     shared = (t2d.tx, t2d.ty, t2d.tx_tilde, t2d.ty_tilde)
     for profile, op in zip((sp.ax, sp.ay, sp.ax.flipped(), sp.ay.flipped()), shared):
         want, defects = _oracle_solve_goursat(profile)
-        for gk in (solve_goursat(profile), op.kernel):
-            assert np.array_equal(gk.axis_values.view(np.uint64), want.view(np.uint64))
-            assert gk.defects == defects
+        gk = solve_goursat(profile)
+        assert np.array_equal(gk.axis_values.view(np.uint64), want.view(np.uint64))
+        assert gk.defects == defects
+        # the operator keeps no kernel: its matrix is that of the oracle's kernel,
+        # and its defects are the oracle's
+        oracle = transmutation.GoursatKernel(profile.grid, want, defects)
+        matrix = transmutation._volterra_matrix(
+            profile.grid, build_kernel_with_h(oracle, profile.h_param))
+        assert np.array_equal(op.matrix.view(np.uint64), matrix.view(np.uint64))
+        assert op.defects == defects
 
 
 def test_dressed_kernel_reduces_to_plain_when_h_zero(sp_quad):
@@ -284,7 +291,8 @@ def test_volterra_matrix_equals_the_row_loop_bit_for_bit(n):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     profile = make_superpotential("quadratic", (1.0, -0.5), Grid2D.square(1.0, n)).ax
     op = build_transmute(profile)
-    want = _oracle_volterra_matrix(profile.grid, build_kernel_with_h(op.kernel, profile.h_param))
+    gk = solve_goursat(profile)
+    want = _oracle_volterra_matrix(profile.grid, build_kernel_with_h(gk, profile.h_param))
     assert np.array_equal(op.matrix.view(np.uint64), want.view(np.uint64))
 
 
@@ -519,6 +527,71 @@ def test_build_transmute_2d_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * (2 * n - 1) ** 2 * 8
+
+
+def _reachable(obj):
+    """Every object reachable from ``obj`` through vekua instances, containers
+    and the bases of array views."""
+    seen, stack, found = set(), [obj], []
+    while stack:
+        item = stack.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        found.append(item)
+        if isinstance(item, np.ndarray):
+            if item.base is not None:
+                stack.append(item.base)
+        elif isinstance(item, dict):
+            stack.extend(item.values())
+        elif isinstance(item, (list, tuple)):
+            stack.extend(item)
+        elif type(item).__module__.startswith("vekua."):
+            stack.extend(vars(item).values())
+    return found
+
+
+@pytest.mark.parametrize("name, params", [("zero", ()), ("linear", (0.5, -1.0)),
+                                          ("quadratic", (1.0, -0.5))])
+def test_built_operators_hold_no_square_array_besides_their_matrices(name, params):
+    sp = make_superpotential(name, params, Grid2D(Grid1D(1.0, 41), Grid1D(0.5, 29)))
+    t2d = build_transmute_2d(sp)
+    for op in (t2d.tx, t2d.ty, t2d.tx_tilde, t2d.ty_tilde):
+        reachable = _reachable(op)
+        assert not any(isinstance(o, transmutation.GoursatKernel) for o in reachable)
+        arrays = [o for o in reachable if isinstance(o, np.ndarray) and o.ndim > 1]
+        assert len(arrays) == 1 and arrays[0] is op.matrix
+        assert op.matrix.shape == (op.grid.n, op.grid.n)
+        assert len(op.defects) > 0 and all(isinstance(d, float) for d in op.defects)
+
+
+def test_t0_t1_and_both_are_one_construction(monkeypatch):
+    sp = make_superpotential("quadratic", (1.0, -0.5), Grid2D(Grid1D(1.0, 31), Grid1D(0.5, 21)))
+    t2d = build_transmute_2d(sp)
+    z = sp.grid.zmesh()
+    w = (1.0 + 0.5j) * z**3 - 0.3j * z + np.exp(-np.abs(z) ** 2)
+    # the construction they replaced: real and imaginary images, then re + 1j * im
+    want = {
+        "t0": (t2d.tx.along_x(t2d.ty.along_y(w.real))
+               + 1j * t2d.tx_tilde.along_x(t2d.ty_tilde.along_y(w.imag))),
+        "t1": (t2d.tx_tilde.along_x(t2d.ty.along_y(w.real))
+               + 1j * t2d.tx.along_x(t2d.ty_tilde.along_y(w.imag))),
+    }
+    products = []
+    for method in ("along_x", "along_y"):
+        def counted(self, f, method=getattr(transmutation.TransmuteOp, method)):
+            products.append(self)
+            return method(self, f)
+        monkeypatch.setattr(transmutation.TransmuteOp, method, counted)
+    got = {}
+    for name in ("t0", "t1", "t0_t1"):
+        products.clear()
+        got[name] = getattr(t2d, name)(w)
+        got[name + "_products"] = len(products)
+    assert (got["t0_products"], got["t1_products"], got["t0_t1_products"]) == (4, 4, 6)
+    for name, image in (("t0", got["t0"]), ("t1", got["t1"]),
+                        ("t0", got["t0_t1"][0]), ("t1", got["t0_t1"][1])):
+        assert np.array_equal(image.view(np.uint64), want[name].view(np.uint64)), name
 
 
 def test_t0_maps_powers_to_formal_powers(t2d_quad, table_quad, sp_quad):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -10,6 +11,8 @@ import vekua.operators as ops
 import vekua.verification as verification
 from vekua.cli import main
 from vekua.errors import ConfigError, KernelMembershipError, NonConvergenceError
+from vekua.formal_powers import fg_integral
+from vekua.grid import d_z, d_zbar, interior_max, laplacian, lpath_complex
 from vekua.superpotential import Superpotential
 from vekua.verification import (
     RATIO_FLOOR,
@@ -49,12 +52,27 @@ def test_rows_follow_the_registry(batteries, family):
     assert names == [c.name for c in checks_for(family)]
 
 
+WINDOWED_ROWS = ("t0_t1_powers", "diagram_differential", "diagram_integral",
+                 "diagram_laplacian", "conjugate_reconstruction")
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_transmutation_and_conjugate_rows_carry_the_ratio_window(batteries, family):
+    rows = {r.name: r for r in batteries[family]}
+    for name in WINDOWED_ROWS:
+        row = rows[name]
+        assert row.ratio_checked and row.passed, name
+        # the window applies wherever the row has an order to measure
+        if row.ratio is not None:
+            assert RATIO_WINDOW[0] <= row.ratio <= RATIO_WINDOW[1], name
+
+
 def _interleaved_battery(cfg):
     """The battery with both levels alive throughout and each row measured on
     the coarse level, then on the refinement, in registry order: the order
     ``run_battery`` replaced, kept as a reference for its rows."""
-    coarse = _Level(cfg, cfg.grid())
-    fine = _Level(cfg, cfg.grid().refined())
+    coarse = _Level(cfg, cfg.grid(), checks_for(cfg.sp_name))
+    fine = _Level(cfg, cfg.grid().refined(), checks_for(cfg.sp_name))
     grid_label = f"{cfg.n1}x{cfg.n2}"
     rows = []
     for check in checks_for(cfg.sp_name):
@@ -106,9 +124,9 @@ def test_battery_holds_one_level_and_one_table_at_a_time(family, monkeypatch):
         return sum(ref() is not None for ref in levels)
 
     class SpyLevel(verification._Level):
-        def __init__(self, cfg, grid):
+        def __init__(self, cfg, grid, checks):
             assert alive() == 0
-            super().__init__(cfg, grid)
+            super().__init__(cfg, grid, checks)
             levels.append(weakref.ref(self))
 
     assemble = verification.assemble_formal_powers
@@ -123,6 +141,87 @@ def test_battery_holds_one_level_and_one_table_at_a_time(family, monkeypatch):
     run_battery(RunConfig(n1=N, n2=N, sp_name=family, sp_params=FAMILIES[family]))
     assert len(levels) == 2
     assert assemblies == [N, 2 * N - 1]
+
+
+def _row_major_diagram_residuals(level):
+    """The diagram rows measured row by row, with every corpus field's (T0 w,
+    T1 w) built first and held through all three: the order the level's
+    field-major pass replaced, kept as the reference for its residuals."""
+    sp, grid, t2d = level.sp, level.grid, level.t2d
+    images = [t2d.t0_t1(fld.w) for fld in level.corpus]
+
+    def differential():
+        pairs = ((d_zbar, ops.vekua_v, ops.vekua_v1), (d_z, ops.vekua_vbar, ops.vekua_v1bar))
+        for fld, (t0w, t1w) in zip(level.corpus, images):
+            for deriv, v0, v1 in pairs:
+                t0_d, t1_d = t2d.t0_t1(deriv(grid, fld.w))
+                for a, b in zip((v0(sp, t0w), v1(sp, t1w)), (t1_d, t0_d)):
+                    yield interior_max(a - b, margin=2) / fld.scale
+
+    def integral():
+        for fld, (t0w, t1w) in zip(level.corpus, images):
+            t0_anti, t1_anti = t2d.t0_t1(lpath_complex(grid, fld.w))
+            yield interior_max(fg_integral(sp, 1, t0w) - t1_anti, margin=1) / fld.scale
+            yield interior_max(fg_integral(sp, 0, t1w) - t0_anti, margin=1) / fld.scale
+
+    def laplacian_row():
+        for fld, (t0w, t1w) in zip(level.corpus, images):
+            t0_lap, t1_lap = t2d.t0_t1(laplacian(grid, fld.w))
+            pairs = [
+                (ops.h_diag(sp, ops.project(t0w)), ops.project(t0_lap)),
+                (ops.h1(sp, ops.project(t1w)), ops.project(t1_lap)),
+            ]
+            for left, lap in pairs:
+                for a, b in zip(left, lap):
+                    yield interior_max(a + b, margin=2) / fld.scale
+
+    return {"diagram_differential": list(differential()), "diagram_integral": list(integral()),
+            "diagram_laplacian": list(laplacian_row())}
+
+
+@pytest.mark.parametrize("half_width2, n2", [(1.0, N), (0.5, 41)], ids=["61x61", "61x41"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_diagram_pass_equals_the_row_major_measures_bit_for_bit(family, half_width2, n2):
+    cfg = RunConfig(half_width2=half_width2, n1=N, n2=n2, sp_name=family,
+                    sp_params=FAMILIES[family])
+    for grid in (cfg.grid(), cfg.grid().refined()):
+        want = _row_major_diagram_residuals(_Level(cfg, grid, checks_for(family)))
+        got = _Level(cfg, grid, checks_for(family)).diagram_residuals
+        assert list(got) == list(want)
+        for name, residuals in want.items():
+            assert len(residuals) > 0
+            assert np.array(got[name]).view(np.uint64).tolist() == \
+                np.array(residuals).view(np.uint64).tolist()
+
+
+def test_diagram_pass_measures_only_the_rows_of_its_level(monkeypatch):
+    checks = [c for c in checks_for("quadratic") if c.name == "diagram_integral"]
+    calls = []
+    for name, measure in verification._DIAGRAM_MEASURES.items():
+        def counted(level, fld, t0w, t1w, name=name, measure=measure):
+            calls.append(name)
+            return measure(level, fld, t0w, t1w)
+        monkeypatch.setitem(verification._DIAGRAM_MEASURES, name, counted)
+    level = _Level(QUADRATIC, QUADRATIC.grid(), checks)
+    assert list(level.diagram_residuals) == ["diagram_integral"]
+    assert calls == ["diagram_integral"] * len(level.corpus)
+
+
+def test_battery_traced_peak_at_101_nodes():
+    # the refinement holds one corpus field's images at a time, its operators
+    # keep no Goursat table, and no sweep table outlives its solve: 11.7 MiB
+    # traced for the quadratic family, against 17.2 MiB with the six corpus
+    # images held by the level and the kernels by the operators
+    cfg = RunConfig(n1=101, n2=101, sp_name="quadratic", sp_params=FAMILIES["quadratic"])
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc already traces this process")
+    tracemalloc.start()
+    try:
+        run_battery(cfg)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak < 13.5, f"traced peak {peak:.1f} MiB"
 
 
 def test_refused_refinement_reads_not_measured_in_its_place(batteries, monkeypatch):
