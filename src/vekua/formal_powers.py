@@ -287,31 +287,31 @@ def assemble_formal_powers(sp: Superpotential, n_max: int):
     return FormalPowerTable(sp, aux)
 
 
-def _adjoint_pair(f_gen, g_gen):
-    """Adjoint generating pair (F*, G*) of the generating pair (F, G)."""
-    denom = f_gen * np.conj(g_gen) - np.conj(f_gen) * g_gen
-    return -2.0 * np.conj(f_gen) / denom, 2.0 * np.conj(g_gen) / denom
-
-
 def fg_integral(sp: Superpotential, m: int, w) -> np.ndarray:
     """Pair integral of ``w`` from the origin node to every node.
 
     Realizes F(z) Re int(G* w dz) + G(z) Re int(F* w dz) with the line
     integrals taken along axis-parallel L-paths, using the m-th pair of the
-    period-two sequence.  Applied to the derivative of a pair-regular
-    function it reproduces the function up to its value-at-origin term.
-    The pair is built once and its adjoint derived from it, and each line
-    integral is dropped once its real part is weighted, so at most one
-    complex integral is alive at a time.
+    period-two sequence, whose adjoint pair is
+    F* = -2 conj(F) / d and G* = 2 conj(G) / d, d = F conj(G) - conj(F) G.
+    Applied to the derivative of a pair-regular function it reproduces the
+    function up to its value-at-origin term.  The pair is built once, and
+    its adjoint one half at a time: G* is dropped once its line integral is
+    weighted, before F* is built, and each line integral is dropped once its
+    real part is weighted, so at most one half of the adjoint pair and one
+    complex integral are alive at a time.
     """
     grid: Grid2D = sp.grid
     w = grid.check(np.asarray(w, dtype=complex))
     f_gen, g_gen = generating_pair(sp, m)
-    f_star, g_star = _adjoint_pair(f_gen, g_gen)
+    denom = f_gen * np.conj(g_gen) - np.conj(f_gen) * g_gen
+    g_star = 2.0 * np.conj(g_gen) / denom
     # F is real, so is its term; added into the complex G term, it gives the
     # bits of F term + G term
     f_term = f_gen * np.real(lpath_complex(grid, g_star * w))
     del g_star
+    f_star = -2.0 * np.conj(f_gen) / denom
+    del denom
     result = g_gen * np.real(lpath_complex(grid, f_star * w))
     result += f_term
     return result

@@ -361,11 +361,14 @@ def lpath_field(grid: Grid2D, f1, f2) -> np.ndarray:
 def lpath_complex(grid: Grid2D, w) -> np.ndarray:
     """Complex line integral ``int w dzeta`` along the same L-paths.
 
-    The x leg is added into ``1j * leg_y`` in place, which gives the bits of
-    ``leg_x + 1j * leg_y`` with one n1 x n2 array fewer alive."""
+    The y leg (made complex, if it is real) is multiplied by 1j in place, and
+    the x leg is added into that product in place.  That gives the bits of
+    ``leg_x + 1j * leg_y``, as each product with a part of 1j is exact, and a
+    complex ``w`` leaves no n1 x n2 array alive besides the result."""
     w = grid.check(w)
     i0, j0 = grid.center
     leg_x = cumulative_integral(grid.gx, w[:, j0], i0)
-    out = 1j * cumulative_integral(grid.gy, w, j0, axis=1)
+    out = cumulative_integral(grid.gy, w, j0, axis=1).astype(complex, copy=False)
+    out *= 1j
     out += leg_x[:, None]
     return out

@@ -24,11 +24,12 @@ imaginary parts and map complex polynomials in z onto the formal powers.
 Every builder solves one Goursat problem per distinct potential among its
 profiles, named by its definition (:attr:`AxisProfile.potential_key`), not
 by its samples: a linear chi_j has the same q = c1^2 as its flip, and two
-axes with equal definitions on equal grids share one solve.  An operator
-keeps its Volterra matrix and the solve's defect history, not the kernel;
-whoever needs the kernel itself (``vekua transmute --dump-kernel``) solves
-it again from the operator's profile, the flipped one for a companion, and
-gets the same bits.
+axes with equal definitions on equal grids share one solve.  A builder
+drops each kernel once every profile that shares it is dressed, and an
+operator keeps its Volterra matrix and the solve's defect history, not the
+kernel; whoever needs the kernel itself (``vekua transmute --dump-kernel``)
+solves it again from the operator's profile, the flipped one for a
+companion, and gets the same bits.
 """
 
 from __future__ import annotations
@@ -213,18 +214,22 @@ def _operators(*profiles: AxisProfile) -> list[TransmuteOp]:
     """One operator per profile, from one Goursat solve per distinct potential.
 
     Profiles share a kernel when their :attr:`AxisProfile.potential_key` is
-    equal; each operator is dressed with its own slope parameter.  The
-    kernels are dropped on return: an operator keeps its matrix and defects.
+    equal; each operator is dressed with its own slope parameter.  A kernel
+    is dropped once the last profile that shares it is dressed, so profiles
+    of distinct potentials hold one kernel at a time: an operator keeps its
+    matrix and defects only.
     """
+    last = {profile.potential_key: i for i, profile in enumerate(profiles)}
     kernels: dict[tuple, GoursatKernel] = {}
     ops = []
-    for profile in profiles:
+    for i, profile in enumerate(profiles):
         key = profile.potential_key
         if key not in kernels:
             kernels[key] = solve_goursat(profile)
-        gk, grid = kernels[key], profile.grid
-        ops.append(TransmuteOp(
-            grid, _volterra_matrix(grid, build_kernel_with_h(gk, profile.h_param)), gk.defects))
+        gk = kernels.pop(key) if last[key] == i else kernels[key]
+        ops.append(TransmuteOp(profile.grid, _volterra_matrix(
+            profile.grid, build_kernel_with_h(gk, profile.h_param)), gk.defects))
+        del gk  # before the next solve
     return ops
 
 

@@ -15,11 +15,12 @@ each resolution.  A NaN residual makes that maximum NaN, and a NaN fails
 both the cap and the ratio window, so a non-finite value is never dropped.
 
 Each resolution is a level that holds only what its next residual reads
-(see :class:`_Level`).  The three ``diagram_*`` rows share one pass over the
-corpus, field by field: a field's images (T0 w, T1 w) are built once, every
-diagram row the level measures takes its residuals of that field, and the
-images are dropped before the next field's are built; each row then reads
-its residuals, as floats, from that pass.
+(see :class:`_Level`).  The rows measured on the smooth corpus (a
+``per_field`` :class:`Check`) share one pass over it: the level makes one
+field at a time, with its images (T0 w, T1 w) when it measures a diagram
+row, every corpus row it measures takes its residuals of that field, and the
+field and its images are dropped before the next field is made; each row
+then reads its residuals, as floats, from that pass.
 
 Cap models:
 
@@ -166,10 +167,10 @@ class _Level:
 
     A level measures ``checks`` and holds only what their next residual
     reads: the superpotential, the formal-power table (1-D systems and fit
-    designs), the four axis operators (matrices and defects), the corpus
-    fields with their scales, the self-fit, and the diagram rows' residuals
-    as floats.  No corpus field's transmuted image outlives the residuals
-    taken from it (:attr:`diagram_residuals`).
+    designs), the four axis operators (matrices and defects), the self-fit,
+    and the corpus rows' residuals as floats.  No corpus field, nor its
+    transmuted images, outlives the residuals taken from it
+    (:attr:`corpus_residuals`).
     """
 
     def __init__(self, cfg: RunConfig, grid: Grid2D, checks: list["Check"]):
@@ -191,24 +192,40 @@ class _Level:
         return build_transmute_2d(self.sp)
 
     @cached_property
-    def corpus(self) -> list["_CorpusField"]:
-        return [_CorpusField(self.grid, w) for _, w in smooth_corpus(self.grid)]
+    def corpus_residuals(self) -> dict[str, list[float] | str]:
+        """The residuals of each corpus row this level measures, by row name,
+        or the message of the :class:`~vekua.errors.KernelMembershipError`
+        that stopped the row.
 
-    @cached_property
-    def diagram_residuals(self) -> dict[str, list[float]]:
-        """The residuals of each diagram row this level measures, by row name.
-
-        The diagram rows share one pass over the corpus, field by field: a
-        field's (T0 w, T1 w) is built once, every diagram row takes its
-        residuals of that field, and the images are dropped before the next
-        field's are built."""
-        names = {check.name for check in self.checks}
-        measures = {name: m for name, m in _DIAGRAM_MEASURES.items() if name in names}
-        residuals: dict[str, list[float]] = {name: [] for name in measures}
-        for fld in self.corpus:
-            t0w, t1w = self.t2d.t0_t1(fld.w)
+        One pass over the corpus serves every such row: it makes one field
+        at a time, each row takes its residuals of that field through its
+        per-field measure, and the field is dropped, with its (T0 w, T1 w) if
+        a diagram row built them, before the next field is made.  A row whose
+        measure raises is not measured on the later fields; the other rows
+        go on."""
+        measures = {check.name: check.measure for check in self.checks if check.per_field}
+        residuals: dict[str, list[float] | str] = {name: [] for name in measures}
+        for _, w in smooth_corpus(self.grid):
+            fld = _CorpusField(self, w)
             for name, measure in measures.items():
-                residuals[name].extend(measure(self, fld, t0w, t1w))
+                if isinstance(residuals[name], str):
+                    continue
+                try:
+                    residuals[name].extend(measure(self, fld))
+                except KernelMembershipError as exc:
+                    residuals[name] = str(exc)
+            del w, fld  # before the next field is made
+        return residuals
+
+    def residuals(self, check: "Check"):
+        """What ``check.measure`` gives on this level; a corpus row's
+        residuals come from :attr:`corpus_residuals`, and a corpus row stopped
+        there raises its error again."""
+        if not check.per_field:
+            return check.measure(self)
+        residuals = self.corpus_residuals[check.name]
+        if isinstance(residuals, str):
+            raise KernelMembershipError(residuals)
         return residuals
 
     @cached_property
@@ -221,27 +238,33 @@ class _Level:
 
 
 class _CorpusField:
-    """One smooth corpus field with its scales, each computed on first use."""
+    """One smooth corpus field of a level, with its scales and its images
+    (T0 w, T1 w), each computed on first use and dropped with the field."""
 
-    def __init__(self, grid: Grid2D, w: np.ndarray):
-        self.grid = grid
+    def __init__(self, level: _Level, w: np.ndarray):
+        self.level = level
         self.w = w
 
     @cached_property
     def scale(self) -> float:
-        return corpus_scale(self.grid, self.w)
+        return corpus_scale(self.level.grid, self.w)
 
     @cached_property
     def scale_re(self) -> float:
-        return corpus_scale(self.grid, np.real(self.w))
+        return corpus_scale(self.level.grid, np.real(self.w))
 
     @cached_property
     def scale_im(self) -> float:
-        return corpus_scale(self.grid, np.imag(self.w))
+        return corpus_scale(self.level.grid, np.imag(self.w))
+
+    @cached_property
+    def images(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.level.t2d.t0_t1(self.w)
 
 
 # -- residual measurements: each yields its scale-normalized residuals, and the
-# row's residual is their maximum (see :func:`_worst`) --
+# row's residual is their maximum (see :func:`_worst`).  A corpus row's
+# measure yields those of one corpus field (see :attr:`_Level.corpus_residuals`) --
 
 def _res_zero_mode(level: _Level, op, sign: float):
     sp = level.sp
@@ -283,56 +306,50 @@ def _component_gaps(combine, got, want, scale: float):
         yield interior_max(combine(a, b), margin=2) / scale
 
 
-def _res_darboux_projection(level: _Level):
-    sp = level.sp
+def _res_darboux_projection(level: _Level, fld: _CorpusField):
+    sp, w, scale = level.sp, fld.w, fld.scale
     pairs = (
         (ops.darboux, 2.0, ops.vekua_vbar),
         (ops.darboux_adjoint, -2.0, ops.vekua_v1),
         (ops.pseudo_darboux, 2.0, ops.vekua_v1bar),
         (ops.pseudo_darboux_adjoint, -2.0, ops.vekua_v),
     )
-    for fld in level.corpus:
-        w, scale = fld.w, fld.scale
-        pw = ops.project(w)
-        for darboux, c, vekua in pairs:
-            yield from _component_gaps(np.subtract, darboux(sp, pw),
-                                       ops.project(c * vekua(sp, w)), scale)
+    pw = ops.project(w)
+    for darboux, c, vekua in pairs:
+        yield from _component_gaps(np.subtract, darboux(sp, pw),
+                                   ops.project(c * vekua(sp, w)), scale)
 
 
-def _res_factorization(level: _Level):
-    sp = level.sp
+def _res_factorization(level: _Level, fld: _CorpusField):
+    sp, w, scale = level.sp, fld.w, fld.scale
     # H P (resp. H1 P) against -4 P of each product of two Vekua operators
     groups = (
         (ops.h_diag, ((ops.vekua_v1, ops.vekua_vbar), (ops.vekua_v1bar, ops.vekua_v))),
         (ops.h1, ((ops.vekua_vbar, ops.vekua_v1), (ops.vekua_v, ops.vekua_v1bar))),
     )
-    for fld in level.corpus:
-        w, scale = fld.w, fld.scale
-        pw = ops.project(w)
-        for hamiltonian, products in groups:
-            left = hamiltonian(sp, pw)
-            for outer, inner in products:
-                yield from _component_gaps(np.add, left,
-                                           ops.project(4.0 * outer(sp, inner(sp, w))), scale)
+    pw = ops.project(w)
+    for hamiltonian, products in groups:
+        left = hamiltonian(sp, pw)
+        for outer, inner in products:
+            yield from _component_gaps(np.add, left,
+                                       ops.project(4.0 * outer(sp, inner(sp, w))), scale)
 
 
-def _res_intertwining(level: _Level):
-    sp = level.sp
-    for fld in level.corpus:
-        f, scale = np.real(fld.w), fld.scale_re
-        h0f, h2f = ops.h0(sp, f), ops.h2(sp, f)
-        for i in (1, 2):
-            # H1 is diagonal for separable chi, so each sum over k is its k = i term
-            h1f = ops.h1_element(sp, i, f)
-            r1 = ops.h0(sp, ops.q_op(sp, i, +1, f)) - ops.q_op(sp, i, +1, h1f)
-            r2 = ops.q_op(sp, i, -1, h0f) - ops.h1_element(sp, i, ops.q_op(sp, i, -1, f))
-            r3 = ops.h2(sp, ops.p_op(sp, i, +1, f)) - ops.p_op(sp, i, +1, h1f)
-            r4 = ops.p_op(sp, i, -1, h2f) - ops.h1_element(sp, i, ops.p_op(sp, i, -1, f))
-            for r in (r1, r2, r3, r4):
-                yield interior_max(r, margin=2) / scale
+def _res_intertwining(level: _Level, fld: _CorpusField):
+    sp, f, scale = level.sp, np.real(fld.w), fld.scale_re
+    h0f, h2f = ops.h0(sp, f), ops.h2(sp, f)
+    for i in (1, 2):
+        # H1 is diagonal for separable chi, so each sum over k is its k = i term
+        h1f = ops.h1_element(sp, i, f)
+        r1 = ops.h0(sp, ops.q_op(sp, i, +1, f)) - ops.q_op(sp, i, +1, h1f)
+        r2 = ops.q_op(sp, i, -1, h0f) - ops.h1_element(sp, i, ops.q_op(sp, i, -1, f))
+        r3 = ops.h2(sp, ops.p_op(sp, i, +1, f)) - ops.p_op(sp, i, +1, h1f)
+        r4 = ops.p_op(sp, i, -1, h2f) - ops.h1_element(sp, i, ops.p_op(sp, i, -1, f))
+        for r in (r1, r2, r3, r4):
+            yield interior_max(r, margin=2) / scale
 
 
-def _res_supercharge_factorization(level: _Level):
+def _res_supercharge_factorization(level: _Level, fld: _CorpusField):
     sp = level.sp
     # D^+ D = H and D D^+ = H1, and the same for the pseudo-Darboux pair
     groups = (
@@ -341,22 +358,19 @@ def _res_supercharge_factorization(level: _Level):
         (ops.h1, ((ops.darboux, ops.darboux_adjoint),
                   (ops.pseudo_darboux_adjoint, ops.pseudo_darboux))),
     )
-    for fld in level.corpus:
-        v = (np.real(fld.w), np.imag(fld.w))
-        scale = max(fld.scale_re, fld.scale_im)
-        for hamiltonian, products in groups:
-            want = hamiltonian(sp, v)
-            for outer, inner in products:
-                yield from _component_gaps(np.subtract, outer(sp, inner(sp, v)), want, scale)
+    v = (np.real(fld.w), np.imag(fld.w))
+    scale = max(fld.scale_re, fld.scale_im)
+    for hamiltonian, products in groups:
+        want = hamiltonian(sp, v)
+        for outer, inner in products:
+            yield from _component_gaps(np.subtract, outer(sp, inner(sp, v)), want, scale)
 
 
-def _res_nilpotency(level: _Level):
-    sp = level.sp
-    for fld in level.corpus:
-        f, scale = np.real(fld.w), fld.scale_re
-        for outer, inner in ((ops.p_op, ops.q_op), (ops.q_op, ops.p_op)):
-            s = sum(outer(sp, k, +1, inner(sp, k, -1, f)) for k in (1, 2))
-            yield interior_max(s, margin=2) / scale
+def _res_nilpotency(level: _Level, fld: _CorpusField):
+    sp, f, scale = level.sp, np.real(fld.w), fld.scale_re
+    for outer, inner in ((ops.p_op, ops.q_op), (ops.q_op, ops.p_op)):
+        s = sum(outer(sp, k, +1, inner(sp, k, -1, f)) for k in (1, 2))
+        yield interior_max(s, margin=2) / scale
 
 
 def _res_transmute_powers(level: _Level):
@@ -379,11 +393,11 @@ def _res_t0_t1_powers(level: _Level):
             yield float(np.max(np.abs(t1 - succ[n])))
 
 
-# -- the diagram rows, per corpus field and its images (T0 w, T1 w); see
-# :attr:`_Level.diagram_residuals` --
+# -- the diagram rows, on a corpus field's images (T0 w, T1 w) --
 
-def _diagram_differential(level: _Level, fld: _CorpusField, t0w, t1w):
+def _diagram_differential(level: _Level, fld: _CorpusField):
     sp = level.sp
+    t0w, t1w = fld.images
     # V T0 w = T1 dzbar w and V1 T1 w = T0 dzbar w; the same with d_z for the
     # conjugate operators
     pairs = ((d_zbar, ops.vekua_v, ops.vekua_v1), (d_z, ops.vekua_vbar, ops.vekua_v1bar))
@@ -393,15 +407,23 @@ def _diagram_differential(level: _Level, fld: _CorpusField, t0w, t1w):
                                    (t1_d, t0_d), fld.scale)
 
 
-def _diagram_integral(level: _Level, fld: _CorpusField, t0w, t1w):
+def _diagram_integral(level: _Level, fld: _CorpusField):
     sp = level.sp
+    t0w, t1w = fld.images
+    # the first pair integral's work arrays come and go before the images of
+    # int w are built, and each image goes once its residual is taken
+    first = fg_integral(sp, 1, t0w)
     t0_anti, t1_anti = level.t2d.t0_t1(lpath_complex(sp.grid, fld.w))
-    yield interior_max(fg_integral(sp, 1, t0w) - t1_anti, margin=1) / fld.scale
+    first -= t1_anti
+    del t1_anti
+    yield interior_max(first, margin=1) / fld.scale
+    del first
     yield interior_max(fg_integral(sp, 0, t1w) - t0_anti, margin=1) / fld.scale
 
 
-def _diagram_laplacian(level: _Level, fld: _CorpusField, t0w, t1w):
+def _diagram_laplacian(level: _Level, fld: _CorpusField):
     sp = level.sp
+    t0w, t1w = fld.images
     t0_lap, t1_lap = level.t2d.t0_t1(laplacian(sp.grid, fld.w))
     pairs = [
         (ops.h_diag(sp, ops.project(t0w)), ops.project(t0_lap)),
@@ -410,13 +432,6 @@ def _diagram_laplacian(level: _Level, fld: _CorpusField, t0w, t1w):
     for left, lap in pairs:
         for a, b in zip(left, lap):
             yield interior_max(a + b, margin=2) / fld.scale
-
-
-_DIAGRAM_MEASURES = {
-    "diagram_differential": _diagram_differential,
-    "diagram_integral": _diagram_integral,
-    "diagram_laplacian": _diagram_laplacian,
-}
 
 
 def _res_conjugate(level: _Level):
@@ -463,15 +478,13 @@ def _res_analytic_limit(level: _Level):
         yield interior_max(table.z_one[n] - z**n, margin=1)
 
 
-def _res_t_commute(level: _Level):
-    t2d = level.t2d
-    for fld in level.corpus:
-        f, scale = np.real(fld.w), fld.scale_re
-        # its own products, not the diagram pass's images: the residual is the rounding-level
-        # difference between the two orders of the axis products
-        ab = t2d.tx.along_x(t2d.ty.along_y(f))
-        ba = t2d.ty.along_y(t2d.tx.along_x(f))
-        yield float(np.max(np.abs(ab - ba))) / scale
+def _res_t_commute(level: _Level, fld: _CorpusField):
+    t2d, f, scale = level.t2d, np.real(fld.w), fld.scale_re
+    # its own products, not the field's images: the residual is the rounding-level
+    # difference between the two orders of the axis products
+    ab = t2d.tx.along_x(t2d.ty.along_y(f))
+    ba = t2d.ty.along_y(t2d.tx.along_x(f))
+    yield float(np.max(np.abs(ab - ba))) / scale
 
 
 @dataclass(frozen=True)
@@ -479,7 +492,11 @@ class Check:
     """One battery row: what it measures, its cap model and its ratio policy.
 
     ``measure`` yields the residuals of one resolution; the row's residual is
-    their maximum, NaN if any is NaN, and a NaN residual fails the row.
+    their maximum, NaN if any is NaN, and a NaN residual fails the row.  A
+    ``per_field`` row is measured on the smooth corpus: its ``measure`` takes
+    the level and one corpus field and yields that field's residuals, and the
+    level's one pass over the corpus (:attr:`_Level.corpus_residuals`) gathers
+    them over every field.
     Exactly one cap model applies: ``h2_cap`` (multiple of h^2), ``abs_cap``
     (fixed), or neither, in which case ``measure`` returns ``(residual,
     cap)``; no run configuration overrides it.  Only an ``h2_cap`` row is also
@@ -494,6 +511,7 @@ class Check:
     abs_cap: float | None = None
     ratio_window: bool = False
     families: tuple[str, ...] | None = None
+    per_field: bool = False
     note: str = ""
 
 
@@ -509,29 +527,26 @@ CHECKS: tuple[Check, ...] = (
     Check("ground_state_h", "H P[Z^n(a)] = 0, n<=4", _res_ground_state_h, h2_cap=200.0),
     Check("ground_state_h1", "H1 P[dZ^n(a)] = 0, n<=4", _res_ground_state_h1, h2_cap=200.0),
     Check("darboux_projection", "DP = 2P Vbar (+3 companions)", _res_darboux_projection,
-          h2_cap=100.0, ratio_window=True),
+          h2_cap=100.0, ratio_window=True, per_field=True),
     Check("factorization", "HP = -4P V1 Vbar (+3 companions)", _res_factorization,
-          h2_cap=100.0, ratio_window=True),
+          h2_cap=100.0, ratio_window=True, per_field=True),
     Check("intertwining", "H0 qi+ = sum_k qk+ H1_ki (4 forms)", _res_intertwining,
-          h2_cap=100.0, ratio_window=True),
+          h2_cap=100.0, ratio_window=True, per_field=True),
     Check("supercharge_factorization", "Dadj D = H, D Dadj = H1, pseudo variants",
-          _res_supercharge_factorization, h2_cap=100.0, ratio_window=True),
+          _res_supercharge_factorization, h2_cap=100.0, ratio_window=True, per_field=True),
     Check("nilpotency", "sum_k pk+ qk- = 0 = sum_k qk+ pk-", _res_nilpotency,
-          h2_cap=100.0, ratio_window=True),
+          h2_cap=100.0, ratio_window=True, per_field=True),
     # relative error; equals 1e-2 at axis spacing 5e-3
     Check("transmute_powers", "T1[x^k] = phi_k, k<=5 (relative)", _res_transmute_powers,
           h2_cap=400.0, ratio_window=True),
     Check("t0_t1_powers", "T0[a z^n] = Z^n(a), T1[a z^n] = Z1^n(a), n<=4", _res_t0_t1_powers,
           h2_cap=300.0, ratio_window=True),
-    Check("diagram_differential", "V T0 = T1 dzbar (+3 companions)",
-          lambda lv: lv.diagram_residuals["diagram_differential"], h2_cap=300.0,
-          ratio_window=True),
-    Check("diagram_integral", "pair-int T0[w] = T1[int w] (+ swap)",
-          lambda lv: lv.diagram_residuals["diagram_integral"], h2_cap=300.0,
-          ratio_window=True),
-    Check("diagram_laplacian", "H P T0 = -P T0 lap, H1 P T1 = -P T1 lap",
-          lambda lv: lv.diagram_residuals["diagram_laplacian"], h2_cap=300.0,
-          ratio_window=True),
+    Check("diagram_differential", "V T0 = T1 dzbar (+3 companions)", _diagram_differential,
+          h2_cap=300.0, ratio_window=True, per_field=True),
+    Check("diagram_integral", "pair-int T0[w] = T1[int w] (+ swap)", _diagram_integral,
+          h2_cap=300.0, ratio_window=True, per_field=True),
+    Check("diagram_laplacian", "H P T0 = -P T0 lap, H1 P T1 = -P T1 lap", _diagram_laplacian,
+          h2_cap=300.0, ratio_window=True, per_field=True),
     Check("conjugate_reconstruction", "Im Z^1(1) from Re Z^1(1), gauge-fitted", _res_conjugate,
           h2_cap=50.0, ratio_window=True),
     Check("fit_self_residual", "self-fit of a basis member", _res_fit_self_residual,
@@ -540,7 +555,8 @@ CHECKS: tuple[Check, ...] = (
           abs_cap=1e-6),
     Check("taylor_roundtrip", "series(coefficients(Z^3)) on half-radius box",
           _res_taylor_roundtrip, note="cap is the reported stencil-noise bound"),
-    Check("transmute_commute", "T1 T2 = T2 T1", _res_t_commute, abs_cap=1e-12),
+    Check("transmute_commute", "T1 T2 = T2 T1", _res_t_commute, abs_cap=1e-12,
+          per_field=True),
     # Z^n(1) - z^n is the O(h^2) trapezoid error of the 1-D systems: 33-39 h^2 at n = 41..201
     Check("analytic_limit", "Z^n(1) = z^n for vanishing superpotential, n<=6",
           _res_analytic_limit, h2_cap=50.0, ratio_window=True, families=("zero",)),
@@ -573,10 +589,10 @@ def _measure_level(level: _Level, measure: Callable) -> dict:
 def _measure_coarse(check: Check, level: _Level) -> tuple[float, float]:
     """(residual, cap) of a check on the configured grid."""
     if check.h2_cap is not None:
-        return _worst(check.measure(level)), check.h2_cap * level.h2_unit
+        return _worst(level.residuals(check)), check.h2_cap * level.h2_unit
     if check.abs_cap is not None:
-        return _worst(check.measure(level)), check.abs_cap
-    return check.measure(level)
+        return _worst(level.residuals(check)), check.abs_cap
+    return level.residuals(check)
 
 
 def run_battery(cfg: RunConfig) -> list[Row]:
@@ -608,7 +624,7 @@ def run_battery(cfg: RunConfig) -> list[Row]:
     to_refine = [c for c in checks if c.h2_cap is not None
                  and not isinstance(coarse[c.name], str) and not coarse[c.name][0] <= RATIO_FLOOR]
     fine = _measure_level(_Level(cfg, fine_grid, to_refine),
-                          lambda check, level: _worst(check.measure(level)))
+                          lambda check, level: _worst(level.residuals(check)))
     grid_label = f"{cfg.n1}x{cfg.n2}"
     rows: list[Row] = []
     for check in checks:

@@ -30,7 +30,7 @@ def zero_sp(grid):
 
 @pytest.fixture(scope="module")
 def corpus(grid):
-    return smooth_corpus(grid)
+    return list(smooth_corpus(grid))
 
 
 H2 = 1e-4  # h^2 on the default 201-node grid

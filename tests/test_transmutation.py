@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -527,6 +528,39 @@ def test_build_transmute_2d_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * (2 * n - 1) ** 2 * 8
+
+
+@pytest.mark.parametrize("name, params, held", [("quadratic", (1.0, -0.5), 0),
+                                                ("linear", (0.5, -1.0), 1)])
+def test_build_holds_a_kernel_only_until_its_last_profile_is_dressed(name, params, held,
+                                                                     monkeypatch):
+    # quadratic (1, -0.5) has four distinct potentials, so each solve starts
+    # with no kernel alive; the x kernel of linear (0.5, -1) waits for its
+    # flip, dressed after the y axis is solved
+    sp = make_superpotential(name, params, Grid2D(Grid1D(1.0, 41), Grid1D(0.5, 29)))
+    kernels = []  # weak references: the spy must not keep a kernel alive
+    alive_at_solve = []
+    solve = transmutation.solve_goursat
+
+    def spy(profile):
+        alive_at_solve.append(sum(ref() is not None for ref in kernels))
+        gk = solve(profile)
+        kernels.append(weakref.ref(gk))
+        return gk
+
+    monkeypatch.setattr(transmutation, "solve_goursat", spy)
+    t2d = build_transmute_2d(sp)
+    assert max(alive_at_solve) == held
+    assert all(ref() is None for ref in kernels)
+    monkeypatch.undo()
+    # each operator from its own solve, every kernel held to the end
+    profiles = (sp.ax, sp.ay, sp.ax.flipped(), sp.ay.flipped())
+    solved = [solve_goursat(p) for p in profiles]
+    for op, profile, gk in zip((t2d.tx, t2d.ty, t2d.tx_tilde, t2d.ty_tilde), profiles, solved):
+        want = transmutation._volterra_matrix(
+            profile.grid, build_kernel_with_h(gk, profile.h_param))
+        assert op.matrix.tobytes() == want.tobytes()
+        assert op.defects == gk.defects
 
 
 def _reachable(obj):

@@ -1,7 +1,10 @@
+import dataclasses
 import json
 import math
 import tracemalloc
 import weakref
+from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ import vekua.formal_powers as formal_powers
 import vekua.operators as ops
 import vekua.verification as verification
 from vekua.cli import main
+from vekua.corpus import corpus_scale, smooth_corpus
 from vekua.errors import ConfigError, KernelMembershipError, NonConvergenceError
 from vekua.formal_powers import fg_integral
 from vekua.grid import d_z, d_zbar, interior_max, laplacian, lpath_complex
@@ -79,13 +83,13 @@ def _interleaved_battery(cfg):
         ratio = None
         try:
             if check.h2_cap is not None:
-                residual, cap = _worst(check.measure(coarse)), check.h2_cap * coarse.h2_unit
+                residual, cap = _worst(coarse.residuals(check)), check.h2_cap * coarse.h2_unit
                 if not residual <= RATIO_FLOOR:
-                    ratio = residual / max(_worst(check.measure(fine)), np.finfo(float).tiny)
+                    ratio = residual / max(_worst(fine.residuals(check)), np.finfo(float).tiny)
             elif check.abs_cap is not None:
-                residual, cap = _worst(check.measure(coarse)), check.abs_cap
+                residual, cap = _worst(coarse.residuals(check)), check.abs_cap
             else:
-                residual, cap = check.measure(coarse)
+                residual, cap = coarse.residuals(check)
         except KernelMembershipError as exc:
             rows.append(Row(check.name, check.tag, grid_label, np.nan, np.nan, np.nan,
                             check.ratio_window, False, f"not measured: {exc}"))
@@ -143,29 +147,113 @@ def test_battery_holds_one_level_and_one_table_at_a_time(family, monkeypatch):
     assert assemblies == [N, 2 * N - 1]
 
 
-def _row_major_diagram_residuals(level):
-    """The diagram rows measured row by row, with every corpus field's (T0 w,
-    T1 w) built first and held through all three: the order the level's
-    field-major pass replaced, kept as the reference for its residuals."""
+CORPUS_ROWS = ("darboux_projection", "factorization", "intertwining",
+               "supercharge_factorization", "nilpotency", "diagram_differential",
+               "diagram_integral", "diagram_laplacian", "transmute_commute")
+
+
+def _mesh_corpus(grid):
+    """The smooth corpus built on the two full coordinate meshes, every field
+    at once, with its scales: the construction the axis-node fields replaced."""
+    x, y = grid.meshes()
+    bump = np.exp(-(x**2 + y**2))
+    fields = [
+        (1.0 + x + 0.5 * x * y) * bump + 1j * (x**2 - y + 0.5) * bump,
+        (x**3 - 3.0 * x * y**2) + 1j * (3.0 * x**2 * y - y**3 + x),
+        (x - 0.3 * y**2) * bump + 1j * (y + 0.25 * x**2 - x * y) * bump,
+    ]
+    return [SimpleNamespace(w=w, scale=corpus_scale(grid, w),
+                            scale_re=corpus_scale(grid, np.real(w)),
+                            scale_im=corpus_scale(grid, np.imag(w))) for w in fields]
+
+
+def _row_major_corpus_residuals(level):
+    """Every corpus row measured row by row over the whole corpus, with every
+    field and its (T0 w, T1 w) built first and held throughout: the order the
+    level's field-major pass replaced, kept as the reference for its
+    residuals."""
     sp, grid, t2d = level.sp, level.grid, level.t2d
-    images = [t2d.t0_t1(fld.w) for fld in level.corpus]
+    corpus = _mesh_corpus(grid)
+    images = [t2d.t0_t1(fld.w) for fld in corpus]
+
+    def gaps(combine, got, want, scale):
+        for a, b in zip(got, want):
+            yield interior_max(combine(a, b), margin=2) / scale
+
+    def darboux_projection():
+        pairs = ((ops.darboux, 2.0, ops.vekua_vbar), (ops.darboux_adjoint, -2.0, ops.vekua_v1),
+                 (ops.pseudo_darboux, 2.0, ops.vekua_v1bar),
+                 (ops.pseudo_darboux_adjoint, -2.0, ops.vekua_v))
+        for fld in corpus:
+            pw = ops.project(fld.w)
+            for darboux, c, vekua in pairs:
+                yield from gaps(np.subtract, darboux(sp, pw),
+                                ops.project(c * vekua(sp, fld.w)), fld.scale)
+
+    def factorization():
+        groups = (
+            (ops.h_diag, ((ops.vekua_v1, ops.vekua_vbar), (ops.vekua_v1bar, ops.vekua_v))),
+            (ops.h1, ((ops.vekua_vbar, ops.vekua_v1), (ops.vekua_v, ops.vekua_v1bar))),
+        )
+        for fld in corpus:
+            pw = ops.project(fld.w)
+            for hamiltonian, products in groups:
+                left = hamiltonian(sp, pw)
+                for outer, inner in products:
+                    yield from gaps(np.add, left,
+                                    ops.project(4.0 * outer(sp, inner(sp, fld.w))), fld.scale)
+
+    def intertwining():
+        for fld in corpus:
+            f, scale = np.real(fld.w), fld.scale_re
+            h0f, h2f = ops.h0(sp, f), ops.h2(sp, f)
+            for i in (1, 2):
+                h1f = ops.h1_element(sp, i, f)
+                r1 = ops.h0(sp, ops.q_op(sp, i, +1, f)) - ops.q_op(sp, i, +1, h1f)
+                r2 = ops.q_op(sp, i, -1, h0f) - ops.h1_element(sp, i, ops.q_op(sp, i, -1, f))
+                r3 = ops.h2(sp, ops.p_op(sp, i, +1, f)) - ops.p_op(sp, i, +1, h1f)
+                r4 = ops.p_op(sp, i, -1, h2f) - ops.h1_element(sp, i, ops.p_op(sp, i, -1, f))
+                for r in (r1, r2, r3, r4):
+                    yield interior_max(r, margin=2) / scale
+
+    def supercharge_factorization():
+        groups = (
+            (ops.h_diag, ((ops.darboux_adjoint, ops.darboux),
+                          (ops.pseudo_darboux, ops.pseudo_darboux_adjoint))),
+            (ops.h1, ((ops.darboux, ops.darboux_adjoint),
+                      (ops.pseudo_darboux_adjoint, ops.pseudo_darboux))),
+        )
+        for fld in corpus:
+            v = (np.real(fld.w), np.imag(fld.w))
+            scale = max(fld.scale_re, fld.scale_im)
+            for hamiltonian, products in groups:
+                want = hamiltonian(sp, v)
+                for outer, inner in products:
+                    yield from gaps(np.subtract, outer(sp, inner(sp, v)), want, scale)
+
+    def nilpotency():
+        for fld in corpus:
+            f = np.real(fld.w)
+            for outer, inner in ((ops.p_op, ops.q_op), (ops.q_op, ops.p_op)):
+                total = sum(outer(sp, k, +1, inner(sp, k, -1, f)) for k in (1, 2))
+                yield interior_max(total, margin=2) / fld.scale_re
 
     def differential():
         pairs = ((d_zbar, ops.vekua_v, ops.vekua_v1), (d_z, ops.vekua_vbar, ops.vekua_v1bar))
-        for fld, (t0w, t1w) in zip(level.corpus, images):
+        for fld, (t0w, t1w) in zip(corpus, images):
             for deriv, v0, v1 in pairs:
                 t0_d, t1_d = t2d.t0_t1(deriv(grid, fld.w))
                 for a, b in zip((v0(sp, t0w), v1(sp, t1w)), (t1_d, t0_d)):
                     yield interior_max(a - b, margin=2) / fld.scale
 
     def integral():
-        for fld, (t0w, t1w) in zip(level.corpus, images):
+        for fld, (t0w, t1w) in zip(corpus, images):
             t0_anti, t1_anti = t2d.t0_t1(lpath_complex(grid, fld.w))
             yield interior_max(fg_integral(sp, 1, t0w) - t1_anti, margin=1) / fld.scale
             yield interior_max(fg_integral(sp, 0, t1w) - t0_anti, margin=1) / fld.scale
 
     def laplacian_row():
-        for fld, (t0w, t1w) in zip(level.corpus, images):
+        for fld, (t0w, t1w) in zip(corpus, images):
             t0_lap, t1_lap = t2d.t0_t1(laplacian(grid, fld.w))
             pairs = [
                 (ops.h_diag(sp, ops.project(t0w)), ops.project(t0_lap)),
@@ -175,43 +263,123 @@ def _row_major_diagram_residuals(level):
                 for a, b in zip(left, lap):
                     yield interior_max(a + b, margin=2) / fld.scale
 
-    return {"diagram_differential": list(differential()), "diagram_integral": list(integral()),
-            "diagram_laplacian": list(laplacian_row())}
+    def transmute_commute():
+        for fld in corpus:
+            f = np.real(fld.w)
+            ab = t2d.tx.along_x(t2d.ty.along_y(f))
+            ba = t2d.ty.along_y(t2d.tx.along_x(f))
+            yield float(np.max(np.abs(ab - ba))) / fld.scale_re
+
+    measures = (darboux_projection, factorization, intertwining, supercharge_factorization,
+                nilpotency, differential, integral, laplacian_row, transmute_commute)
+    return {name: list(measure()) for name, measure in zip(CORPUS_ROWS, measures)}
+
+
+def test_corpus_rows_are_the_per_field_checks():
+    assert [c.name for c in checks_for("zero") if c.per_field] == list(CORPUS_ROWS)
 
 
 @pytest.mark.parametrize("half_width2, n2", [(1.0, N), (0.5, 41)], ids=["61x61", "61x41"])
 @pytest.mark.parametrize("family", FAMILIES)
-def test_diagram_pass_equals_the_row_major_measures_bit_for_bit(family, half_width2, n2):
+def test_corpus_pass_equals_the_row_major_measures_bit_for_bit(family, half_width2, n2):
     cfg = RunConfig(half_width2=half_width2, n1=N, n2=n2, sp_name=family,
                     sp_params=FAMILIES[family])
     for grid in (cfg.grid(), cfg.grid().refined()):
-        want = _row_major_diagram_residuals(_Level(cfg, grid, checks_for(family)))
-        got = _Level(cfg, grid, checks_for(family)).diagram_residuals
+        want = _row_major_corpus_residuals(_Level(cfg, grid, checks_for(family)))
+        got = _Level(cfg, grid, checks_for(family)).corpus_residuals
         assert list(got) == list(want)
         for name, residuals in want.items():
             assert len(residuals) > 0
             assert np.array(got[name]).view(np.uint64).tolist() == \
-                np.array(residuals).view(np.uint64).tolist()
+                np.array(residuals).view(np.uint64).tolist(), name
 
 
-def test_diagram_pass_measures_only_the_rows_of_its_level(monkeypatch):
-    checks = [c for c in checks_for("quadratic") if c.name == "diagram_integral"]
+def _spied_checks(names, calls):
+    """The per-field checks named in ``names``, in registry order, each
+    recording its name in ``calls`` whenever its measure is called."""
+    def spy(check):
+        def measure(level, fld):
+            calls.append(check.name)
+            return check.measure(level, fld)
+        return dataclasses.replace(check, measure=measure)
+
+    return [spy(c) for c in checks_for("quadratic") if c.per_field and c.name in names]
+
+
+@pytest.mark.parametrize("names", [
+    ("diagram_integral",),
+    tuple(name for name in CORPUS_ROWS if name != "darboux_projection"),
+    ("factorization", "nilpotency"),
+], ids=["one-diagram-row", "no-darboux-projection", "no-diagram-row"])
+def test_corpus_pass_measures_only_the_rows_of_its_level(names, monkeypatch):
     calls = []
-    for name, measure in verification._DIAGRAM_MEASURES.items():
-        def counted(level, fld, t0w, t1w, name=name, measure=measure):
-            calls.append(name)
-            return measure(level, fld, t0w, t1w)
-        monkeypatch.setitem(verification._DIAGRAM_MEASURES, name, counted)
-    level = _Level(QUADRATIC, QUADRATIC.grid(), checks)
-    assert list(level.diagram_residuals) == ["diagram_integral"]
-    assert calls == ["diagram_integral"] * len(level.corpus)
+    alive = []  # weak references to each field made and to its images
+
+    def one_field_at_a_time(grid):
+        for name, w in smooth_corpus(grid):
+            assert all(ref() is None for ref in alive), "a field outlived its residuals"
+            alive.append(weakref.ref(w))
+            yield name, w
+
+    images = verification._CorpusField.images
+    built = []
+
+    def counted(fld):
+        t0w, t1w = images.func(fld)
+        built.append(None)
+        alive.extend((weakref.ref(t0w), weakref.ref(t1w)))
+        return t0w, t1w
+
+    counted_images = cached_property(counted)
+    counted_images.__set_name__(verification._CorpusField, "images")
+    monkeypatch.setattr(verification._CorpusField, "images", counted_images)
+    monkeypatch.setattr(verification, "smooth_corpus", one_field_at_a_time)
+    level = _Level(QUADRATIC, QUADRATIC.grid().refined(), _spied_checks(names, calls))
+    assert list(level.corpus_residuals) == list(names)
+    assert all(len(level.corpus_residuals[name]) > 0 for name in names)
+    # one call per row and field, field by field
+    assert calls == list(names) * 3
+    assert all(ref() is None for ref in alive)
+    # a field's images are built once, and only for a level with a diagram row
+    diagram = any(name.startswith("diagram_") for name in names)
+    assert len(built) == (3 if diagram else 0)
+    assert ("t2d" in level.__dict__) == (diagram or "transmute_commute" in names)
+
+
+def test_kernel_membership_error_on_one_field_stops_only_its_row(batteries, monkeypatch):
+    factorization = next(c.measure for c in verification.CHECKS if c.name == "factorization")
+    fields = []
+
+    def refuse_the_second_field(level, fld):
+        fields.append(None)
+        if len(fields) == 2:
+            raise KernelMembershipError("synthetic: not in ker h")
+        yield from factorization(level, fld)
+
+    monkeypatch.setattr(verification, "CHECKS", tuple(
+        dataclasses.replace(c, measure=refuse_the_second_field) if c.name == "factorization"
+        else c for c in verification.CHECKS))
+    rows = run_battery(QUADRATIC)
+    # the coarse level's pass stops the row at its second field and measures
+    # its third field for the other rows; the refinement does not measure it
+    assert len(fields) == 2
+    assert [r.name for r in rows] == [r.name for r in batteries["quadratic"]]
+    for row, before in zip(rows, batteries["quadratic"]):
+        if row.name != "factorization":
+            assert row == before
+            continue
+        assert row.note == "not measured: synthetic: not in ker h"
+        assert math.isnan(row.residual) and math.isnan(row.cap) and math.isnan(row.ratio)
+        assert not row.passed
 
 
 def test_battery_traced_peak_at_101_nodes():
-    # the refinement holds one corpus field's images at a time, its operators
-    # keep no Goursat table, and no sweep table outlives its solve: 11.7 MiB
-    # traced for the quadratic family, against 17.2 MiB with the six corpus
-    # images held by the level and the kernels by the operators
+    # the refinement holds one corpus field at a time, with its images, and
+    # one Goursat kernel while it builds its operators: 9.8 MiB traced for the
+    # quadratic family, so the bound leaves a margin of about an eighth.  The
+    # level read 11.6 MiB when it held all three corpus fields and both
+    # coordinate meshes, and 17.2 MiB when it also held the six corpus images
+    # and the operators their kernels
     cfg = RunConfig(n1=101, n2=101, sp_name="quadratic", sp_params=FAMILIES["quadratic"])
     if tracemalloc.is_tracing():
         pytest.skip("tracemalloc already traces this process")
@@ -221,7 +389,7 @@ def test_battery_traced_peak_at_101_nodes():
         peak = tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
-    assert peak < 13.5, f"traced peak {peak:.1f} MiB"
+    assert peak < 11.0, f"traced peak {peak:.1f} MiB"
 
 
 def test_refused_refinement_reads_not_measured_in_its_place(batteries, monkeypatch):
