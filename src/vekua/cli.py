@@ -19,39 +19,41 @@ before any check is measured (see :func:`~vekua.verification.run_battery`).
 :data:`vekua.verification.CHECKS`.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error, 3
-numerical non-convergence.  Exit 2 covers unknown flags (a grid flag where
-the grid comes from ``--input``, a chi file flag on ``verify``); an
-unreadable input file; a non-numeric ``--params``; a node count that is not
-an odd integer >= 3; a half-width that is not positive and finite, or whose
-node spacing h has a square h*h that is not a positive normal double (below
-2.2e-308 or overflowing), on the grid or, for ``verify``, on its refinement;
-an unknown family, a wrong parameter count for it (``tabulated`` takes
-none) or a non-finite parameter; an ``--n-max`` or ``--degree`` below 0 or
-from 1030 on, where the binomial C(n, n // 2) exceeds the largest double;
-a non-finite ``--a1`` or ``--a2``; a family, grid or coefficient whose
-formal powers (``formal-powers``, ``expand``, and ``verify`` up to the
-battery's degree) or ``power_custom`` tables overflow to a non-finite value;
-a finite input field whose ``transmute`` image, ``conjugate`` partner or
-Vekua residual, or ``expand`` fit coefficients, residual norms or residual
-field overflow to a non-finite value; an input CSV with a short row, a
-non-numeric cell or a non-finite value; field CSV rows out of x-major order,
-or x or y nodes whose spacing the grid refuses in the same way; and a domain
-error of the input: a field outside the kernel the subcommand needs
-(``KernelMembershipError``: it has a non-finite value, its h0 or h2
-residual or one of f_xx, f_yy and U f overflows, or the residual is not
-within 50 h^2 times the largest of 1, |f_xx|, |f_yy| and |U f| plus its
-rounding 24 eps max|f| / h^2, see :func:`vekua.operators.require_kernel`)
-or a grid too small for the stencils or too coarse for the battery's Taylor
-round trip (``GridShapeError``); and any other overflow the library raises
-(``OverflowError``, e.g. the formal powers of the battery's refinement).
-Each prints one line to stderr.  A degree from 1030 on is refused before any
-assembly, and formal powers whose 1-D power systems overflow are refused
-before the 2-D binomial assembly.  A run that
-exits 2 or 3 leaves no ``--out`` directory behind: each subcommand makes it
-only once its results exist.  Identical flags yield byte-identical outputs.
-Each output file is created new (see :func:`vekua.fields_io.open_output`),
-so a run into a directory that holds an earlier run's outputs replaces them
-rather than writing through them.
+Picard non-convergence of a Goursat solve and nothing else.  Exit 2 covers
+unknown flags (a grid flag where the grid comes from ``--input``, a chi file
+flag on ``verify``); an unreadable input file; a non-numeric ``--params``; a
+node count that is not an odd integer >= 3; a half-width that is not
+positive and finite, or whose node spacing h has a square h*h that is not a
+positive normal double (below 2.2e-308 or overflowing), on the grid or, for
+``verify``, on its refinement; an unknown family, a wrong parameter count
+for it (``tabulated`` takes none) or a non-finite parameter; an ``--n-max``
+or ``--degree`` below 0 or from 1030 on, where the binomial C(n, n // 2)
+exceeds the largest double; a non-finite ``--a1`` or ``--a2``; a family,
+grid or coefficient whose formal powers (``formal-powers``, ``expand``, and
+``verify`` up to the battery's degree) or ``power_custom`` tables overflow
+to a non-finite value; a finite input field whose ``transmute`` image,
+``conjugate`` partner or Vekua residual, or ``expand`` fit coefficients,
+residual norms or residual field overflow to a non-finite value; an input
+CSV with a short row, a non-numeric cell or a non-finite value; field CSV
+rows out of x-major order, or x or y nodes whose spacing the grid refuses in
+the same way; and a domain error of the input: a field outside the kernel
+the subcommand needs (``KernelMembershipError``: it has a non-finite value,
+its h0 or h2 residual or one of f_xx, f_yy and U f overflows, or the
+residual is not within 50 h^2 times the largest of 1, |f_xx|, |f_yy| and
+|U f| plus its rounding 24 eps max|f| / h^2, see
+:func:`vekua.operators.require_kernel`) or a grid too small for the stencils
+or too coarse for the battery's Taylor round trip (``GridShapeError``); and
+any other overflow the library raises (``OverflowError``, e.g. the formal
+powers of the battery's refinement, or a Goursat potential or kernel of
+``transmute`` that overflows to a non-finite value, refused before the first
+Picard sweep or at the first non-finite one).  Each prints one line to
+stderr.  A degree from 1030 on is refused before any assembly, and formal
+powers whose 1-D power systems overflow are refused before the 2-D binomial
+assembly.  A run that exits 2 or 3 leaves no ``--out`` directory behind:
+each subcommand makes it only once its results exist.  Identical flags yield
+byte-identical outputs.  Each output file is created new (see
+:func:`vekua.fields_io.open_output`), so a run into a directory that holds
+an earlier run's outputs replaces them rather than writing through them.
 """
 
 from __future__ import annotations
@@ -84,7 +86,6 @@ from .superpotential import Superpotential, catalog_names
 from .transmutation import (
     build_transmute,
     build_transmute_2d,
-    build_transmute_tilde,
     solve_goursat,
 )
 from .verification import RunConfig, render_report, rows_to_json, run_battery
@@ -259,12 +260,13 @@ def _cmd_transmute(args) -> int:
         kernels = {"x": sp.ax, "y": sp.ay}
     else:
         along_x = args.op in ("T1d", "T1d-tilde")
-        tilde = args.op.endswith("tilde")
         profile = sp.ax if along_x else sp.ay
-        op = (build_transmute_tilde if tilde else build_transmute)(profile)
-        apply = op.along_x if along_x else op.along_y
         # the companion is the plain construction on the flipped profile
-        kernels = {"x" if along_x else "y": profile.flipped() if tilde else profile}
+        if args.op.endswith("tilde"):
+            profile = profile.flipped()
+        op = build_transmute(profile)
+        apply = op.along_x if along_x else op.along_y
+        kernels = {"x" if along_x else "y": profile}
     with np.errstate(over="ignore", invalid="ignore"):
         result = apply(values)
     if not np.isfinite(result).all():

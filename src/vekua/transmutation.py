@@ -16,8 +16,7 @@ to the k-th element of the dressed power system of
 :func:`build_transmute`.  The companion operator acting on the opposite
 exponential dressing is that construction run on the flipped profile (-chi,
 :meth:`AxisProfile.flipped`), which swaps the potential to (chi')^2 - chi''
-and the parameter to -h; it is then cross-validated against its
-antiderivative representation and the build fails on disagreement.
+and the parameter to -h.
 
 The 2-D operators apply the four 1-D operators axis-by-axis to the real and
 imaginary parts and map complex polynomials in z onto the formal powers.
@@ -49,8 +48,6 @@ __all__ = [
     "solve_goursat",
     "build_kernel_with_h",
     "build_transmute",
-    "build_transmute_tilde",
-    "ttilde_antiderivative_form",
     "build_transmute_2d",
 ]
 
@@ -64,10 +61,6 @@ TOL = 1e-12  # Picard stops once the max change of an iterate is below this,
 # of about 4 over it
 _ROUNDING_FLOOR = 64.0
 MAX_ITER = 60
-TILDE_CHECK_CAP = 50.0  # units of h^2 * scale
-# Rounding of the companion cross-check, in units of eps * (n - 1) * M; its
-# error model and measured envelope are in _check_tilde.
-TILDE_ROUNDING = 2.0
 
 
 @dataclass(eq=False)
@@ -89,6 +82,7 @@ class GoursatKernel:
         return len(self.defects)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is refused by value below
 def solve_goursat(profile: AxisProfile) -> GoursatKernel:
     """Picard iteration for the kernel of one axis.
 
@@ -104,7 +98,10 @@ def solve_goursat(profile: AxisProfile) -> GoursatKernel:
     once max|K| exceeds TOL / eps, about 4.5e3.  The stall falls as the grid
     is refined; the floor's constant is set on the coarsest measured grid,
     n = 21.  The solve raises with the defect history if :data:`MAX_ITER`
-    sweeps do neither.  The three other sweep tables are freed before the
+    sweeps do neither.  It raises ``OverflowError``, with no numpy warning,
+    on a potential that is not finite, before the first sweep, and on the
+    first sweep whose defect is not finite, as a NaN defect passes neither
+    stopping test.  The three other sweep tables are freed before the
     axis-node table is gathered from the iterate; only that table is kept.
     """
     grid = profile.grid
@@ -113,6 +110,8 @@ def solve_goursat(profile: AxisProfile) -> GoursatKernel:
     # q(u + v): q is only defined on [-a, a]; u+v leaves it outside the
     # physical triangle only, so clamping cannot affect valid kernel entries
     q_uv = profile.q_at(np.clip(u[:, None] + u[None, :], -a, a))
+    if not np.isfinite(q_uv).all():
+        raise OverflowError("the Goursat potential overflows to a non-finite value")
     q_u = q_uv[:, c]  # v = 0 (u + 0.0 is u: no node is -0)
     g_u = 0.5 * cumulative_integral(cgrid, q_u, c)
     floor = (_ROUNDING_FLOOR * np.finfo(float).eps
@@ -129,6 +128,9 @@ def solve_goursat(profile: AxisProfile) -> GoursatKernel:
         work += g_u[:, None]
         np.subtract(work, k_cur, out=inner)
         defect = float(np.max(np.abs(inner, out=inner)))
+        if not np.isfinite(defect):
+            raise OverflowError(f"the Goursat kernel overflows to a non-finite value "
+                                f"in sweep {len(defects) + 1}")
         defects.append(defect)
         k_cur, work = work, k_cur
         if defect <= TOL:
@@ -238,73 +240,6 @@ def build_transmute(profile: AxisProfile) -> TransmuteOp:
     return _operators(profile)[0]
 
 
-def ttilde_antiderivative_form(t_op: TransmuteOp, profile: AxisProfile, f, df):
-    """Companion operator through its antiderivative representation.
-
-    exp(-chi) * (int_0^x exp(chi(s)) T[f'](s) ds + f(0)), with ``df`` the
-    samples of f'.
-    """
-    grid = profile.grid
-    f = grid.check(np.asarray(f, dtype=float))
-    weighted = np.exp(profile.chi) * t_op.along_x(df)
-    acc = cumulative_integral(grid, weighted, grid.center)
-    return np.exp(-profile.chi) * (acc + f[grid.center])
-
-
-def build_transmute_tilde(profile: AxisProfile) -> TransmuteOp:
-    """Companion transmutation operator (opposite exponential dressing).
-
-    Equal to :func:`build_transmute` on the flipped profile, whose potential
-    is (chi')^2 - chi'' and whose slope parameter is -h.  The operator is
-    then compared on low powers against the antiderivative representation
-    through the plain operator; any disagreement above 50 h^2 per unit scale,
-    plus its rounding, fails the build (:func:`_check_tilde`).  The two share
-    one Goursat solve when the flip keeps the potential's definition
-    (chi'' = 0 for ``poly``).
-    """
-    t_op, op = _operators(profile, profile.flipped())
-    _check_tilde(profile, op, t_op)
-    return op
-
-
-def _check_tilde(profile: AxisProfile, op: TransmuteOp, t_op: TransmuteOp) -> None:
-    """Raise unless the companion ``op`` matches its antiderivative form on x, x^2, x^3.
-
-    The cap is :data:`TILDE_CHECK_CAP` * h^2 * max(1, M) + R, with M the
-    largest magnitude of the antiderivative form.  The h^2 term is the
-    truncation of the two second-order constructions; R =
-    :data:`TILDE_ROUNDING` * eps * (n - 1) * M is their rounding, which the
-    h^2 term alone no longer covers once h^2 nears eps (half-width 1e-20 on
-    21 nodes: a gap of 1.5e-36 against 5e-41).  With u = eps/2: the running
-    trapezoid sum adds n - 1 increments from the left end, with partial sums
-    up to 2M, so it carries up to 2 (n - 1) u M; the Volterra product adds up
-    to n terms per row, with partial sums near M where R matters (there
-    a max|K| is small, a the half-width), (n - 1) u M more; the subtraction
-    of the origin value, the f(0) term and the exponential factors add a few
-    u M.  That is 1.5 (n - 1) eps M and a few u M, below C = 2.  Measured on
-    x^1 (half-widths 1e-20 to 1e-8, n = 21 to 401; zero, linear and
-    quadratic): at most 0.18 of the unit eps (n - 1) M, and in units of
-    eps M rising with n as the model says, 2.7 at n = 21 and 72 at n = 401.
-    """
-    x = profile.grid.nodes
-    h2_unit = profile.grid.h**2
-    rounding_unit = TILDE_ROUNDING * np.finfo(float).eps * (profile.grid.n - 1)
-    for k in (1, 2, 3):
-        f = x**k
-        df = k * x ** (k - 1) if k > 1 else np.ones_like(x)
-        via_kernel = op.along_x(f)
-        via_anti = ttilde_antiderivative_form(t_op, profile, f, df)
-        magnitude = float(np.max(np.abs(via_anti)))
-        cap = TILDE_CHECK_CAP * h2_unit * max(1.0, magnitude) + rounding_unit * magnitude
-        gap = float(np.max(np.abs(via_kernel - via_anti)))
-        if gap > cap:
-            raise NonConvergenceError(
-                f"companion-transmutation cross-check failed on x^{k}: "
-                f"gap {gap:.3e} > {cap:.3e}",
-                defects=op.defects,
-            )
-
-
 @dataclass(eq=False)
 class Transmute2D:
     """Axis-separable 2-D transmutations acting on complex fields.
@@ -312,6 +247,8 @@ class Transmute2D:
     ``t0`` maps z^n onto the main formal powers, ``t1`` onto the successor
     ones: the real part goes through the plain/plain (resp. tilde/plain)
     axis operators and the imaginary part through the complementary pair.
+    The companions ``tx_tilde`` and ``ty_tilde`` are the plain construction
+    on the flipped axis profiles, nothing more.
     All three entry points are one construction, :meth:`_images`: ``t0`` and
     ``t1`` take four products each, ``t0_t1`` six, as the two images share
     their y-passes.
@@ -357,9 +294,7 @@ class Transmute2D:
 def build_transmute_2d(sp: Superpotential) -> Transmute2D:
     """The four axis operators, one Goursat solve per distinct potential.
 
-    The companions are cross-checked as in :func:`build_transmute_tilde`.
+    The companions ``tx_tilde`` and ``ty_tilde`` are :func:`build_transmute`
+    on the flipped axis profiles.
     """
-    tx, ty, txt, tyt = _operators(sp.ax, sp.ay, sp.ax.flipped(), sp.ay.flipped())
-    _check_tilde(sp.ax, txt, tx)
-    _check_tilde(sp.ay, tyt, ty)
-    return Transmute2D(sp, tx, ty, txt, tyt)
+    return Transmute2D(sp, *_operators(sp.ax, sp.ay, sp.ax.flipped(), sp.ay.flipped()))

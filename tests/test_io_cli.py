@@ -321,7 +321,6 @@ def test_cli_kernel_dump_bytes(tmp_path, op):
         build_kernel_with_h,
         build_transmute,
         build_transmute_2d,
-        build_transmute_tilde,
         solve_goursat,
     )
 
@@ -335,8 +334,8 @@ def test_cli_kernel_dump_bytes(tmp_path, op):
     if op == "T0":
         t2d = build_transmute_2d(sp)
         kernels = {"x": (t2d.tx, sp.ax), "y": (t2d.ty, sp.ay)}
-    elif op == "T1d-tilde":
-        kernels = {"x": (build_transmute_tilde(sp.ax), sp.ax.flipped())}
+    elif op == "T1d-tilde":  # the companion: the plain build on the flipped profile
+        kernels = {"x": (build_transmute(sp.ax.flipped()), sp.ax.flipped())}
     else:
         kernels = {"y": (build_transmute(sp.ay), sp.ay)}
     assert sorted(p.name for p in out.glob("kernel_*.csv")) == [f"kernel_{k}.csv" for k in kernels]
@@ -697,10 +696,16 @@ def exit_2_inputs(tmp_path_factory):
         (["verify", "--half-width", "1e300", "--nodes", "21"],
          "config error: half_width 1e+300 with 21 nodes gives spacing h = 1e+299, whose "
          "square inf is not a positive normal double\n"),
-        # the companion cross-checks pass at their rounding; the Taylor round trip's
-        # grid refusal is reached
+        # the transmutation builds run on a tiny grid; the Taylor round trip's grid
+        # refusal is reached
         (["verify", "--half-width", "1e-20", "--nodes", "21"],
          "domain error (GridShapeError): stencil noise "),
+        # q = c1^2 overflows; q is finite, but the first Picard sweep's q K overflows
+        (["transmute", "--sp", "linear", "--params=1e200,1", "--op", "T1d", "--input",
+          "{sq21}"], "overflow: the Goursat potential overflows to a non-finite value\n"),
+        (["transmute", "--sp", "linear", "--params=1e100,1", "--op", "T1d", "--input",
+          "{sq21}"],
+         "overflow: the Goursat kernel overflows to a non-finite value in sweep 1\n"),
         (["transmute", "--sp", "zero", "--input", "{huge3}"],
          "config error: {huge3}:x: half_width 1.5e+308 with 3 nodes gives spacing h = inf"),
         # finite input whose image, or whose h0 or h2 terms, overflow
@@ -735,7 +740,8 @@ def exit_2_inputs(tmp_path_factory):
          "expand-linear-overflows", "verify-linear-overflows",
          "verify-spacing-overflows", "verify-squared-spacing-underflows",
          "verify-squared-spacing-overflows",
-         "verify-tiny-spacing-taylor-refused",
+         "verify-tiny-spacing-taylor-refused", "transmute-goursat-potential-overflows",
+         "transmute-goursat-kernel-overflows",
          "transmute-input-spacing-overflows", "transmute-image-overflows",
          "conjugate-terms-overflow", "expand-terms-overflow", "conjugate-partner-overflows",
          "expand-fit-overflows", "verify-config",
@@ -819,6 +825,28 @@ def test_cli_maps_every_domain_error_to_exit_2(tmp_path, capsys, monkeypatch, er
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("op", ["T2d-tilde", "T1d-tilde"])
+def test_cli_companion_op_solves_one_kernel(tmp_path, monkeypatch, op):
+    # quadratic (1, -0.5): the flipped profile's potential differs from the
+    # axis's, and only the flipped one is solved
+    from vekua.superpotential import make_superpotential
+
+    calls = []
+    solve = transmutation.solve_goursat
+
+    def counted(profile):
+        calls.append(profile)
+        return solve(profile)
+
+    monkeypatch.setattr(transmutation, "solve_goursat", counted)
+    grid, inp = _write_sample_field(tmp_path, n=11)
+    assert main(["transmute", "--sp", "quadratic", "--params=1,-0.5", "--input", str(inp),
+                 "--op", op, "--out", str(tmp_path / "o")]) == 0
+    sp = make_superpotential("quadratic", (1.0, -0.5), grid)
+    flipped = (sp.ax if op == "T1d-tilde" else sp.ay).flipped()
+    assert [p.potential_key for p in calls] == [flipped.potential_key]
+
+
 def test_cli_transmute_non_convergence_exits_3_without_output(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(transmutation, "MAX_ITER", 2)
     _, inp = _write_sample_field(tmp_path)
@@ -830,7 +858,7 @@ def test_cli_transmute_non_convergence_exits_3_without_output(tmp_path, capsys, 
 
 @pytest.mark.parametrize("op", ["T0", "T1d-tilde"])
 def test_cli_transmute_on_a_tiny_grid(tmp_path, op):
-    # half-width 1e-20: the companion cross-check's gap is rounding, above 50 h^2
+    # half-width 1e-20: h^2 is far below eps, and the plain and companion builds run
     grid = Grid2D.square(1e-20, 21)
     inp = tmp_path / "input.csv"
     write_field_csv(inp, grid, grid.zmesh())

@@ -24,9 +24,7 @@ from vekua.transmutation import (
     build_kernel_with_h,
     build_transmute,
     build_transmute_2d,
-    build_transmute_tilde,
     solve_goursat,
-    ttilde_antiderivative_form,
 )
 
 
@@ -348,48 +346,54 @@ def test_transmute_convergence_ratio():
     assert 3.5 <= rel_err(401) / rel_err(801) <= 4.5
 
 
-def test_ttilde_matches_antiderivative_form(sp_linear):
-    t_op = build_transmute(sp_linear.ax)
-    tt_op = build_transmute_tilde(sp_linear.ax)
-    x = sp_linear.grid.gx.nodes
-    for k in (0, 1, 2, 3):
-        f = x**k
-        df = k * x ** (k - 1) if k > 0 else np.zeros_like(x)
-        via_anti = ttilde_antiderivative_form(t_op, sp_linear.ax, f, df)
-        np.testing.assert_allclose(tt_op.along_x(f), via_anti, atol=60 * H2)
+def _antiderivative_form(t_op, profile, f, df):
+    """exp(-chi) * (int_0^x exp(chi) T[f'] + f(0)), with ``df`` the samples of f'."""
+    grid = profile.grid
+    weighted = np.exp(profile.chi) * t_op.along_x(df)
+    return np.exp(-profile.chi) * (cumulative_integral(grid, weighted, grid.center)
+                                   + f[grid.center])
+
+
+@pytest.mark.parametrize("n", [61, 201])
+@pytest.mark.parametrize("name, params", [("zero", ()), ("linear", (0.5, -1.0)),
+                                          ("quadratic", (1.0, -0.5))])
+def test_ttilde_matches_antiderivative_form(name, params, n):
+    # the companion, the plain build on the flipped profile, against its
+    # antiderivative form through the plain operator.  The cap is 50 h^2
+    # max(1, M), the truncation of the two second-order constructions, plus
+    # their rounding 2 eps (n - 1) M, with M the largest magnitude of the form:
+    # the running trapezoid sum carries up to 2 (n - 1) u M (u = eps / 2), the
+    # Volterra product (n - 1) u M more
+    sp = make_superpotential(name, params, Grid2D.square(1.0, n))
+    for profile in (sp.ax, sp.ay):
+        t_op = build_transmute(profile)
+        tt_op = build_transmute(profile.flipped())
+        x = profile.grid.nodes
+        for k in range(4):
+            f = x**k
+            df = k * x ** (k - 1) if k > 0 else np.zeros_like(x)
+            via_anti = _antiderivative_form(t_op, profile, f, df)
+            magnitude = float(np.max(np.abs(via_anti)))
+            cap = (50.0 * profile.grid.h**2 * max(1.0, magnitude)
+                   + 2.0 * np.finfo(float).eps * (n - 1) * magnitude)
+            gap = float(np.max(np.abs(tt_op.along_x(f) - via_anti)))
+            assert gap <= cap, (profile.grid, k, gap, cap)
 
 
 @pytest.mark.parametrize("n", [21, 201, 401])
 @pytest.mark.parametrize("name, params", [("zero", ()), ("linear", (1.0, -1.0)),
                                           ("quadratic", (1.0, -0.5))])
-def test_companion_cross_check_allows_its_rounding_on_a_tiny_grid(name, params, n):
-    # half-width 1e-20: h^2 is far below eps, so x^1 gaps of a few eps * max|x|
-    # are rounding alone (at n = 21 a gap of 1.5e-36 against 50 h^2 = 5e-41)
+def test_build_transmute_2d_on_a_tiny_grid(name, params, n):
+    # half-width 1e-20: h^2 is far below eps
     sp = make_superpotential(name, params, Grid2D.square(1e-20, n))
     build_transmute_2d(sp)
-
-
-def test_companion_cross_check_refuses_the_plain_operator(sp_linear):
-    # chi1 = x: the plain operator is not its own companion, and the rounding
-    # term does not hide a truncation-size gap
-    t_op = build_transmute(sp_linear.ax)
-    with pytest.raises(NonConvergenceError, match="cross-check failed on x"):
-        transmutation._check_tilde(sp_linear.ax, t_op, t_op)
-
-
-@pytest.mark.parametrize("name, params", [("linear", (0.5, -1.0)), ("quadratic", (-1.0, 0.5))])
-def test_ttilde_is_the_plain_build_on_the_flipped_profile(name, params):
-    sp = make_superpotential(name, params, Grid2D.square(1.0, 61))
-    for profile in (sp.ax, sp.ay):
-        tilde = build_transmute_tilde(profile)
-        assert np.array_equal(tilde.matrix, build_transmute(profile.flipped()).matrix)
 
 
 def test_ttilde_powers_match_tilde_system():
     grid = Grid2D.square(1.0, 401)
     sp = make_superpotential("quadratic", (1.0, 0.0), grid)
     aux = build_aux_system(sp, 4)
-    op = build_transmute_tilde(sp.ax)
+    op = build_transmute(sp.ax.flipped())
     x = grid.gx.nodes
     for k in range(5):
         got = op.along_x(x**k)
@@ -404,7 +408,7 @@ def test_intertwining_with_weighted_derivative(sp_linear):
     ax = sp_linear.ax
     grid = ax.grid
     t_op = build_transmute(ax)
-    tt_op = build_transmute_tilde(ax)
+    tt_op = build_transmute(ax.flipped())
     x = grid.nodes
     f = x**3 - 0.5 * x
     df = 3 * x**2 - 0.5
@@ -423,7 +427,7 @@ def test_integral_counterpart_of_intertwining(sp_linear):
     ax = sp_linear.ax
     grid = ax.grid
     t_op = build_transmute(ax)
-    tt_op = build_transmute_tilde(ax)
+    tt_op = build_transmute(ax.flipped())
     x = grid.nodes
     f = np.cos(2.0 * x) + x
     anti = cumulative_integral(grid, f, grid.center)
@@ -448,7 +452,7 @@ def test_t0_identity_for_zero_chi(grid201):
     np.testing.assert_allclose(t2d.t1(w), w, atol=1e-12)
 
 
-def _assert_solves_once_per_distinct_potential(sp, solves, tilde_solves, monkeypatch):
+def _assert_solves_once_per_distinct_potential(sp, solves, monkeypatch):
     calls = []
     solve = transmutation.solve_goursat
 
@@ -460,16 +464,12 @@ def _assert_solves_once_per_distinct_potential(sp, solves, tilde_solves, monkeyp
     t2d = build_transmute_2d(sp)
     assert len(calls) == solves
     calls.clear()
-    build_transmute_tilde(sp.ax)
-    assert len(calls) == tilde_solves
+    # one solve each, of the profile built on, nothing shared; a companion is
+    # the plain build on the flipped profile
+    profiles = (sp.ax, sp.ay, sp.ax.flipped(), sp.ay.flipped())
+    independent = [build_transmute(profile) for profile in profiles]
+    assert [p.potential_key for p in calls] == [p.potential_key for p in profiles]
     monkeypatch.undo()
-    # one solve each, nothing shared
-    independent = (
-        build_transmute(sp.ax),
-        build_transmute(sp.ay),
-        build_transmute(sp.ax.flipped()),
-        build_transmute(sp.ay.flipped()),
-    )
     shared = (t2d.tx, t2d.ty, t2d.tx_tilde, t2d.ty_tilde)
     for got, want in zip(shared, independent):
         assert np.array_equal(got.matrix.view(np.uint64), want.matrix.view(np.uint64))
@@ -488,8 +488,7 @@ def _assert_solves_once_per_distinct_potential(sp, solves, tilde_solves, monkeyp
 def test_builds_solve_once_per_distinct_potential(name, params, solves, monkeypatch):
     # a linear axis and its flip share q = c1^2; equal axes share theirs
     sp = make_superpotential(name, params, Grid2D.square(1.0, 41))
-    _assert_solves_once_per_distinct_potential(
-        sp, solves, 2 if name == "quadratic" else 1, monkeypatch)
+    _assert_solves_once_per_distinct_potential(sp, solves, monkeypatch)
 
 
 def _tabulated(chi1, chi2):
@@ -501,19 +500,19 @@ def _tabulated(chi1, chi2):
 
 
 @pytest.mark.parametrize(
-    "build, solves, tilde_solves",
-    [(lambda: _tabulated(lambda x: 0.5 * x, lambda x: -x), 2, 1),
-     (lambda: _tabulated(lambda x: 0.5 * x**2, lambda x: -0.25 * x**2), 4, 2),
-     (lambda: make_superpotential("linear", (-0.0, 0.0), Grid2D.square(1.0, 41)), 1, 1),
-     (lambda: make_superpotential("zero", (), Grid2D(Grid1D(1.0, 41), Grid1D(2.0, 41))), 2, 1)],
+    "build, solves",
+    [(lambda: _tabulated(lambda x: 0.5 * x, lambda x: -x), 2),
+     (lambda: _tabulated(lambda x: 0.5 * x**2, lambda x: -0.25 * x**2), 4),
+     (lambda: make_superpotential("linear", (-0.0, 0.0), Grid2D.square(1.0, 41)), 1),
+     (lambda: make_superpotential("zero", (), Grid2D(Grid1D(1.0, 41), Grid1D(2.0, 41))), 2)],
     ids=["tabulated-linear", "tabulated-quadratic", "linear-signed-zeros",
          "zero-two-half-widths"],
 )
-def test_sharing_key_is_exact(build, solves, tilde_solves, monkeypatch):
+def test_sharing_key_is_exact(build, solves, monkeypatch):
     # a linear table's flip shares its axis's solve, a quadratic table's does
     # not (the stencil's chi'' changes sign); -0 and +0 slopes give q = 0 alike;
     # equal potentials on different intervals are different kernels
-    _assert_solves_once_per_distinct_potential(build(), solves, tilde_solves, monkeypatch)
+    _assert_solves_once_per_distinct_potential(build(), solves, monkeypatch)
 
 
 def test_build_transmute_2d_peak_memory():
