@@ -2,10 +2,12 @@
 
 Everything downstream lives on a tensor-product grid over the rectangle
 ``[-a1, a1] x [-a2, a2]``.  Node counts are odd so that the origin is a grid
-node; it is the default base point of every cumulative integral, and every
-L-path integral starts at that centre node.  All derivative stencils are
-second order: central differences on interior nodes and one-sided
-three/four-point formulas on the boundary.
+node; it is the default base point of every cumulative integral, and the
+one L-path integral, :func:`lpath_complex`, starts at that centre node.  It
+also reconstructs a real field from its d_zbar: the real phi vanishing at the
+centre node with d_zbar phi = g is 2 Re lpath_complex(conj g).  All derivative
+stencils are second order: central differences on interior nodes and
+one-sided three/four-point formulas on the boundary.
 Quadrature is the composite trapezoid rule throughout, so antiderivatives
 exist at every node and share the O(h^2) order of the stencils.  It is
 plain numpy with the floating-point operations of
@@ -54,7 +56,6 @@ __all__ = [
     "d_z",
     "d_zbar",
     "laplacian",
-    "lpath_field",
     "lpath_complex",
     "interior",
     "interior_max",
@@ -343,23 +344,8 @@ def interior_max(f: np.ndarray, margin: int = 1) -> float:
     return float(np.max(np.abs(interior(f, margin))))
 
 
-def lpath_field(grid: Grid2D, f1, f2) -> np.ndarray:
-    """``2 * (int f1 dx + int f2 dy)`` along L-paths to every node.
-
-    The path runs from the centre node first along x at fixed y, then along
-    y at fixed x.  This is the gradient-reconstruction integral for the
-    conjugate Wirtinger derivative of a real field.
-    """
-    f1 = grid.check(f1)
-    f2 = grid.check(f2)
-    i0, j0 = grid.center
-    leg_x = cumulative_integral(grid.gx, f1[:, j0], i0)
-    leg_y = cumulative_integral(grid.gy, f2, j0, axis=1)
-    return 2.0 * (leg_x[:, None] + leg_y)
-
-
 def lpath_complex(grid: Grid2D, w) -> np.ndarray:
-    """Complex line integral ``int w dzeta`` along the same L-paths.
+    """Complex line integral ``int w dzeta`` from the centre node: along x at y = 0, then along y.
 
     The y leg (made complex, if it is real) is multiplied by 1j in place, and
     the x leg is added into that product in place.  That gives the bits of

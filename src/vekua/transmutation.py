@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergenceError
+from .errors import GridShapeError, NonConvergenceError
 from .grid import Grid1D, _cumulative_trapezoid, cumulative_integral
 from .superpotential import AxisProfile, Superpotential
 
@@ -209,7 +209,13 @@ class TransmuteOp:
         return self.matrix @ self.grid.check(np.asarray(f))
 
     def along_y(self, field2d) -> np.ndarray:
-        return np.asarray(field2d) @ self.matrix.T
+        """Apply along the last axis of a 1-D or 2-D field."""
+        field2d = np.asarray(field2d)
+        if field2d.shape[-1:] != (self.grid.n,):
+            raise GridShapeError(
+                f"expected {self.grid.n} samples along the last axis, got shape {field2d.shape}"
+            )
+        return field2d @ self.matrix.T
 
 
 def _operators(*profiles: AxisProfile) -> list[TransmuteOp]:

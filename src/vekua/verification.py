@@ -9,6 +9,18 @@ applies, and which superpotential families it covers.
 checks, and the registry is the only source of caps: a run's configuration
 names the grid and the superpotential, nothing else.
 
+Claims of the source paper's abstract, with the rows that measure them:
+factorization by one Vekua and one Bers derivative operator
+(``factorization``, ``supercharge_factorization``); solutions of a Vekua
+equation and of its Bers derivative give ground states (``ground_state_h``,
+``ground_state_h1``, which takes n Z1^{n-1}(a) as the Bers derivative of
+Z^n(a): no row forms that derivative); the Darboux and pseudo-Darboux
+transformations are Bers derivatives (``darboux_projection``); completeness of
+the ground states (no row yet); the separable case through transmutation
+operators (``transmute_powers``, ``t0_t1_powers``, ``diagram_differential``,
+``diagram_integral``); the Hamiltonian components tied to the Laplacian
+(``diagram_laplacian``).  The other rows check what these rest on.
+
 A measure yields each residual it computes (each component of a pair on
 its own); :func:`run_battery` takes their maximum as the row's residual at
 each resolution.  A NaN residual makes that maximum NaN, and a NaN fails

@@ -311,6 +311,19 @@ def test_along_x_rejects_wrong_length():
         op.along_x(np.ones(23))
 
 
+@pytest.mark.parametrize("shape", [(21, 5), (5, 21), (21,), (7,)])
+def test_along_x_and_along_y_check_the_axis_they_apply_along(shape):
+    grid = Grid2D.square(1.0, 21)
+    op = build_transmute(make_superpotential("linear", (0.5, -1.0), grid).ax)
+    f = np.ones(shape)
+    for apply, axis in ((op.along_x, 0), (op.along_y, -1)):
+        if shape[axis] == 21:
+            assert apply(f).shape == shape
+        else:
+            with pytest.raises(GridShapeError):
+                apply(f)
+
+
 def test_transmute_linear_chi_sinh_oracle():
     grid = Grid2D.square(1.0, 401)
     sp = make_superpotential("linear", (1.0, 0.0), grid)
