@@ -210,8 +210,8 @@ def _cmd_formal_powers(args) -> int:
     families = (
         ("seq0_a1", table.z_one),
         ("seq0_ai", table.z_i),
-        ("seq1_a1", table.z1_one),
-        ("seq1_ai", table.z1_i),
+        ("seq1_a1", table.successor().z_one),
+        ("seq1_ai", table.successor().z_i),
     )
     for label, block in families:
         for n in range(args.n_max + 1):

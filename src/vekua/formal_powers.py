@@ -8,8 +8,9 @@ of the flipped profile (-chi_j); the tilde system is that same construction
 on :meth:`AxisProfile.flipped`, with no rule of its own.  That explicit
 assembly is the only construction here, and it runs on request: a
 :class:`FormalPowerTable` keeps the 1-D systems, O(n_max) values per axis
-node, and assembles a sampled power from them when it is read.  The pair
-integral :func:`fg_integral`, the step of the generic recursive construction
+node, and assembles a sampled power from them when it is read; the
+successor sequence is the table of :meth:`Superpotential.successor`.  The
+pair integral :func:`fg_integral`, the step of the recursive construction
 by pair-alternating integration, serves the battery's ``diagram_integral``
 row, where it must commute with the transmutation operators.
 
@@ -140,15 +141,15 @@ class DesignFactors:
 
 @dataclass(eq=False)
 class FormalPowerTable:
-    """Formal powers of both sequence members for n = 0..n_max, assembled on request.
+    """Formal powers of the main Vekua equation for n = 0..n_max, assembled on request.
 
-    The table holds three things, nothing else: its 1-D systems ``aux``; the
+    The table holds four things, nothing else: its 1-D systems ``aux``; the
     fit designs that :meth:`design` memoizes per ``(basis_kind, degree)``;
-    and their factors, the thin SVD that :meth:`design_factors` memoizes per
-    key on the first fit (one m x rank array and two small ones).  Its four
-    read-only stacks (:class:`_PowerStack`) assemble each power on request
-    into an array that belongs to the reader: ``z_one[n]``/``z_i[n]`` solve
-    the main Vekua equation, ``z1_one[n]`` / ``z1_i[n]`` the successor one.
+    their factors, the thin SVD that :meth:`design_factors` memoizes per key
+    on the first fit (one m x rank array and two small ones); and the table of
+    the successor powers Z1^n(a), :meth:`successor`.  Its two read-only stacks
+    (:class:`_PowerStack`) ``z_one[n]`` = Z^n(1) and ``z_i[n]`` = Z^n(i)
+    assemble each power on request into an array that belongs to the reader.
     General coefficients come from the real-linear rule
     a = a1 + i*a2 -> a1 * Z(1) + a2 * Z(i); for finite powers ``power(n, 1.0)``
     and ``power(n, 1j)`` equal ``z_one[n]`` and ``z_i[n]`` bit for bit, as a
@@ -162,18 +163,14 @@ class FormalPowerTable:
     aux: AuxSystem
     z_one: _PowerStack = field(init=False, repr=False)
     z_i: _PowerStack = field(init=False, repr=False)
-    z1_one: _PowerStack = field(init=False, repr=False)
-    z1_i: _PowerStack = field(init=False, repr=False)
     _designs: dict = field(default_factory=dict, init=False, repr=False)
     _factors: dict = field(default_factory=dict, init=False, repr=False)
+    _successor: "FormalPowerTable | None" = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         phi, phi_t, psi, psi_t = self.aux.phi, self.aux.phi_t, self.aux.psi, self.aux.psi_t
         self.z_one = _PowerStack((phi, psi), (phi_t, psi_t), False)
         self.z_i = _PowerStack((phi_t, psi_t), (phi, psi), True)
-        # successor family: swap phi <-> phi_t, psi systems invariant
-        self.z1_one = _PowerStack((phi_t, psi), (phi, psi_t), False)
-        self.z1_i = _PowerStack((phi, psi_t), (phi_t, psi), True)
 
     @property
     def n_max(self) -> int:
@@ -186,11 +183,15 @@ class FormalPowerTable:
         a = complex(a)
         return a.real * self.z_one[n] + a.imag * self.z_i[n]
 
+    def successor(self) -> "FormalPowerTable":
+        """The table of ``sp.successor()`` to the same degree, built on the first
+        request and returned as is afterwards."""
+        if self._successor is None:
+            self._successor = assemble_formal_powers(self.sp.successor(), self.n_max)
+        return self._successor
+
     def power_succ(self, n: int, a: complex) -> np.ndarray:
-        """Formal power of the successor sequence with coefficient ``a``."""
-        self._check(n)
-        a = complex(a)
-        return a.real * self.z1_one[n] + a.imag * self.z1_i[n]
+        return self.successor().power(n, a)
 
     def design(self, basis_kind: str, degree: int) -> np.ndarray:
         """Read-only collocation matrix of the fit in ``basis_kind``.
@@ -287,12 +288,12 @@ def assemble_formal_powers(sp: Superpotential, n_max: int):
     return FormalPowerTable(sp, aux)
 
 
-def fg_integral(sp: Superpotential, m: int, w) -> np.ndarray:
+def fg_integral(sp: Superpotential, w) -> np.ndarray:
     """Pair integral of ``w`` from the origin node to every node.
 
     Realizes F(z) Re int(G* w dz) + G(z) Re int(F* w dz) with the line
-    integrals taken along axis-parallel L-paths, using the m-th pair of the
-    period-two sequence, whose adjoint pair is
+    integrals taken along axis-parallel L-paths, using the generating pair
+    (F, G) of ``sp``, whose adjoint pair is
     F* = -2 conj(F) / d and G* = 2 conj(G) / d, d = F conj(G) - conj(F) G.
     Applied to the derivative of a pair-regular function it reproduces the
     function up to its value-at-origin term.  The pair is built once, and
@@ -303,7 +304,7 @@ def fg_integral(sp: Superpotential, m: int, w) -> np.ndarray:
     """
     grid: Grid2D = sp.grid
     w = grid.check(np.asarray(w, dtype=complex))
-    f_gen, g_gen = generating_pair(sp, m)
+    f_gen, g_gen = generating_pair(sp)
     denom = f_gen * np.conj(g_gen) - np.conj(f_gen) * g_gen
     g_star = 2.0 * np.conj(g_gen) / denom
     # F is real, so is its term; added into the complex G term, it gives the

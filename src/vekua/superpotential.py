@@ -3,8 +3,9 @@
 A superpotential here is chi(x, y) = chi1(x) + chi2(y) with chi1(0) =
 chi2(0) = 0.  It fixes the Schroedinger potentials of both scalar
 Hamiltonians, the matrix potential of the 2x2 component, the generating
-pairs (exp(chi), i exp(-chi)) and (exp(-chi1+chi2), i exp(chi1-chi2)) that
-drive the whole formal-power machinery, and each axis's Goursat potential.
+pair (exp(chi), i exp(-chi)) that drives the whole formal-power machinery,
+and each axis's Goursat potential.  The second pair of the period-two
+sequence is the first pair of the successor -chi1 + chi2.
 
 Each axis stores only what defines it.  The catalog is one table,
 :data:`_CATALOG`: each family names its parameter count and, per axis, the
@@ -199,6 +200,10 @@ class Superpotential:
         p22 = u0 + 2.0 * self.ay.d2chi[None, :]
         return p11, p22
 
+    def successor(self) -> "Superpotential":
+        """-chi1(x) + chi2(y): its main Vekua operator is the successor one of chi."""
+        return Superpotential(self.ax.flipped(), self.ay)
+
 
 # family -> (parameter count, per-axis coefficients (c1, c2) of
 # chi_j(s) = c1*s + c2*s^2/2, as a function of the parameters)
@@ -246,14 +251,7 @@ def make_superpotential(
     return Superpotential(ax, ay)
 
 
-def generating_pair(sp: Superpotential, m: int = 0):
-    """Pair (F_m, G_m) of the period-two generating sequence.
-
-    Even m: (exp(chi1+chi2), i exp(-(chi1+chi2))); odd m:
-    (exp(-chi1+chi2), i exp(chi1-chi2)).  When chi1 = 0 the two coincide and
-    the sequence degenerates to period one through the same code path.
-    """
-    if m % 2 == 0:
-        return sp.exp_chi(1.0, 1.0), 1j * sp.exp_chi(-1.0, -1.0)
-    return sp.exp_chi(-1.0, 1.0), 1j * sp.exp_chi(1.0, -1.0)
-
+def generating_pair(sp: Superpotential):
+    """(exp(chi), i exp(-chi)); that of :meth:`Superpotential.successor` is the
+    second pair of the period-two sequence, the same pair when chi1 = 0."""
+    return sp.exp_chi(1.0, 1.0), 1j * sp.exp_chi(-1.0, -1.0)

@@ -250,9 +250,10 @@ def build_transmute(profile: AxisProfile) -> TransmuteOp:
 class Transmute2D:
     """Axis-separable 2-D transmutations acting on complex fields.
 
-    ``t0`` maps z^n onto the main formal powers, ``t1`` onto the successor
-    ones: the real part goes through the plain/plain (resp. tilde/plain)
-    axis operators and the imaginary part through the complementary pair.
+    ``t0`` maps z^n onto the main formal powers, ``t1``, the ``t0`` of
+    :meth:`Superpotential.successor`, onto the successor ones: the real part
+    goes through the plain/plain (resp. tilde/plain) axis operators and the
+    imaginary part through the complementary pair.
     The companions ``tx_tilde`` and ``ty_tilde`` are the plain construction
     on the flipped axis profiles, nothing more.
     All three entry points are one construction, :meth:`_images`: ``t0`` and

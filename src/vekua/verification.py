@@ -13,8 +13,8 @@ Claims of the source paper's abstract, with the rows that measure them:
 factorization by one Vekua and one Bers derivative operator
 (``factorization``, ``supercharge_factorization``); solutions of a Vekua
 equation and of its Bers derivative give ground states (``ground_state_h``,
-``ground_state_h1``, which takes n Z1^{n-1}(a) as the Bers derivative of
-Z^n(a): no row forms that derivative); the Darboux and pseudo-Darboux
+``ground_state_h1``, which takes the successor's n Z1^{n-1}(a) as the
+Bers derivative of Z^n(a): no row forms it); the Darboux and pseudo-Darboux
 transformations are Bers derivatives (``darboux_projection``); completeness of
 the ground states (no row yet); the separable case through transmutation
 operators (``transmute_powers``, ``t0_t1_powers``, ``diagram_differential``,
@@ -142,7 +142,7 @@ class RunConfig:
         """The formal-power table of ``sp`` up to ``n_max``, refused without a
         numpy warning if it overflows to a non-finite value: an overflow of the
         1-D systems before any power is assembled, and otherwise a non-finite
-        power, found by assembling and checking each in turn."""
+        power of it or its successor, found by assembling and checking each."""
         params = ",".join(map(str, self.sp_params)) or "none"
         overflow = ConfigError(f"--sp {self.sp_name} with --params {params} overflows the "
                                f"formal powers up to degree {n_max} to a non-finite value on "
@@ -150,10 +150,11 @@ class RunConfig:
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 table = assemble_formal_powers(sp, n_max)
+                succ = table.successor()
             except OverflowError as exc:
                 raise overflow from exc
             # a power is assembled as it is read, so the scan holds one degree at a time
-            stacks = (table.z_one, table.z_i, table.z1_one, table.z1_i)
+            stacks = (table.z_one, table.z_i, succ.z_one, succ.z_i)
             finite = all(np.isfinite(stack[n]).all()
                          for n in range(n_max + 1) for stack in stacks)
         if not finite:
@@ -178,11 +179,11 @@ class _Level:
     """Everything the checks need at one resolution, each built on first use.
 
     A level measures ``checks`` and holds only what their next residual
-    reads: the superpotential, the formal-power table (1-D systems and fit
-    designs), the four axis operators (matrices and defects), the self-fit,
-    and the corpus rows' residuals as floats.  No corpus field, nor its
-    transmuted images, outlives the residuals taken from it
-    (:attr:`corpus_residuals`).
+    reads: the superpotential, the formal-power table (1-D systems, fit
+    designs and the successor table), the four axis operators (matrices and
+    defects), the self-fit, and the corpus rows' residuals as floats.  No
+    corpus field, nor its transmuted images, outlives the residuals taken
+    from it (:attr:`corpus_residuals`).
     """
 
     def __init__(self, cfg: RunConfig, grid: Grid2D, checks: list["Check"]):
@@ -284,13 +285,10 @@ def _res_zero_mode(level: _Level, op, sign: float):
     yield interior_max(op(sp, mode), margin=2) / max(1.0, float(np.max(np.abs(mode))))
 
 
-def _res_vekua_powers(level: _Level, successor: bool):
-    sp, table = level.sp, level.table
-    op, stacks = ((ops.vekua_v1, (table.z1_one, table.z1_i)) if successor
-                  else (ops.vekua_v, (table.z_one, table.z_i)))
+def _res_vekua_powers(level: _Level, op, table: FormalPowerTable):
     for n in range(6):
-        for stack in stacks:  # Z^n(1), then Z^n(i)
-            yield interior_max(op(sp, stack[n]), margin=2)
+        for stack in (table.z_one, table.z_i):  # Z^n(1), then Z^n(i)
+            yield interior_max(op(level.sp, stack[n]), margin=2)
 
 
 def _res_ground_state_h(level: _Level):
@@ -302,9 +300,9 @@ def _res_ground_state_h(level: _Level):
 
 
 def _res_ground_state_h1(level: _Level):
-    sp, table = level.sp, level.table
+    sp, table = level.sp, level.table.successor()
     for n in range(1, 5):
-        for stack in (table.z1_one, table.z1_i):
+        for stack in (table.z_one, table.z_i):
             deriv = n * stack[n - 1]
             for g in ops.h1(sp, ops.project(deriv)):
                 yield interior_max(g, margin=2)
@@ -396,13 +394,13 @@ def _res_transmute_powers(level: _Level):
 
 
 def _res_t0_t1_powers(level: _Level):
-    sp, table = level.sp, level.table
-    z = sp.grid.zmesh()
+    main, succ = level.table, level.table.successor()
+    z = level.sp.grid.zmesh()
     for n in range(5):
-        for a, main, succ in ((1.0, table.z_one, table.z1_one), (1j, table.z_i, table.z1_i)):
+        for a, z0, z1 in ((1.0, main.z_one, succ.z_one), (1j, main.z_i, succ.z_i)):
             t0, t1 = level.t2d.t0_t1(a * z**n)
-            yield float(np.max(np.abs(t0 - main[n])))
-            yield float(np.max(np.abs(t1 - succ[n])))
+            yield float(np.max(np.abs(t0 - z0[n])))
+            yield float(np.max(np.abs(t1 - z1[n])))
 
 
 # -- the diagram rows, on a corpus field's images (T0 w, T1 w) --
@@ -424,13 +422,13 @@ def _diagram_integral(level: _Level, fld: _CorpusField):
     t0w, t1w = fld.images
     # the first pair integral's work arrays come and go before the images of
     # int w are built, and each image goes once its residual is taken
-    first = fg_integral(sp, 1, t0w)
+    first = fg_integral(sp.successor(), t0w)
     t0_anti, t1_anti = level.t2d.t0_t1(lpath_complex(sp.grid, fld.w))
     first -= t1_anti
     del t1_anti
     yield interior_max(first, margin=1) / fld.scale
     del first
-    yield interior_max(fg_integral(sp, 0, t1w) - t0_anti, margin=1) / fld.scale
+    yield interior_max(fg_integral(sp, t1w) - t0_anti, margin=1) / fld.scale
 
 
 def _diagram_laplacian(level: _Level, fld: _CorpusField):
@@ -532,10 +530,10 @@ CHECKS: tuple[Check, ...] = (
           h2_cap=10.0),
     Check("zero_mode_h2", "H2[exp(chi)] = 0", lambda lv: _res_zero_mode(lv, ops.h2, 1.0),
           h2_cap=10.0),
-    Check("vekua_main_powers", "V[Z^n(a)] = 0, n<=5",
-          lambda lv: _res_vekua_powers(lv, successor=False), h2_cap=100.0, ratio_window=True),
-    Check("vekua_succ_powers", "V1[Z1^n(a)] = 0, n<=5",
-          lambda lv: _res_vekua_powers(lv, successor=True), h2_cap=100.0, ratio_window=True),
+    Check("vekua_main_powers", "V[Z^n(a)] = 0, n<=5", h2_cap=100.0, ratio_window=True,
+          measure=lambda lv: _res_vekua_powers(lv, ops.vekua_v, lv.table)),
+    Check("vekua_succ_powers", "V1[Z1^n(a)] = 0, n<=5", h2_cap=100.0, ratio_window=True,
+          measure=lambda lv: _res_vekua_powers(lv, ops.vekua_v1, lv.table.successor())),
     Check("ground_state_h", "H P[Z^n(a)] = 0, n<=4", _res_ground_state_h, h2_cap=200.0),
     Check("ground_state_h1", "H1 P[dZ^n(a)] = 0, n<=4", _res_ground_state_h1, h2_cap=200.0),
     Check("darboux_projection", "DP = 2P Vbar (+3 companions)", _res_darboux_projection,

@@ -39,6 +39,11 @@ def table_quad(quad):
     return assemble_formal_powers(quad, 6)
 
 
+@pytest.fixture(scope="module")
+def succ_quad(table_quad):
+    return table_quad.successor()
+
+
 H2 = 1e-4
 
 
@@ -112,21 +117,25 @@ def test_aux_tilde_systems_are_the_systems_of_the_flipped_profiles(name, params)
 
 # ------------------------------------------------------------- assembly
 
-def test_degree_zero_rows_are_generating_pairs(quad, table_quad):
-    f0, g0 = generating_pair(quad, 0)
-    f1, g1 = generating_pair(quad, 1)
+def test_degree_zero_rows_are_generating_pairs(quad, table_quad, succ_quad):
+    f0, g0 = generating_pair(quad)
     np.testing.assert_array_equal(table_quad.z_one[0], f0)
     np.testing.assert_array_equal(table_quad.z_i[0], g0)
-    np.testing.assert_array_equal(table_quad.z1_one[0], f1)
-    np.testing.assert_array_equal(table_quad.z1_i[0], g1)
+    # the successor's first pair is the second pair of the period-two sequence
+    f1, g1 = generating_pair(quad.successor())
+    np.testing.assert_array_equal(f1, quad.exp_chi(-1.0, 1.0))
+    np.testing.assert_array_equal(g1, 1j * quad.exp_chi(1.0, -1.0))
+    np.testing.assert_array_equal(succ_quad.z_one[0], f1)
+    np.testing.assert_array_equal(succ_quad.z_i[0], g1)
 
 
 def test_zero_chi_powers_match_plain_powers(grid, table_zero):
     z = grid.zmesh()
+    succ = table_zero.successor()
     for n in range(7):
         assert np.max(np.abs(table_zero.power(n, 1.0) - z**n)) <= 5e-3
         assert np.max(np.abs(table_zero.power(n, 1j) - 1j * z**n)) <= 5e-3
-        assert np.max(np.abs(table_zero.power_succ(n, 1.0) - z**n)) <= 5e-3
+        assert np.max(np.abs(succ.power(n, 1.0) - z**n)) <= 5e-3
 
 
 def test_power_linearity_rule(grid, table_zero):
@@ -159,33 +168,30 @@ def test_asymptotics_near_origin(quad, table_quad):
         assert np.all(gap <= envelope + 1e-12)
 
 
-def test_vekua_residual_of_powers(quad, table_quad):
+def test_vekua_residual_of_powers(quad, table_quad, succ_quad):
     for n in range(6):
         for a in (1.0, 1j):
             assert interior_max(ops.vekua_v(quad, table_quad.power(n, a)), margin=2) <= 100 * H2
-            assert (
-                interior_max(ops.vekua_v1(quad, table_quad.power_succ(n, a)), margin=2)
-                <= 100 * H2
-            )
+            assert interior_max(ops.vekua_v1(quad, succ_quad.power(n, a)), margin=2) <= 100 * H2
 
 
-def test_differential_relation(quad, table_quad):
+def test_differential_relation(quad, table_quad, succ_quad):
     # pair derivative of Z^n equals n * Z1^(n-1)
     for n in range(1, 6):
         for a in (1.0, 1j):
             got = ops.vekua_vbar(quad, table_quad.power(n, a))
-            want = n * table_quad.power_succ(n - 1, a)
+            want = n * succ_quad.power(n - 1, a)
             assert interior_max(got - want, margin=2) <= 200 * H2
 
 
-def test_ground_states_from_powers(quad, table_quad):
+def test_ground_states_from_powers(quad, table_quad, succ_quad):
     for n in range(5):
         for a in (1.0, 1j):
             h_pair = ops.h_diag(quad, ops.project(table_quad.power(n, a)))
             assert interior_max(h_pair[0], margin=2) <= 200 * H2
             assert interior_max(h_pair[1], margin=2) <= 200 * H2
     for n in range(1, 5):
-        deriv = n * table_quad.power_succ(n - 1, 1.0)
+        deriv = n * succ_quad.power(n - 1, 1.0)
         h1_pair = ops.h1(quad, ops.project(deriv))
         assert interior_max(h1_pair[0], margin=2) <= 200 * H2
         assert interior_max(h1_pair[1], margin=2) <= 200 * H2
@@ -195,20 +201,20 @@ def test_ground_states_from_powers(quad, table_quad):
 
 def test_fg_integral_of_one_zero_chi(grid, zero_sp):
     z = grid.zmesh()
-    out = fg_integral(zero_sp, 0, np.ones(grid.shape, dtype=complex))
+    out = fg_integral(zero_sp, np.ones(grid.shape, dtype=complex))
     np.testing.assert_allclose(out, z, atol=1e-12)
 
 
-def test_fg_integral_antiderivative_property(quad, table_quad):
+def test_fg_integral_antiderivative_property(quad, table_quad, succ_quad):
     # integrating the pair derivative of Z^n recovers Z^n (its origin value is 0)
     for n in (1, 2, 3):
-        deriv = n * table_quad.power_succ(n - 1, 1.0)
-        rebuilt = fg_integral(quad, 0, deriv)
+        deriv = n * succ_quad.power(n - 1, 1.0)
+        rebuilt = fg_integral(quad, deriv)
         assert np.max(np.abs(rebuilt - table_quad.power(n, 1.0))) <= 30 * H2
 
 
-def test_fg_integral_recursion_step(quad, table_quad):
-    rebuilt = fg_integral(quad, 0, table_quad.power_succ(0, 1.0))
+def test_fg_integral_recursion_step(quad, table_quad, succ_quad):
+    rebuilt = fg_integral(quad, succ_quad.power(0, 1.0))
     assert np.max(np.abs(rebuilt - table_quad.power(1, 1.0))) <= 30 * H2
 
 
@@ -217,19 +223,21 @@ def test_fg_integral_recursion_step(quad, table_quad):
 def recursive_formal_powers(sp, n_max):
     """Oracle: the stacks (z_one, z_i, z1_one, z1_i) by recursive pair integration.
 
-    Degree zero starts from the generating pairs themselves; each next degree
-    integrates the opposite family with the alternating pair integral, so it
-    exercises fg_integral instead of the 1-D systems of the explicit assembly.
+    Degree zero starts from the generating pairs of ``sp`` and of its
+    successor; each next degree integrates the opposite family with the pair
+    integral of the other superpotential, so it exercises fg_integral instead
+    of the 1-D systems of the explicit assembly.
     """
     shape = (n_max + 1,) + sp.grid.shape
     z_one, z_i, z1_one, z1_i = (np.empty(shape, dtype=complex) for _ in range(4))
-    z_one[0], z_i[0] = generating_pair(sp, 0)
-    z1_one[0], z1_i[0] = generating_pair(sp, 1)
+    succ = sp.successor()
+    z_one[0], z_i[0] = generating_pair(sp)
+    z1_one[0], z1_i[0] = generating_pair(succ)
     for n in range(n_max):
-        z_one[n + 1] = (n + 1) * fg_integral(sp, 0, z1_one[n])
-        z_i[n + 1] = (n + 1) * fg_integral(sp, 0, z1_i[n])
-        z1_one[n + 1] = (n + 1) * fg_integral(sp, 1, z_one[n])
-        z1_i[n + 1] = (n + 1) * fg_integral(sp, 1, z_i[n])
+        z_one[n + 1] = (n + 1) * fg_integral(sp, z1_one[n])
+        z_i[n + 1] = (n + 1) * fg_integral(sp, z1_i[n])
+        z1_one[n + 1] = (n + 1) * fg_integral(succ, z_one[n])
+        z1_i[n + 1] = (n + 1) * fg_integral(succ, z_i[n])
     return z_one, z_i, z1_one, z1_i
 
 
@@ -239,19 +247,19 @@ def _combine(z_one, z_i, n, a):
     return a.real * z_one[n] + a.imag * z_i[n]
 
 
-def test_recursive_matches_explicit(quad, table_quad):
+def test_recursive_matches_explicit(quad, table_quad, succ_quad):
     z_one, z_i, z1_one, z1_i = recursive_formal_powers(quad, 4)
     for n in range(5):
         for a in (1.0, 1j):
             gap = np.max(np.abs(_combine(z_one, z_i, n, a) - table_quad.power(n, a)))
             assert gap <= 20 * H2
-            gap1 = np.max(np.abs(_combine(z1_one, z1_i, n, a) - table_quad.power_succ(n, a)))
+            gap1 = np.max(np.abs(_combine(z1_one, z1_i, n, a) - succ_quad.power(n, a)))
             assert gap1 <= 20 * H2
 
 
 def test_recursive_degree_zero_exact(quad):
     z_one, z_i, _, _ = recursive_formal_powers(quad, 0)
-    f0, g0 = generating_pair(quad, 0)
+    f0, g0 = generating_pair(quad)
     np.testing.assert_array_equal(z_one[0], f0)
     np.testing.assert_array_equal(z_i[0], g0)
 
@@ -275,18 +283,21 @@ def test_explicit_assembly_convergence():
     assert 3.5 <= gap(201) / gap(401) <= 4.5
 
 
-def test_period_one_degeneracy_when_chi1_vanishes(grid):
-    # chi1 = 0 collapses the sequence: successor table equals the main table
-    sp = make_superpotential("quadratic", (0.0, 1.0), grid)
-    table = assemble_formal_powers(sp, 4)
+@pytest.mark.parametrize("name, params",
+                         [("quadratic", (0.0, 1.0)), ("linear", (0.0, -0.7)), ("zero", ())])
+def test_period_one_degeneracy_when_chi1_vanishes(grid, name, params):
+    # chi1 = 0 collapses the sequence: the successor table equals the main
+    # table byte for byte
+    table = assemble_formal_powers(make_superpotential(name, params, grid), 4)
+    succ = table.successor()
     for n in range(5):
-        np.testing.assert_allclose(table.z1_one[n], table.z_one[n], atol=1e-12)
-        np.testing.assert_allclose(table.z1_i[n], table.z_i[n], atol=1e-12)
+        assert succ.z_one[n].tobytes() == table.z_one[n].tobytes()
+        assert succ.z_i[n].tobytes() == table.z_i[n].tobytes()
 
 
-def test_power_stacks_are_read_only(table_quad):
+def test_power_stacks_are_read_only(table_quad, succ_quad):
     # the fit designs memoized on the table are built from these powers
-    for stack in (table_quad.z_one, table_quad.z_i, table_quad.z1_one, table_quad.z1_i):
+    for stack in (table_quad.z_one, table_quad.z_i, succ_quad.z_one, succ_quad.z_i):
         for n in range(7):
             with pytest.raises(ValueError):
                 stack[n][0, 0] = 0.0
@@ -309,7 +320,8 @@ def _complex_binomial_sum(n, even_pair, odd_pair, extra_i=False):
 
 
 def _oracle_stacks(aux, n_max):
-    """(z_one, z_i, z1_one, z1_i) of the oracle sums, each a full stack of powers."""
+    """(z_one, z_i, z1_one, z1_i) of the oracle sums, each a full stack of powers;
+    the successor stacks take the main factors with phi and phi_t swapped."""
     phi, phi_t, psi, psi_t = aux.phi, aux.phi_t, aux.psi, aux.psi_t
     families = (((phi, psi), (phi_t, psi_t), False), ((phi_t, psi_t), (phi, psi), True),
                 ((phi_t, psi), (phi, psi_t), False), ((phi, psi_t), (phi_t, psi), True))
@@ -338,8 +350,9 @@ def _family(name, grid):
 def test_assembled_powers_match_the_complex_sums_bit_for_bit(name, shape):
     grid = Grid2D(Grid1D(1.0, shape[0]), Grid1D(1.0, shape[1]))
     table = assemble_formal_powers(_family(name, grid), 6)
+    succ = table.successor()
     z_one, z_i, z1_one, z1_i = _oracle_stacks(table.aux, 6)
-    stacks = (table.z_one, table.z_i, table.z1_one, table.z1_i)
+    stacks = (table.z_one, table.z_i, succ.z_one, succ.z_i)
     for got, want in zip(stacks, (z_one, z_i, z1_one, z1_i)):
         assert len(got) == 7
         for n in range(7):
@@ -348,7 +361,7 @@ def test_assembled_powers_match_the_complex_sums_bit_for_bit(name, shape):
         for a in (1.0, 1j, 0.5 - 1j):
             np.testing.assert_array_equal(_bits(table.power(n, a)),
                                           _bits(a.real * z_one[n] + a.imag * z_i[n]))
-            np.testing.assert_array_equal(_bits(table.power_succ(n, a)),
+            np.testing.assert_array_equal(_bits(succ.power(n, a)),
                                           _bits(a.real * z1_one[n] + a.imag * z1_i[n]))
     for basis_kind, part in (("ker_h0", np.imag), ("ker_h2", np.real)):
         want = np.column_stack([interior(part(z[n]), margin=2).ravel()
@@ -388,19 +401,20 @@ def test_a_table_keeps_no_power_it_assembled(quad):
     tracemalloc.start()
     try:
         table = assemble_formal_powers(quad, 6)
-        for stack in (table.z_one, table.z_i, table.z1_one, table.z1_i):
+        succ = table.successor()
+        for stack in (table.z_one, table.z_i, succ.z_one, succ.z_i):
             for n in range(7):
                 assert stack[n].shape == (201, 201)
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert kept < 2**20
-    first = table.z1_i[4]
-    again = table.z1_i[4]  # a new read-only array, assembled again with the same bits
+    first = succ.z_i[4]
+    again = succ.z_i[4]  # a new read-only array, assembled again with the same bits
     assert again is not first and not again.flags.writeable
     np.testing.assert_array_equal(_bits(again), _bits(first))
     with pytest.raises(IndexError):
-        table.z1_i[7]
+        succ.z_i[7]
 
 
 def test_overflowing_1d_systems_refused_before_the_2d_assembly():

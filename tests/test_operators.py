@@ -89,7 +89,7 @@ def test_vekua_annihilates_generating_pair(grid, quad):
 def test_vekua_v1_annihilates_successor_pair(grid, quad):
     from vekua.superpotential import generating_pair
 
-    f1, g1 = generating_pair(quad, 1)
+    f1, g1 = generating_pair(quad.successor())
     assert interior_max(ops.vekua_v1(quad, f1)) <= 10 * H2
     assert interior_max(ops.vekua_v1(quad, g1)) <= 10 * H2
 
@@ -364,7 +364,7 @@ def _bits(a):
 def test_operators_on_built_once_fields_are_bit_for_bit(grid, corpus, name, params):
     sp = make_superpotential(name, params, grid)
     table = assemble_formal_powers(sp, 3)
-    fields = [w for _, w in corpus] + [table.power(3, 1.0 - 0.5j), table.power_succ(2, 1j)]
+    fields = [w for _, w in corpus] + [table.power(3, 1.0 - 0.5j), table.successor().power(2, 1j)]
     oracles = _fresh_coefficient_oracles()
     for _ in range(2):  # the second round reads every coefficient from the memo
         for w in fields:

@@ -175,17 +175,30 @@ def test_u0_of_flipped_chi_is_u2(grid, quad):
 
 
 def test_generating_pair_nondegenerate(grid, quad):
-    f, g = generating_pair(quad, 0)
+    f, g = generating_pair(quad)
     assert np.min(np.abs(np.imag(np.conj(f) * g))) > 0
     np.testing.assert_allclose(f, quad.exp_chi(1.0), atol=0)
     np.testing.assert_allclose(g, 1j * quad.exp_chi(-1.0), atol=0)
 
 
-def test_period_two_exact(grid, quad):
-    f0, g0 = generating_pair(quad, 0)
-    f2, g2 = generating_pair(quad, 2)
-    np.testing.assert_array_equal(f0, f2)
-    np.testing.assert_array_equal(g0, g2)
+@pytest.mark.parametrize("name, params", [("zero", ()), ("linear", (0.5, -1.0)),
+                                          ("linear", (-0.0, 2.0)), ("quadratic", (1.0, -0.5)),
+                                          ("tabulated", ())])
+def test_successor_has_period_two_exactly(grid, name, params):
+    # the successor of the successor has axis profiles with the same bytes
+    x, y = grid.gx.nodes, grid.gy.nodes
+    tables = ({"chi1_table": np.log(np.cosh(x)), "chi2_table": -0.7 * np.log(np.cosh(y))}
+              if name == "tabulated" else {})
+    sp = make_superpotential(name, params, grid, **tables)
+    twice = sp.successor().successor()
+    for got, want in ((twice.ax, sp.ax), (twice.ay, sp.ay)):
+        for attr in ("chi", "dchi", "d2chi"):
+            assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes(), attr
+    # the successor flips chi1 alone (by value: a flipped poly profile
+    # evaluates its negated coefficients, so a zero may change sign)
+    once = sp.successor()
+    assert np.array_equal(once.ax.chi, -sp.ax.chi)
+    assert once.ay is sp.ay
 
 
 @pytest.mark.parametrize("name, params", [("zero", ()), ("linear", (0.5, -1.0))])

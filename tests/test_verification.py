@@ -249,8 +249,9 @@ def _row_major_corpus_residuals(level):
     def integral():
         for fld, (t0w, t1w) in zip(corpus, images):
             t0_anti, t1_anti = t2d.t0_t1(lpath_complex(grid, fld.w))
-            yield interior_max(fg_integral(sp, 1, t0w) - t1_anti, margin=1) / fld.scale
-            yield interior_max(fg_integral(sp, 0, t1w) - t0_anti, margin=1) / fld.scale
+            yield interior_max(fg_integral(sp.successor(), t0w) - t1_anti,
+                               margin=1) / fld.scale
+            yield interior_max(fg_integral(sp, t1w) - t0_anti, margin=1) / fld.scale
 
     def laplacian_row():
         for fld, (t0w, t1w) in zip(corpus, images):
@@ -541,7 +542,8 @@ def test_cli_verify_assembles_each_level_once(monkeypatch, tmp_path):
     argv = ["verify", "--sp", "quadratic", "--params=1,-0.5", "--nodes", str(N),
             "--out", str(tmp_path)]
     assert main(argv) == 0
-    assert assembled == [N, 2 * N - 1]
+    # the main table of each level, then its successor's
+    assert assembled == [N, N, 2 * N - 1, 2 * N - 1]
 
 
 @pytest.mark.parametrize("family", FAMILIES)
